@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// google-benchmark microbenches for the throughput-critical primitives:
-/// parsing, path extraction (by length), CRF inference, and SGNS training
-/// steps. These back the §5.3 discussion of training-cost tradeoffs.
+/// parsing, path extraction (by length), CRF training and inference, and
+/// SGNS training steps. These back the §5.3 discussion of training-cost
+/// tradeoffs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -204,6 +205,63 @@ void recordExtractionThroughput() {
   }
 }
 
+/// Measured CRF kernel passes for the trajectory gate: perceptron
+/// training in graph visits per second (graphs with unknowns × epochs)
+/// and MAP inference in unknowns per second. Same discipline as
+/// recordExtractionThroughput: one warm-up run, then the best of a few
+/// timed runs; both gauges are `per_sec`, so bench_report gates them.
+void recordCrfThroughput() {
+  const Corpus &C = corpus();
+  paths::PathTable Table;
+  paths::ExtractionConfig Config =
+      tunedExtraction(Language::JavaScript, Task::VariableNames);
+  crf::ElementSelector Selector = selectorFor(Task::VariableNames);
+  std::vector<crf::CrfGraph> Graphs;
+  size_t Visits = 0, Unknowns = 0;
+  for (const ParsedFile &File : C.Files) {
+    Graphs.push_back(crf::buildGraph(
+        File.Tree, paths::extractPathContexts(File.Tree, Config, Table),
+        Selector));
+    Visits += Graphs.back().Unknowns.empty() ? 0 : 1;
+    Unknowns += Graphs.back().Unknowns.size();
+  }
+  crf::CrfConfig CC;
+  Visits *= static_cast<size_t>(CC.Epochs);
+
+  auto BestOf = [](auto &&Run) {
+    double Best = 1e30;
+    for (int Rep = 0; Rep < 8; ++Rep) {
+      auto Start = std::chrono::steady_clock::now();
+      Run();
+      double Seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - Start)
+                           .count();
+      if (Rep > 0) // Rep 0 warms caches and allocator state.
+        Best = std::min(Best, Seconds);
+    }
+    return Best;
+  };
+  crf::CrfModel Model(CC);
+  double TrainSeconds = BestOf([&] {
+    Model = crf::CrfModel(CC);
+    Model.train(Graphs);
+    benchmark::DoNotOptimize(Model.numFeatures());
+  });
+  double PredictSeconds = BestOf([&] {
+    for (const crf::CrfGraph &G : Graphs) {
+      auto Pred = Model.predict(G);
+      benchmark::DoNotOptimize(Pred);
+    }
+  });
+  auto &Reg = telemetry::MetricsRegistry::global();
+  if (TrainSeconds > 0.0 && Visits > 0)
+    Reg.gauge("crf.train.graph_visits_per_sec")
+        .set(static_cast<double>(Visits) / TrainSeconds);
+  if (PredictSeconds > 0.0 && Unknowns > 0)
+    Reg.gauge("crf.predict.unknowns_per_sec")
+        .set(static_cast<double>(Unknowns) / PredictSeconds);
+}
+
 /// Model-load cost, v2 stream vs v3 mmap, for the trajectory gate. Both
 /// formats of the same trained bundle are written to temp files, loaded
 /// repeatedly (best-of, after a warm-up), and the wall times plus the
@@ -329,6 +387,7 @@ int main(int argc, char **argv) {
   benchmark::Shutdown();
   recordParsePhase();
   recordExtractionThroughput();
+  recordCrfThroughput();
   int RC = recordModelLoadCost();
   pigeon::bench::writeBenchSidecar("bench_micro");
   return RC;

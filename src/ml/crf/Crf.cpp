@@ -56,14 +56,26 @@ uint64_t crf::biasKey(Symbol Label) {
 // Graph construction
 //===----------------------------------------------------------------------===//
 
-std::vector<std::vector<uint32_t>> CrfGraph::adjacency() const {
-  std::vector<std::vector<uint32_t>> Adj(Nodes.size());
-  for (uint32_t F = 0; F < Factors.size(); ++F) {
-    Adj[Factors[F].A].push_back(F);
-    if (!Factors[F].Unary && Factors[F].B != Factors[F].A)
-      Adj[Factors[F].B].push_back(F);
+Incidence CrfGraph::incidence() const {
+  Incidence Inc;
+  Inc.Offsets.assign(Nodes.size() + 1, 0);
+  auto Listed = [](const Factor &F) { return !F.Unary && F.B != F.A; };
+  for (const Factor &F : Factors) {
+    ++Inc.Offsets[F.A + 1];
+    if (Listed(F))
+      ++Inc.Offsets[F.B + 1];
   }
-  return Adj;
+  for (size_t N = 1; N < Inc.Offsets.size(); ++N)
+    Inc.Offsets[N] += Inc.Offsets[N - 1];
+  // Filling in factor order keeps each node's list ascending.
+  Inc.Index.resize(Inc.Offsets.back());
+  std::vector<uint32_t> Next(Inc.Offsets.begin(), Inc.Offsets.end() - 1);
+  for (uint32_t F = 0; F < Factors.size(); ++F) {
+    Inc.Index[Next[Factors[F].A]++] = F;
+    if (Listed(Factors[F]))
+      Inc.Index[Next[Factors[F].B]++] = F;
+  }
+  return Inc;
 }
 
 namespace {
@@ -228,12 +240,51 @@ void crf::addTriFactors(CrfGraph &Graph, const Tree &Tree,
 }
 
 //===----------------------------------------------------------------------===//
+// Weight table
+//===----------------------------------------------------------------------===//
+
+WeightTable::Entry &WeightTable::findOrInsert(uint64_t Key, bool &Inserted) {
+  Inserted = false;
+  if (Key == 0) {
+    Inserted = !HasZero;
+    HasZero = true;
+    return Zero;
+  }
+  if ((Count + 1) * 4 > Slots.size() * 3)
+    grow();
+  size_t I = Key & Mask;
+  while (Slots[I].Key != 0 && Slots[I].Key != Key)
+    I = (I + 1) & Mask;
+  if (Slots[I].Key == 0) {
+    Slots[I].Key = Key;
+    ++Count;
+    Inserted = true;
+  }
+  return Slots[I];
+}
+
+void WeightTable::grow() {
+  std::vector<Entry> Old = std::move(Slots);
+  Slots.assign(Old.empty() ? 64 : 2 * Old.size(), Entry());
+  Mask = Slots.size() - 1;
+  for (const Entry &E : Old) {
+    if (E.Key == 0)
+      continue;
+    size_t I = E.Key & Mask;
+    while (Slots[I].Key != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = E;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Model
 //===----------------------------------------------------------------------===//
 
 void CrfModel::bump(uint64_t Key, double Delta) {
-  Weights[Key] += Delta;
-  Totals[Key] += static_cast<double>(Time) * Delta;
+  WeightTable::Entry &E = Weights.findOrInsert(Key);
+  E.Weight += Delta;
+  E.Total += static_cast<double>(Time) * Delta;
 }
 
 double CrfModel::weight(uint64_t Key) const {
@@ -243,8 +294,7 @@ double CrfModel::weight(uint64_t Key) const {
     return (It != End && *It == Key) ? FC.WeightVals[It - FC.WeightKeys]
                                      : 0.0;
   }
-  auto It = Weights.find(Key);
-  return It == Weights.end() ? 0.0 : It->second;
+  return Weights.weight(Key);
 }
 
 bool CrfModel::pathPruned(paths::PathId Path) const {
@@ -276,7 +326,6 @@ CrfModel::CandRef CrfModel::findCandidates(uint64_t Ctx) const {
 
 void CrfModel::adoptFrozen(const FrozenCrf &View) {
   Weights.clear();
-  Totals.clear();
   Candidates.clear();
   PrunedPaths.clear();
   Time = 1;
@@ -304,12 +353,12 @@ FlatCrf CrfModel::flatten() const {
     return F;
   }
   F.WeightKeys.reserve(Weights.size());
-  for (const auto &[Key, W] : Weights)
-    F.WeightKeys.push_back(Key);
+  Weights.forEach(
+      [&](const WeightTable::Entry &E) { F.WeightKeys.push_back(E.Key); });
   std::sort(F.WeightKeys.begin(), F.WeightKeys.end());
   F.WeightVals.reserve(Weights.size());
   for (uint64_t Key : F.WeightKeys)
-    F.WeightVals.push_back(Weights.at(Key));
+    F.WeightVals.push_back(Weights.weight(Key));
 
   F.CandKeys.reserve(Candidates.size());
   for (const auto &[Ctx, Labels] : Candidates)
@@ -336,15 +385,62 @@ FlatCrf CrfModel::flatten() const {
   return F;
 }
 
+namespace {
+
+/// Per-label vote sums for one node, in first-vote order: a flat list
+/// plus a small open-addressed index from label to list position. Each
+/// label's mass is summed in the order its votes arrive.
+class VoteTally {
+public:
+  void add(Symbol Label, double Vote) {
+    if (2 * (Votes.size() + 1) > Index.size())
+      grow();
+    size_t I = slotOf(Label);
+    if (Index[I] == Empty) {
+      Index[I] = static_cast<uint32_t>(Votes.size());
+      Votes.emplace_back(Label, 0.0);
+    }
+    Votes[Index[I]].second += Vote;
+  }
+
+  bool contains(Symbol Label) const {
+    return !Index.empty() && Index[slotOf(Label)] != Empty;
+  }
+
+  std::vector<std::pair<Symbol, double>> take() { return std::move(Votes); }
+
+private:
+  static constexpr uint32_t Empty = UINT32_MAX;
+  std::vector<std::pair<Symbol, double>> Votes;
+  std::vector<uint32_t> Index; ///< Power-of-two size, at most half full.
+
+  /// The slot holding \p Label, or the empty slot where it would go.
+  size_t slotOf(Symbol Label) const {
+    size_t Mask = Index.size() - 1;
+    size_t I = hashFinalize(Label.index()) & Mask;
+    while (Index[I] != Empty && Votes[Index[I]].first != Label)
+      I = (I + 1) & Mask;
+    return I;
+  }
+
+  void grow() {
+    Index.assign(std::max<size_t>(32, 2 * Index.size()), Empty);
+    for (uint32_t P = 0; P < Votes.size(); ++P)
+      Index[slotOf(Votes[P].first)] = P;
+  }
+};
+
+} // namespace
+
 std::vector<std::pair<Symbol, double>>
 CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
-                        const std::vector<uint32_t> &Incident) const {
+                        std::span<const uint32_t> Incident) const {
   // Each context votes with its empirical label distribution P(label |
   // context): informative contexts concentrate their vote, noisy
   // (e.g. long-distance) contexts spread it thinly. The resulting list is
   // vote-ordered, so the first candidate is a good empirical argmax and a
   // good inference initialisation.
-  std::unordered_map<Symbol, double> Counts;
+  VoteTally Tally;
   for (uint32_t F : Incident) {
     const Factor &Fac = Graph.Factors[F];
     if (pathPruned(Fac.Path))
@@ -368,25 +464,27 @@ CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
     for (size_t I = 0; I < Cand.size(); ++I)
       Total += static_cast<double>(Cand.count(I));
     for (size_t I = 0; I < Cand.size(); ++I)
-      Counts[Cand.label(I)] += static_cast<double>(Cand.count(I)) / Total;
+      Tally.add(Cand.label(I), static_cast<double>(Cand.count(I)) / Total);
   }
-  std::vector<std::pair<Symbol, double>> Sorted(Counts.begin(),
-                                                Counts.end());
-  std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
+  std::vector<Symbol> Fallback;
+  for (Symbol S : GlobalTop)
+    if (!Tally.contains(S))
+      Fallback.push_back(S);
+  std::vector<std::pair<Symbol, double>> Votes = Tally.take();
+  std::sort(Votes.begin(), Votes.end(), [](const auto &A, const auto &B) {
     if (A.second != B.second)
       return A.second > B.second;
     return A.first.index() < B.first.index();
   });
-  for (Symbol S : GlobalTop)
-    if (!Counts.count(S))
-      Sorted.emplace_back(S, 0.0);
-  return Sorted;
+  for (Symbol S : Fallback)
+    Votes.emplace_back(S, 0.0);
+  return Votes;
 }
 
 double CrfModel::scoreLabel(const CrfGraph &Graph, uint32_t Node,
                             Symbol Label,
                             const std::vector<Symbol> &Assignment,
-                            const std::vector<uint32_t> &Incident) const {
+                            std::span<const uint32_t> Incident) const {
   double Score = weight(biasKey(Label));
   for (uint32_t F : Incident) {
     const Factor &Fac = Graph.Factors[F];
@@ -408,9 +506,31 @@ double CrfModel::scoreLabel(const CrfGraph &Graph, uint32_t Node,
   return Score;
 }
 
-std::vector<Symbol>
-CrfModel::infer(const CrfGraph &Graph,
-                const std::vector<std::vector<uint32_t>> &Adj) const {
+namespace {
+
+/// One scoreLabel term of an unknown node: a factor whose weight is the
+/// same on every pass (unary, or pair with a known neighbour), or a
+/// *dynamic* unknown-unknown pair whose weight follows the neighbour's
+/// current label.
+struct ScoreTerm {
+  uint32_t Factor = 0;
+  bool Dynamic = false;
+};
+
+/// Where one unknown node's memo lives. Per candidate, Stride doubles:
+/// the running score up to the first dynamic term (the head), then the
+/// weights of the later static terms. Steps [StepBegin, StepEnd) are the
+/// terms after the head, replayed on every pass.
+struct NodeMemo {
+  size_t Base = 0;
+  size_t Stride = 1;
+  size_t StepBegin = 0, StepEnd = 0;
+};
+
+} // namespace
+
+std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
+                                    const Incidence &Inc) const {
   std::vector<Symbol> Assignment(Graph.Nodes.size());
   for (uint32_t N = 0; N < Graph.Nodes.size(); ++N)
     Assignment[N] = Graph.Nodes[N].Gold;
@@ -420,9 +540,67 @@ CrfModel::infer(const CrfGraph &Graph,
       Graph.Unknowns.size());
   for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
     uint32_t N = Graph.Unknowns[I];
-    Cands[I] = candidatesFor(Graph, N, Adj[N]);
+    Cands[I] = candidatesFor(Graph, N, Inc.of(N));
     Assignment[N] = Cands[I].empty() ? Symbol() : Cands[I].front().first;
   }
+
+  // Only unknown nodes change label, so of scoreLabel's terms the bias,
+  // unary and known-neighbour pair weights are the same on every pass.
+  // The first pass looks them up once per (unknown, candidate); later
+  // passes replay them in factor order and look up only the
+  // unknown-unknown pairs again. Each score is therefore the same
+  // sequence of double additions scoreLabel makes: the leading run of
+  // invariant terms is summed once into the head, and every later term
+  // is added one at a time, memoized or freshly looked up.
+  std::vector<NodeMemo> Memos(Graph.Unknowns.size());
+  std::vector<double> Memo;
+  std::vector<ScoreTerm> Terms, Steps;
+  auto BuildMemo = [&](size_t I) {
+    uint32_t N = Graph.Unknowns[I];
+    Terms.clear();
+    for (uint32_t F : Inc.of(N)) {
+      const Factor &Fac = Graph.Factors[F];
+      if (pathPruned(Fac.Path))
+        continue;
+      bool Dynamic = false;
+      if (Fac.Unary) {
+        if (!Config.UnaryFactors)
+          continue;
+      } else {
+        Dynamic = !Graph.Nodes[Fac.A == N ? Fac.B : Fac.A].Known;
+        if (Dynamic && !Config.UnknownUnknownFactors)
+          continue;
+      }
+      Terms.push_back({F, Dynamic});
+    }
+    auto Tail = std::find_if(Terms.begin(), Terms.end(),
+                             [](const ScoreTerm &T) { return T.Dynamic; });
+    NodeMemo &M = Memos[I];
+    M.Base = Memo.size();
+    M.Stride = 1 + std::count_if(Tail, Terms.end(), [](const ScoreTerm &T) {
+                 return !T.Dynamic;
+               });
+    M.StepBegin = Steps.size();
+    Steps.insert(Steps.end(), Tail, Terms.end());
+    M.StepEnd = Steps.size();
+    auto StaticWeight = [&](const ScoreTerm &T, Symbol Label) {
+      const Factor &Fac = Graph.Factors[T.Factor];
+      if (Fac.Unary)
+        return weight(unaryKey(Fac.Path, Label));
+      return Fac.A == N ? weight(pairKey(Fac.Path, Label, Assignment[Fac.B]))
+                        : weight(pairKey(Fac.Path, Assignment[Fac.A], Label));
+    };
+    for (const auto &[C, Vote] : Cands[I]) {
+      double Head = weight(biasKey(C));
+      for (auto T = Terms.begin(); T != Tail; ++T)
+        Head += StaticWeight(*T, C);
+      Memo.push_back(Head);
+      for (auto T = Tail; T != Terms.end(); ++T)
+        if (!T->Dynamic)
+          Memo.push_back(StaticWeight(*T, C));
+    }
+  };
+
   // Iterated conditional ascent over score = vote prior + factor weights.
   for (int Pass = 0; Pass < Config.InferencePasses; ++Pass) {
     bool Changed = false;
@@ -430,12 +608,28 @@ CrfModel::infer(const CrfGraph &Graph,
       uint32_t N = Graph.Unknowns[I];
       if (Cands[I].empty())
         continue;
+      if (Pass == 0)
+        BuildMemo(I);
+      const NodeMemo &M = Memos[I];
+      const double *Row = Memo.data() + M.Base;
       Symbol Best;
       double BestScore = 0;
       bool First = true;
       for (const auto &[C, Vote] : Cands[I]) {
-        double S = Config.VotePrior * Vote +
-                   scoreLabel(Graph, N, C, Assignment, Adj[N]);
+        const double *Memoized = Row;
+        double Score = *Memoized++;
+        for (size_t St = M.StepBegin; St < M.StepEnd; ++St) {
+          if (!Steps[St].Dynamic) {
+            Score += *Memoized++;
+            continue;
+          }
+          const Factor &Fac = Graph.Factors[Steps[St].Factor];
+          Score += Fac.A == N
+                       ? weight(pairKey(Fac.Path, C, Assignment[Fac.B]))
+                       : weight(pairKey(Fac.Path, Assignment[Fac.A], C));
+        }
+        Row += M.Stride;
+        double S = Config.VotePrior * Vote + Score;
         if (First || S > BestScore) {
           BestScore = S;
           Best = C;
@@ -458,7 +652,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   auto &Reg = telemetry::MetricsRegistry::global();
   Reg.counter("crf.train.calls").inc();
   Reg.counter("crf.train.graphs").add(Graphs.size());
-  // Training repopulates the mutable maps; thaw a frozen model first.
+  // Training repopulates the mutable tables; thaw a frozen model first.
   IsFrozen = false;
   FC = FrozenCrf();
 
@@ -566,12 +760,11 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   telemetry::Histogram &EpochSeconds =
       Reg.histogram("crf.epoch.seconds", telemetry::timeBounds());
   Weights.clear();
-  Totals.clear();
   Time = 1;
-  std::vector<std::vector<std::vector<uint32_t>>> Adjacencies;
-  Adjacencies.reserve(Graphs.size());
+  std::vector<Incidence> Incidences;
+  Incidences.reserve(Graphs.size());
   for (const CrfGraph &G : Graphs)
-    Adjacencies.push_back(G.adjacency());
+    Incidences.push_back(G.incidence());
 
   for (int Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
     telemetry::TraceScope EpochScope("epoch");
@@ -580,7 +773,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       const CrfGraph &G = Graphs[GI];
       if (G.Unknowns.empty())
         continue;
-      std::vector<Symbol> Pred = infer(G, Adjacencies[GI]);
+      std::vector<Symbol> Pred = infer(G, Incidences[GI]);
       // Gold assignment is just the Gold labels.
       bool AnyMistake = false;
       for (uint32_t N : G.Unknowns)
@@ -628,20 +821,17 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       // Multiplicative shrinkage keeps noisy high-degree features from
       // accumulating; consistently-pushed informative weights survive.
       double Keep = 1.0 - Config.L2Shrink;
-      for (auto &[Key, W] : Weights)
-        W *= Keep;
-      for (auto &[Key, U] : Totals)
-        U *= Keep;
+      Weights.forEach([Keep](WeightTable::Entry &E) {
+        E.Weight *= Keep;
+        E.Total *= Keep;
+      });
     }
     EpochSeconds.observe(EpochScope.seconds());
   }
   // Finalize averaging: w_avg = w - totals / T.
-  for (auto &[Key, W] : Weights) {
-    auto It = Totals.find(Key);
-    if (It != Totals.end())
-      W -= It->second / static_cast<double>(Time);
-  }
-  Totals.clear();
+  Weights.forEach([this](WeightTable::Entry &E) {
+    E.Weight -= E.Total / static_cast<double>(Time);
+  });
   Reg.gauge("crf.features").set(static_cast<double>(Weights.size()));
   Reg.gauge("crf.candidate_table")
       .set(static_cast<double>(Candidates.size()));
@@ -650,7 +840,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
 }
 
 std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
-  return infer(Graph, Graph.adjacency());
+  return infer(Graph, Graph.incidence());
 }
 
 std::vector<std::vector<Symbol>>
@@ -670,14 +860,14 @@ CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs,
 std::vector<std::pair<Symbol, double>>
 CrfModel::topK(const CrfGraph &Graph, uint32_t Node,
                const std::vector<Symbol> &Assignment, int K) const {
-  auto Adj = Graph.adjacency();
-  auto Cands = candidatesFor(Graph, Node, Adj[Node]);
+  Incidence Inc = Graph.incidence();
+  auto Cands = candidatesFor(Graph, Node, Inc.of(Node));
   std::vector<std::pair<Symbol, double>> Scored;
   Scored.reserve(Cands.size());
   for (const auto &[C, Vote] : Cands)
     Scored.emplace_back(
         C, Config.VotePrior * Vote +
-               scoreLabel(Graph, Node, C, Assignment, Adj[Node]));
+               scoreLabel(Graph, Node, C, Assignment, Inc.of(Node)));
   std::sort(Scored.begin(), Scored.end(), [](const auto &A, const auto &B) {
     if (A.second != B.second)
       return A.second > B.second;
@@ -715,8 +905,8 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
   // Aggregate factor contributions by (path, unary, neighbour): a path
   // occurring twice between the same pair is one line in the report.
   std::map<std::tuple<paths::PathId, bool, uint32_t>, Attribution> Agg;
-  auto Adj = Graph.adjacency();
-  for (uint32_t F : Adj[Node]) {
+  Incidence Inc = Graph.incidence();
+  for (uint32_t F : Inc.of(Node)) {
     const Factor &Fac = Graph.Factors[F];
     if (pathPruned(Fac.Path))
       continue;
@@ -792,66 +982,35 @@ template <typename T> bool readPod(std::istream &IS, T &Value) {
 } // namespace
 
 void CrfModel::save(std::ostream &OS) const {
+  // One canonical image for map-backed and frozen models alike: sorted
+  // keys, so the bytes never depend on a hash container's layout.
+  FlatCrf F = flatten();
   writePod(OS, CrfMagic);
   writePod(OS, CrfVersion);
-
-  if (IsFrozen) {
-    // A frozen model's state lives in the flat arrays; emit them in
-    // their (sorted/deterministic) stored order.
-    writePod(OS, FC.NumWeights);
-    for (uint64_t I = 0; I < FC.NumWeights; ++I) {
-      writePod(OS, FC.WeightKeys[I]);
-      writePod(OS, FC.WeightVals[I]);
-    }
-    writePod(OS, FC.NumCands);
-    for (uint64_t I = 0; I < FC.NumCands; ++I) {
-      writePod(OS, FC.CandKeys[I]);
-      uint32_t N =
-          static_cast<uint32_t>(FC.CandOffsets[I + 1] - FC.CandOffsets[I]);
-      writePod(OS, N);
-      const uint32_t *Pairs = FC.CandPairs + 2 * FC.CandOffsets[I];
-      for (uint32_t L = 0; L < N; ++L) {
-        writePod(OS, Pairs[2 * L]);
-        writePod(OS, Pairs[2 * L + 1]);
-      }
-    }
-    writePod(OS, FC.NumPruned);
-    for (uint64_t I = 0; I < FC.NumPruned; ++I)
-      writePod(OS, FC.PrunedKeys[I]);
-    writePod(OS, FC.NumGlobal);
-    for (uint32_t I = 0; I < FC.NumGlobal; ++I)
-      writePod(OS, FC.GlobalTop[I]);
-    return;
+  writePod(OS, static_cast<uint64_t>(F.WeightKeys.size()));
+  for (size_t I = 0; I < F.WeightKeys.size(); ++I) {
+    writePod(OS, F.WeightKeys[I]);
+    writePod(OS, F.WeightVals[I]);
   }
-
-  writePod(OS, static_cast<uint64_t>(Weights.size()));
-  for (const auto &[Key, W] : Weights) {
-    writePod(OS, Key);
-    writePod(OS, W);
+  writePod(OS, static_cast<uint64_t>(F.CandKeys.size()));
+  for (size_t I = 0; I < F.CandKeys.size(); ++I) {
+    writePod(OS, F.CandKeys[I]);
+    writePod(OS, static_cast<uint32_t>(F.CandOffsets[I + 1] -
+                                       F.CandOffsets[I]));
+    for (uint64_t P = 2 * F.CandOffsets[I]; P < 2 * F.CandOffsets[I + 1];
+         ++P)
+      writePod(OS, F.CandPairs[P]);
   }
-
-  writePod(OS, static_cast<uint64_t>(Candidates.size()));
-  for (const auto &[Ctx, Labels] : Candidates) {
-    writePod(OS, Ctx);
-    writePod(OS, static_cast<uint32_t>(Labels.size()));
-    for (const auto &[Label, Count] : Labels) {
-      writePod(OS, Label.index());
-      writePod(OS, Count);
-    }
-  }
-
-  writePod(OS, static_cast<uint64_t>(PrunedPaths.size()));
-  for (uint64_t Path : PrunedPaths)
+  writePod(OS, static_cast<uint64_t>(F.PrunedKeys.size()));
+  for (uint64_t Path : F.PrunedKeys)
     writePod(OS, Path);
-
-  writePod(OS, static_cast<uint32_t>(GlobalTop.size()));
-  for (Symbol S : GlobalTop)
-    writePod(OS, S.index());
+  writePod(OS, static_cast<uint32_t>(F.GlobalTop.size()));
+  for (uint32_t Label : F.GlobalTop)
+    writePod(OS, Label);
 }
 
 bool CrfModel::load(std::istream &IS) {
   Weights.clear();
-  Totals.clear();
   Candidates.clear();
   PrunedPaths.clear();
   GlobalTop.clear();
@@ -873,7 +1032,11 @@ bool CrfModel::load(std::istream &IS) {
     double W;
     if (!readPod(IS, Key) || !readPod(IS, W))
       return false;
-    Weights.emplace(Key, W);
+    bool Inserted;
+    WeightTable::Entry &E = Weights.findOrInsert(Key, Inserted);
+    if (!Inserted)
+      return false; // A duplicate key: no save() writes one.
+    E.Weight = W;
   }
 
   uint64_t NumContexts = 0;
@@ -892,7 +1055,8 @@ bool CrfModel::load(std::istream &IS) {
         return false;
       Labels.emplace_back(Symbol::fromIndex(Index), Count);
     }
-    Candidates.emplace(Ctx, std::move(Labels));
+    if (!Candidates.emplace(Ctx, std::move(Labels)).second)
+      return false;
   }
 
   uint64_t NumPruned = 0;

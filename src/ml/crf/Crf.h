@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,6 +62,8 @@ struct Factor {
   bool Unary = false;
 };
 
+struct Incidence;
+
 /// The CRF for one program.
 struct CrfGraph {
   std::vector<GraphNode> Nodes;
@@ -69,7 +72,20 @@ struct CrfGraph {
   std::vector<uint32_t> Unknowns;
 
   /// Factor indices incident to each node.
-  std::vector<std::vector<uint32_t>> adjacency() const;
+  Incidence incidence() const;
+};
+
+/// Node-to-factor incidence in compressed sparse row form: node N's
+/// factors are Index[Offsets[N], Offsets[N + 1]), in ascending factor
+/// order (the order every score sums its terms in). A unary factor, or
+/// any factor with A == B, is listed once.
+struct Incidence {
+  std::vector<uint32_t> Offsets; ///< Nodes.size() + 1 entries, [0] == 0.
+  std::vector<uint32_t> Index;   ///< Factor indices, grouped by node.
+
+  std::span<const uint32_t> of(uint32_t Node) const {
+    return {Index.data() + Offsets[Node], Index.data() + Offsets[Node + 1]};
+  }
 };
 
 /// Selects which elements a task predicts (unknown nodes). Everything
@@ -200,6 +216,67 @@ struct FlatCrf {
   std::vector<uint32_t> GlobalTop;
 };
 
+/// The learned feature weights of a trainable model: an open-addressed
+/// linear-probe table keyed by the (already finalized, well-mixed)
+/// feature hash, each slot carrying the weight and the perceptron's
+/// averaging total. Capacity is a power of two kept at most 3/4 full; key
+/// 0 marks an empty slot, so a real key 0 lives in a slot of its own.
+class WeightTable {
+public:
+  struct Entry {
+    uint64_t Key = 0;
+    double Weight = 0;
+    double Total = 0; ///< Σ time × update, for averaging.
+  };
+
+  size_t size() const { return Count + (HasZero ? 1 : 0); }
+  void clear() { *this = WeightTable(); }
+
+  /// \returns the weight of \p Key, 0.0 when absent.
+  double weight(uint64_t Key) const {
+    if (Key == 0)
+      return HasZero ? Zero.Weight : 0.0;
+    if (Slots.empty())
+      return 0.0;
+    for (size_t I = Key & Mask;; I = (I + 1) & Mask) {
+      if (Slots[I].Key == Key)
+        return Slots[I].Weight;
+      if (Slots[I].Key == 0)
+        return 0.0;
+    }
+  }
+
+  /// \returns the entry of \p Key, inserting a zeroed one when absent
+  /// (\p Inserted tells which). The reference is valid until the next
+  /// insertion.
+  Entry &findOrInsert(uint64_t Key, bool &Inserted);
+  Entry &findOrInsert(uint64_t Key) {
+    bool Inserted;
+    return findOrInsert(Key, Inserted);
+  }
+
+  /// Calls \p F on every entry exactly once, in unspecified order.
+  template <typename Fn> void forEach(Fn &&F) { visit(*this, F); }
+  template <typename Fn> void forEach(Fn &&F) const { visit(*this, F); }
+
+private:
+  template <typename Self, typename Fn> static void visit(Self &T, Fn &F) {
+    if (T.HasZero)
+      F(T.Zero);
+    for (auto &E : T.Slots)
+      if (E.Key != 0)
+        F(E);
+  }
+
+  std::vector<Entry> Slots;
+  size_t Mask = 0;
+  size_t Count = 0; ///< Occupied slots (key 0 excluded).
+  Entry Zero;
+  bool HasZero = false;
+
+  void grow();
+};
+
 /// The learned model.
 class CrfModel {
 public:
@@ -239,14 +316,17 @@ public:
                           int K) const;
 
   /// Serializes the trained model (weights, candidate tables, pruning
-  /// set, global candidates) to \p OS in a versioned binary format.
-  /// Feature keys are hashes over PathIds and Symbol indices, so a saved
-  /// model is only meaningful together with the StringInterner and
-  /// PathTable it was trained against (persist those alongside).
+  /// set, global candidates) to \p OS in a versioned binary format: the
+  /// flatten() image with its sorted keys, so a map-backed model and its
+  /// frozen copy write identical bytes. Feature keys are hashes over
+  /// PathIds and Symbol indices, so a saved model is only meaningful
+  /// together with the StringInterner and PathTable it was trained
+  /// against (persist those alongside).
   void save(std::ostream &OS) const;
 
-  /// Restores a model previously written by save(). \returns false (and
-  /// leaves the model empty) on a malformed or version-mismatched stream.
+  /// Restores a model previously written by save(). \returns false on a
+  /// malformed or version-mismatched stream, including one that repeats a
+  /// weight key or a context key.
   bool load(std::istream &IS);
 
   /// Serves the model in place from \p View (typically sections of an
@@ -277,8 +357,7 @@ public:
 
 private:
   CrfConfig Config;
-  std::unordered_map<uint64_t, double> Weights;
-  std::unordered_map<uint64_t, double> Totals; // For averaging.
+  WeightTable Weights;
   uint64_t Time = 1;
   std::unordered_map<uint64_t, std::vector<std::pair<Symbol, uint32_t>>>
       Candidates;
@@ -316,16 +395,15 @@ private:
   /// masses, strongest first.
   std::vector<std::pair<Symbol, double>>
   candidatesFor(const CrfGraph &Graph, uint32_t Node,
-                const std::vector<uint32_t> &Incident) const;
+                std::span<const uint32_t> Incident) const;
 
   /// Score of labelling \p Node with \p Label under \p Assignment.
   double scoreLabel(const CrfGraph &Graph, uint32_t Node, Symbol Label,
                     const std::vector<Symbol> &Assignment,
-                    const std::vector<uint32_t> &Incident) const;
+                    std::span<const uint32_t> Incident) const;
 
   std::vector<Symbol> infer(const CrfGraph &Graph,
-                            const std::vector<std::vector<uint32_t>> &Adj)
-      const;
+                            const Incidence &Inc) const;
 };
 
 //===----------------------------------------------------------------------===//

@@ -17,7 +17,6 @@
 #endif
 #include <condition_variable>
 #include <cstdlib>
-#include <ctime>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -185,10 +184,6 @@ double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double cpuSeconds() {
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
 } // namespace
@@ -391,7 +386,7 @@ void parallel::parallelFor(size_t N, size_t Threads,
 
 StageTimer::StageTimer(std::string Stage)
     : Stage(std::move(Stage)), WallStart(nowSeconds()),
-      CpuStart(cpuSeconds()) {
+      CpuStart(telemetry::threadCpuSeconds()) {
   telemetry::profilerPushFrame(this->Stage);
 }
 
@@ -401,5 +396,5 @@ StageTimer::~StageTimer() {
   Reg.histogram(Stage + ".wall.seconds", telemetry::timeBounds())
       .observe(nowSeconds() - WallStart);
   Reg.histogram(Stage + ".cpu.seconds", telemetry::timeBounds())
-      .observe(cpuSeconds() - CpuStart);
+      .observe(telemetry::threadCpuSeconds() - CpuStart);
 }

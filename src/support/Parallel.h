@@ -150,9 +150,11 @@ auto parallelMap(size_t N, size_t Threads, Fn &&F)
 }
 
 /// RAII stage meter: on destruction observes the stage's wall seconds and
-/// process-CPU seconds into the `<stage>.wall.seconds` and
-/// `<stage>.cpu.seconds` histograms. CPU ≈ wall × utilized threads, so
-/// the pair makes parallel speedup visible in every metrics sidecar.
+/// the calling thread's CPU seconds (CLOCK_THREAD_CPUTIME_ID) into the
+/// `<stage>.wall.seconds` and `<stage>.cpu.seconds` histograms. A
+/// thread clock keeps concurrent stages (N serve workers) from counting
+/// each other's CPU; wall minus CPU is the time the thread spent off-CPU,
+/// blocked or waiting on pool workers whose CPU it does not see.
 class StageTimer {
 public:
   explicit StageTimer(std::string Stage);

@@ -159,6 +159,88 @@ TEST(ModelIO, RejectsTruncationAtEveryQuarter) {
 }
 
 //===----------------------------------------------------------------------===//
+// Canonical v2 model image
+//===----------------------------------------------------------------------===//
+
+/// A frozen view over \p Flat, which must outlive every model adopting it.
+crf::FrozenCrf viewOf(const crf::FlatCrf &Flat) {
+  crf::FrozenCrf View;
+  View.WeightKeys = Flat.WeightKeys.data();
+  View.WeightVals = Flat.WeightVals.data();
+  View.NumWeights = Flat.WeightKeys.size();
+  View.CandKeys = Flat.CandKeys.data();
+  View.CandOffsets = Flat.CandOffsets.data();
+  View.CandPairs = Flat.CandPairs.data();
+  View.NumCands = Flat.CandKeys.size();
+  View.PrunedKeys = Flat.PrunedKeys.data();
+  View.NumPruned = Flat.PrunedKeys.size();
+  View.GlobalTop = Flat.GlobalTop.data();
+  View.NumGlobal = static_cast<uint32_t>(Flat.GlobalTop.size());
+  return View;
+}
+
+TEST(ModelIO, MapBackedAndFrozenSaveIdenticalBytes) {
+  ModelBundle Bundle = trainBundle();
+  ASSERT_FALSE(Bundle.Model.frozen());
+  std::stringstream MapBacked;
+  saveModel(MapBacked, Bundle);
+
+  crf::FlatCrf Flat = Bundle.Model.flatten();
+  Bundle.Model.adoptFrozen(viewOf(Flat));
+  ASSERT_TRUE(Bundle.Model.frozen());
+  std::stringstream Frozen;
+  saveModel(Frozen, Bundle);
+  EXPECT_EQ(MapBacked.str(), Frozen.str());
+
+  // Reloading the v2 image and saving it again is a fixed point.
+  std::unique_ptr<ModelBundle> Restored = loadModel(MapBacked);
+  ASSERT_NE(Restored, nullptr);
+  std::stringstream Resaved;
+  saveModel(Resaved, *Restored);
+  EXPECT_EQ(Resaved.str(), Frozen.str());
+}
+
+/// A hand-written CRF section: \p WeightKeys each with weight 1.0, then
+/// one single-label candidate list per entry of \p CtxKeys.
+std::string crfStream(const std::vector<uint64_t> &WeightKeys,
+                      const std::vector<uint64_t> &CtxKeys) {
+  std::string Bytes;
+  auto Pod = [&Bytes](const auto &Value) {
+    Bytes.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
+  };
+  Pod(uint32_t{0x43524631}); // "CRF1"
+  Pod(uint32_t{1});
+  Pod(static_cast<uint64_t>(WeightKeys.size()));
+  for (uint64_t Key : WeightKeys) {
+    Pod(Key);
+    Pod(1.0);
+  }
+  Pod(static_cast<uint64_t>(CtxKeys.size()));
+  for (uint64_t Ctx : CtxKeys) {
+    Pod(Ctx);
+    Pod(uint32_t{1}); // One (label, count) pair.
+    Pod(uint32_t{3});
+    Pod(uint32_t{1});
+  }
+  Pod(uint64_t{0}); // No pruned paths.
+  Pod(uint32_t{0}); // No global candidates.
+  return Bytes;
+}
+
+TEST(ModelIO, CrfLoadRejectsDuplicateKeys) {
+  auto Loads = [](const std::string &Bytes) {
+    std::stringstream IS(Bytes);
+    crf::CrfModel Model;
+    return Model.load(IS);
+  };
+  EXPECT_TRUE(Loads(crfStream({7, 8}, {9, 10})));
+  EXPECT_FALSE(Loads(crfStream({7, 8, 7}, {9, 10})))
+      << "a duplicate weight key must not load";
+  EXPECT_FALSE(Loads(crfStream({7, 8}, {9, 10, 9})))
+      << "a duplicate context key must not load";
+}
+
+//===----------------------------------------------------------------------===//
 // Round-trip across every language × task header combination
 //===----------------------------------------------------------------------===//
 

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -213,6 +214,36 @@ TEST(ParallelPool, ResolveThreadsHonorsOverride) {
   EXPECT_EQ(parallel::resolveThreads(2), 2u); // Explicit request wins.
   parallel::setDefaultThreads(0);
   EXPECT_GE(parallel::resolveThreads(0), 1u);
+}
+
+TEST(StageTimer, CpuClockExcludesSiblingThreads) {
+  // A sibling spins through the whole stage; the stage itself sleeps. A
+  // process-wide clock would charge the spinner's CPU to the stage.
+  std::atomic<bool> Started{false}, Stop{false};
+  std::thread Spinner([&] {
+    Started.store(true);
+    volatile uint64_t Spins = 0;
+    while (!Stop.load(std::memory_order_relaxed))
+      Spins = Spins + 1;
+  });
+  while (!Started.load())
+    std::this_thread::yield();
+  {
+    parallel::StageTimer Timer("test.sibling_spin");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  Stop.store(true);
+  Spinner.join();
+  auto &Reg = telemetry::MetricsRegistry::global();
+  telemetry::Histogram &Wall = Reg.histogram(
+      "test.sibling_spin.wall.seconds", telemetry::timeBounds());
+  telemetry::Histogram &Cpu = Reg.histogram("test.sibling_spin.cpu.seconds",
+                                            telemetry::timeBounds());
+  ASSERT_EQ(Wall.count(), 1u);
+  ASSERT_EQ(Cpu.count(), 1u);
+  EXPECT_GE(Wall.sum(), 0.045);
+  EXPECT_GE(Cpu.sum(), 0.0);
+  EXPECT_LT(Cpu.sum(), 0.5 * Wall.sum());
 }
 
 //===----------------------------------------------------------------------===//
