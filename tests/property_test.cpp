@@ -27,10 +27,20 @@ using pigeon::lang::Language;
 
 namespace {
 
+// gtest prints a parameter that has no PrintTo overload as its raw bytes,
+// and that text becomes part of each test's registered name. The bytes
+// between Lang and Seed are therefore an explicit zeroed member rather
+// than alignment padding, which would leak uninitialized memory into the
+// names and make them differ from one test discovery to the next.
 struct CorpusParam {
+  CorpusParam(Language Lang, uint64_t Seed) : Lang(Lang), Seed(Seed) {}
+
   Language Lang;
+  uint8_t Reserved[7] = {};
   uint64_t Seed;
 };
+static_assert(sizeof(CorpusParam) == 16,
+              "CorpusParam must have no padding bytes");
 
 std::string paramName(const testing::TestParamInfo<CorpusParam> &Info) {
   std::string Name = lang::languageName(Info.param.Lang);
