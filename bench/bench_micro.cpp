@@ -14,7 +14,6 @@
 #include "BenchCommon.h"
 
 #include "core/MappedBundle.h"
-#include "core/ModelIO.h"
 #include "lang/js/JsParser.h"
 #include "support/Rng.h"
 
@@ -262,13 +261,10 @@ void recordCrfThroughput() {
         .set(static_cast<double>(Unknowns) / PredictSeconds);
 }
 
-/// Model-load cost, v2 stream vs v3 mmap, for the trajectory gate. Both
-/// formats of the same trained bundle are written to temp files, loaded
-/// repeatedly (best-of, after a warm-up), and the wall times plus the
-/// per-format RSS deltas land as gauges. `model.load.speedup` folds into
-/// the pigeon.bench.v1 trajectory as a throughput metric, so a >threshold
-/// drop against the committed baseline fails bench_report; the optional
-/// PIGEON_BENCH_MIN_LOAD_SPEEDUP env floor fails this binary directly.
+/// Model-load cost of a v3 bundle, the format every tool maps: the
+/// bundle is written to a temp file and mapped repeatedly (best-of, after
+/// a warm-up); the wall time and the RSS delta of one held-open load land
+/// as gauges.
 int recordModelLoadCost() {
   core::ModelBundle Bundle;
   Bundle.Lang = Language::JavaScript;
@@ -290,90 +286,56 @@ int recordModelLoadCost() {
     Bundle.Model.train(Graphs);
   }
 
-  char V2Path[] = "/tmp/pigeon_bench_v2_XXXXXX";
-  char V3Path[] = "/tmp/pigeon_bench_v3_XXXXXX";
-  int Fd2 = ::mkstemp(V2Path), Fd3 = ::mkstemp(V3Path);
-  if (Fd2 < 0 || Fd3 < 0)
+  char Path[] = "/tmp/pigeon_bench_v3_XXXXXX";
+  int Fd = ::mkstemp(Path);
+  if (Fd < 0)
     return 1;
-  ::close(Fd2);
-  ::close(Fd3);
+  ::close(Fd);
   {
-    std::ofstream O2(V2Path, std::ios::binary);
-    core::saveModel(O2, Bundle);
-    std::ofstream O3(V3Path, std::ios::binary);
-    core::saveModelV3(O3, Bundle);
+    std::ofstream Out(Path, std::ios::binary);
+    core::saveModelV3(Out, Bundle);
   }
 
-  auto BestLoadSeconds = [](const std::string &Path) {
-    double Best = 1e30;
-    for (int Rep = 0; Rep < 12; ++Rep) {
-      auto Start = std::chrono::steady_clock::now();
-      auto B = core::loadModelFile(Path);
-      double Seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - Start)
-                           .count();
-      if (!B)
-        return -1.0;
-      benchmark::DoNotOptimize(B->Model.numFeatures());
-      if (Rep > 0) // First load warms the page cache / allocator.
-        Best = std::min(Best, Seconds);
-    }
-    return Best;
-  };
-
-  // RSS deltas around a single held-open load of each format. The
-  // allocator is trimmed first so pages freed by earlier phases (training
-  // ran in this process) are returned to the kernel — otherwise the v2
-  // deserialization is served from recycled heap and its delta reads 0.
-  auto RssDeltaOf = [](const std::string &Path, uint64_t &Delta) {
+  // RSS delta around a single held-open load. The allocator is trimmed
+  // first so pages freed by earlier phases (training ran in this process)
+  // are returned to the kernel and cannot hide heap the load allocates.
 #if defined(__GLIBC__)
-    ::malloc_trim(0);
+  ::malloc_trim(0);
 #endif
-    uint64_t Before = telemetry::currentRssKb();
-    auto B = core::loadModelFile(Path);
-    uint64_t After = telemetry::currentRssKb();
-    Delta = After > Before ? After - Before : 0;
-    return B != nullptr;
-  };
-  uint64_t RssDelta3, RssDelta2;
-  if (!RssDeltaOf(V3Path, RssDelta3) || !RssDeltaOf(V2Path, RssDelta2))
-    return 1;
+  uint64_t RssBefore = telemetry::currentRssKb();
+  bool Mapped = false;
+  uint64_t RssDelta = 0;
+  if (auto Held = core::openMappedBundle(Path)) {
+    uint64_t RssAfter = telemetry::currentRssKb();
+    RssDelta = RssAfter > RssBefore ? RssAfter - RssBefore : 0;
+    Mapped = true;
+  }
 
-  double V2Seconds = BestLoadSeconds(V2Path);
-  double V3Seconds = BestLoadSeconds(V3Path);
-  ::unlink(V2Path);
-  ::unlink(V3Path);
-  if (V2Seconds <= 0 || V3Seconds <= 0) {
-    std::fprintf(stderr, "error: model load bench failed to load bundles\n");
+  double Best = 1e30;
+  for (int Rep = 0; Mapped && Rep < 12; ++Rep) {
+    auto Start = std::chrono::steady_clock::now();
+    auto B = core::openMappedBundle(Path);
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+    Mapped = B != nullptr;
+    benchmark::DoNotOptimize(Mapped ? B->Model.numFeatures() : 0);
+    if (Rep > 0) // First load warms the page cache / allocator.
+      Best = std::min(Best, Seconds);
+  }
+  ::unlink(Path);
+  if (!Mapped) {
+    std::fprintf(stderr, "error: model load bench failed to map the "
+                         "bundle\n");
     return 1;
   }
-  double Speedup = V2Seconds / V3Seconds;
 
   auto &Reg = telemetry::MetricsRegistry::global();
-  Reg.gauge("model.load.v2_stream.seconds").set(V2Seconds);
-  Reg.gauge("model.load.v3_mmap.seconds").set(V3Seconds);
-  Reg.gauge("model.load.speedup").set(Speedup);
-  Reg.gauge("model.load.v2_stream.rss_delta.kb")
-      .set(static_cast<double>(RssDelta2));
+  Reg.gauge("model.load.v3_mmap.seconds").set(Best);
   Reg.gauge("model.load.v3_mmap.rss_delta.kb")
-      .set(static_cast<double>(RssDelta3));
-  std::fprintf(stderr,
-               "model load: v2 stream %.3f ms, v3 mmap %.3f ms (%.1fx), "
-               "rss delta v2 %llu KiB vs v3 %llu KiB\n",
-               V2Seconds * 1e3, V3Seconds * 1e3, Speedup,
-               static_cast<unsigned long long>(RssDelta2),
-               static_cast<unsigned long long>(RssDelta3));
-
-  if (const char *Env = std::getenv("PIGEON_BENCH_MIN_LOAD_SPEEDUP")) {
-    double Floor = std::atof(Env);
-    if (Floor > 0 && Speedup < Floor) {
-      std::fprintf(stderr,
-                   "error: v3 mmap load speedup %.2fx below the %.2fx "
-                   "floor\n",
-                   Speedup, Floor);
-      return 1;
-    }
-  }
+      .set(static_cast<double>(RssDelta));
+  std::fprintf(stderr, "model load: v3 mmap %.3f ms, rss delta %llu KiB\n",
+               Best * 1e3, static_cast<unsigned long long>(RssDelta));
   return 0;
 }
 

@@ -29,7 +29,7 @@
 #include "BenchCommon.h"
 
 #include "core/ContextsIO.h"
-#include "core/ModelIO.h"
+#include "core/MappedBundle.h"
 #include "serve/Serve.h"
 #include "serve/SlowLog.h"
 #include "support/Parallel.h"
@@ -40,11 +40,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace pigeon;
 using namespace pigeon::core;
@@ -67,7 +69,32 @@ std::vector<std::string> requestLines(int Count) {
   return Lines;
 }
 
-std::string savedBundle() {
+/// The bench's trained bundle, written once as v3 to a temp file that
+/// every Service maps in place, the way `pigeon serve` loads a model.
+/// The file is unlinked at destruction.
+class BundleFile {
+public:
+  BundleFile();
+  ~BundleFile() { ::unlink(Path.c_str()); }
+  BundleFile(const BundleFile &) = delete;
+  BundleFile &operator=(const BundleFile &) = delete;
+
+  std::unique_ptr<ModelBundle> open() const {
+    LoadDiag Diag;
+    auto Bundle = openMappedBundle(Path, &Diag);
+    if (!Bundle) {
+      std::fprintf(stderr, "error: cannot map %s: %s\n", Path.c_str(),
+                   Diag.Error.c_str());
+      std::exit(1);
+    }
+    return Bundle;
+  }
+
+private:
+  std::string Path;
+};
+
+BundleFile::BundleFile() {
   Corpus C = bench::benchCorpus(Language::JavaScript, /*Projects=*/24);
   ContextsArtifact Art = buildContextsArtifact(
       C, Task::VariableNames,
@@ -86,14 +113,18 @@ std::string savedBundle() {
     telemetry::TraceScope Phase("train");
     Bundle.Model.train(Graphs);
   }
-  std::stringstream Buffer;
-  saveModel(Buffer, Bundle);
-  return Buffer.str();
-}
-
-std::unique_ptr<ModelBundle> loadBundle(const std::string &Bytes) {
-  std::stringstream Buffer(Bytes);
-  return loadModel(Buffer);
+  char Template[] = "/tmp/pigeon_bench_serve_XXXXXX";
+  int Fd = ::mkstemp(Template);
+  Path = Template;
+  if (Fd >= 0)
+    ::close(Fd);
+  std::ofstream Out(Path, std::ios::binary);
+  saveModelV3(Out, Bundle);
+  if (Fd < 0 || !Out.flush()) {
+    std::fprintf(stderr, "error: cannot write the bench bundle to %s\n",
+                 Path.c_str());
+    std::exit(1);
+  }
 }
 
 /// Closed-loop percentile over per-request milliseconds (nearest-rank on
@@ -164,7 +195,7 @@ struct OpenLoopPoint {
 /// from the *scheduled* time, not the possibly-late submit — records
 /// the pileup. A closed loop would instead slow its own offered rate
 /// and report flattering tails.
-OpenLoopPoint runOpenLoop(const std::string &Bytes,
+OpenLoopPoint runOpenLoop(const BundleFile &Bundle,
                           const std::vector<std::string> &Lines,
                           double OfferedRps) {
   using Clock = std::chrono::steady_clock;
@@ -175,7 +206,7 @@ OpenLoopPoint runOpenLoop(const std::string &Bytes,
   size_t Total = static_cast<size_t>(
       std::min(1200.0, std::max(200.0, OfferedRps)));
 
-  serve::Service S(loadBundle(Bytes));
+  serve::Service S(Bundle.open());
   std::vector<double> LatMs(Total, -1);
   std::vector<char> Ok(Total, 0);
   std::atomic<size_t> Answered{0};
@@ -225,7 +256,7 @@ OpenLoopPoint runOpenLoop(const std::string &Bytes,
 } // namespace
 
 int main() {
-  const std::string Bytes = savedBundle();
+  const BundleFile Bundle;
   const std::vector<std::string> Lines = requestLines(96);
   const int Clients = 8;
 
@@ -238,14 +269,14 @@ int main() {
   {
     serve::ServeConfig Probe;
     Probe.MaxBatch = Clients;
-    serve::Service S(loadBundle(Bytes), Probe);
+    serve::Service S(Bundle.open(), Probe);
     std::vector<double> Ms;
     ProbeRps = runConcurrent(S, Lines, Clients, Ms);
   }
   const double Multipliers[] = {0.5, 1.0, 2.0, 3.0, 4.0};
   std::vector<OpenLoopPoint> Ladder;
   for (double M : Multipliers)
-    Ladder.push_back(runOpenLoop(Bytes, Lines, M * ProbeRps));
+    Ladder.push_back(runOpenLoop(Bundle, Lines, M * ProbeRps));
   const OpenLoopPoint *Best = nullptr;
   for (const OpenLoopPoint &P : Ladder)
     if (P.Sustained && (!Best || P.OfferedRps > Best->OfferedRps))
@@ -270,7 +301,7 @@ int main() {
   double SingleRps;
   std::vector<double> SingleMs;
   {
-    serve::Service S(loadBundle(Bytes), SingleConfig);
+    serve::Service S(Bundle.open(), SingleConfig);
     SingleRps = runSingle(S, Lines, SingleMs);
   }
 
@@ -283,7 +314,7 @@ int main() {
   double ConcurrentRps;
   std::vector<double> ConcurrentMs;
   {
-    serve::Service S(loadBundle(Bytes), ConcurrentConfig);
+    serve::Service S(Bundle.open(), ConcurrentConfig);
     ConcurrentRps = runConcurrent(S, Lines, Clients, ConcurrentMs);
   }
 
@@ -302,7 +333,7 @@ int main() {
     serve::ServeConfig OneWorker;
     OneWorker.MaxBatch = Clients;
     OneWorker.Workers = 1;
-    serve::Service S(loadBundle(Bytes), OneWorker);
+    serve::Service S(Bundle.open(), OneWorker);
     std::vector<double> Ms;
     OneWorkerRps = runConcurrent(S, Lines, Clients, Ms);
     if (OneWorkerRps > 0)
@@ -364,10 +395,14 @@ int main() {
   }
   OpenLoop.print(std::cout);
 
-  // Where the milliseconds went: the serve.stage.* histograms both
-  // Service instances observed into, one row per pipeline stage.
-  TablePrinter Stages("per-stage latency, all " +
-                      std::to_string(2 * Lines.size()) + " requests");
+  // Where the milliseconds went: the serve.stage.* histograms every
+  // closed-loop Service observed into (two, or three with the one-worker
+  // run), one row per pipeline stage.
+  uint64_t Observed =
+      Reg.histogram("serve.request.seconds", telemetry::timeBounds())
+          .count();
+  TablePrinter Stages("per-stage latency, all " + std::to_string(Observed) +
+                      " requests");
   Stages.setHeader({"Stage", "p50 ms", "p99 ms", "Count"});
   for (const char *Stage : serve::StageNames) {
     auto &H = Reg.histogram("serve.stage." + std::string(Stage) + ".seconds",

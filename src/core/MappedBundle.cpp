@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -35,7 +34,7 @@ MappedRegion::open(const std::string &Path, std::string *Error) {
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0) {
     if (Error)
-      *Error = "cannot open '" + Path + "': " + std::strerror(errno);
+      *Error = "cannot read " + Path + ": " + std::strerror(errno);
     return nullptr;
   }
   struct stat St;
@@ -214,7 +213,8 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   }
   std::vector<uint32_t> PathIndex = buildStoredIndex(PathHashes, PathValues);
 
-  crf::FlatCrf F = Bundle.Model.flatten();
+  const crf::FrozenCrf &F = Bundle.Model.image();
+  uint64_t NumCandPairs = 2 * F.CandOffsets[F.NumCands];
 
   // Lay out the section table: every section starts 8-byte aligned.
   uint64_t Lengths[NumSections] = {
@@ -224,13 +224,13 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
       PathArena.size(),
       PathOffsets.size() * 8,
       PathIndex.size() * 4,
-      F.WeightKeys.size() * 8,
-      F.WeightVals.size() * 8,
-      F.CandKeys.size() * 8,
-      F.CandOffsets.size() * 8,
-      F.CandPairs.size() * 4,
-      F.PrunedKeys.size() * 8,
-      F.GlobalTop.size() * 4,
+      F.NumWeights * 8,
+      F.NumWeights * 8,
+      F.NumCands * 8,
+      (F.NumCands + 1) * 8,
+      NumCandPairs * 4,
+      F.NumPruned * 8,
+      uint64_t(F.NumGlobal) * 4,
   };
   SectionDesc Sections[NumSections];
   uint64_t At = SectionsStart;
@@ -277,13 +277,13 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   Emit(PathArena.data(), PathArena.size());
   Emit(PathOffsets.data(), PathOffsets.size() * 8);
   Emit(PathIndex.data(), PathIndex.size() * 4);
-  Emit(F.WeightKeys.data(), F.WeightKeys.size() * 8);
-  Emit(F.WeightVals.data(), F.WeightVals.size() * 8);
-  Emit(F.CandKeys.data(), F.CandKeys.size() * 8);
-  Emit(F.CandOffsets.data(), F.CandOffsets.size() * 8);
-  Emit(F.CandPairs.data(), F.CandPairs.size() * 4);
-  Emit(F.PrunedKeys.data(), F.PrunedKeys.size() * 8);
-  Emit(F.GlobalTop.data(), F.GlobalTop.size() * 4);
+  Emit(F.WeightKeys, F.NumWeights * 8);
+  Emit(F.WeightVals, F.NumWeights * 8);
+  Emit(F.CandKeys, F.NumCands * 8);
+  Emit(F.CandOffsets, (F.NumCands + 1) * 8);
+  Emit(F.CandPairs, NumCandPairs * 4);
+  Emit(F.PrunedKeys, F.NumPruned * 8);
+  Emit(F.GlobalTop, uint64_t(F.NumGlobal) * 4);
   assert(Img.size() == TrailerOff && "section layout drifted");
   // Trailer: checksum over everything before it.
   uint64_t Checksum = stableHashBytes(Img.str().data(), Img.size());
@@ -399,12 +399,16 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   uint64_t Size = Region->size();
   Validator V{Base, Size, Diag};
 
-  if (Size < MinFileBytes) {
+  auto Truncated = [&] {
     V.fail(0, "truncated: file is " + std::to_string(Size) +
                   " bytes, a v3 bundle needs at least " +
                   std::to_string(MinFileBytes));
     return nullptr;
-  }
+  };
+  // Magic and version come first, so a file of another kind or version
+  // is named as such whatever its length.
+  if (Size < 8)
+    return Truncated();
   uint32_t Magic = readAt<uint32_t>(Base, 0);
   if (Magic != BundleMagic) {
     V.fail(0, "bad bundle magic: expected " + hex32(BundleMagic) +
@@ -414,14 +418,16 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   uint32_t Version = readAt<uint32_t>(Base, 4);
   if (Version != MappedVersion) {
     std::string Hint =
-        Version == 2 ? " (a v2 stream bundle — use the stream loader, or "
-                       "convert with `pigeon migrate-bundle`)"
+        Version == 2 ? " (a v2 stream bundle, a format no longer read — "
+                       "retrain the model with `pigeon train`)"
                      : "";
     V.fail(4, "bundle version mismatch: expected " +
                   std::to_string(MappedVersion) + ", found " +
                   std::to_string(Version) + Hint);
     return nullptr;
   }
+  if (Size < MinFileBytes)
+    return Truncated();
   uint64_t FileSize = readAt<uint64_t>(Base, 8);
   if (FileSize != Size) {
     V.fail(8, "file size mismatch: header claims " +
@@ -690,25 +696,4 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   CV.NumGlobal = static_cast<uint32_t>(SecLen(SecGlobalTop) / 4);
   Bundle->Model.adoptFrozen(CV);
   return Bundle;
-}
-
-std::unique_ptr<ModelBundle> core::loadModelFile(const std::string &Path,
-                                                 LoadDiag *Diag,
-                                                 bool VerifyChecksum) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS) {
-    setDiag(Diag, 0,
-            "cannot read " + Path + ": " + std::strerror(errno));
-    return nullptr;
-  }
-  uint32_t Magic = 0, Version = 0;
-  IS.read(reinterpret_cast<char *>(&Magic), sizeof(Magic));
-  IS.read(reinterpret_cast<char *>(&Version), sizeof(Version));
-  if (IS && Magic == BundleMagic && Version == MappedVersion)
-    return openMappedBundle(Path, Diag, VerifyChecksum);
-  // Anything else — v2, truncated, or garbage — takes the stream route,
-  // whose own validation produces the structured error.
-  IS.clear();
-  IS.seekg(0);
-  return loadModel(IS, Diag);
 }

@@ -33,8 +33,11 @@
 /// ranges are all checked before any section pointer is handed to the
 /// frozen views, so a hostile file is rejected instead of read out of
 /// bounds. Checksum verification is opt-in (it touches every page, which
-/// defeats lazy paging; `pigeon migrate-bundle --check` and the tests
-/// turn it on).
+/// defeats lazy paging; `pigeon eval` and the tests turn it on).
+///
+/// v3 is the only format read. The magic and version are checked before
+/// anything else, so a file of an older version (v2, the retired stream
+/// format) fails with a version mismatch and a hint to retrain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,13 +94,6 @@ void saveModelV3(std::ostream &OS, const ModelBundle &Bundle);
 std::unique_ptr<ModelBundle> openMappedBundle(const std::string &Path,
                                               LoadDiag *Diag = nullptr,
                                               bool VerifyChecksum = false);
-
-/// Loads the bundle at \p Path by sniffing its version: v3 maps in
-/// place (openMappedBundle), anything else takes the v2 stream loader.
-/// The graceful-fallback entry point every tool should use.
-std::unique_ptr<ModelBundle> loadModelFile(const std::string &Path,
-                                           LoadDiag *Diag = nullptr,
-                                           bool VerifyChecksum = false);
 
 } // namespace core
 } // namespace pigeon

@@ -1,24 +1,19 @@
-//===- ModelIO.h - Whole-model persistence -----------------------*- C++ -*-===//
+//===- ModelIO.h - The in-memory model bundle -------------------*- C++ -*-===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Saves and restores a complete, usable name-prediction model: the
-/// string interner (all symbols the model's labels and values refer to),
-/// the path table (PathIds the features hash over), the extraction
-/// configuration, the task, and the trained CRF. A restored bundle can
-/// parse and predict on new files — new strings and paths intern after
-/// the saved ones, so every saved id keeps its meaning.
+/// A complete, usable name-prediction model: the string interner (all
+/// symbols the model's labels and values refer to), the path table
+/// (PathIds the features hash over), the extraction configuration, the
+/// task, and the trained CRF. New strings and paths intern after the
+/// bundle's own, so every saved id keeps its meaning while the bundle
+/// parses and predicts on new files.
 ///
-/// Two on-disk formats coexist:
-///  * version 2 — the stream format (varint/length-prefixed records,
-///    this file): portable, but loading re-interns every string and
-///    path and rebuilds every hash table;
-///  * version 3 — the mmap format (MappedBundle.h): one contiguous
-///    offset-based file served in place with no deserialization.
-/// loadModelFile (MappedBundle.h) routes by sniffing the version.
+/// Bundles persist in one on-disk format, v3 (MappedBundle.h): written by
+/// saveModelV3 and served in place from an mmap by openMappedBundle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +24,6 @@
 #include "ml/crf/Crf.h"
 #include "paths/Paths.h"
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -40,7 +34,7 @@ class MappedRegion;
 
 /// Structured failure report of a bundle load. Error spells out what was
 /// expected versus what the bytes actually held; Offset is the byte
-/// position (within the stream / mapped file) where validation failed.
+/// position within the file where validation failed.
 struct LoadDiag {
   std::string Error;
   uint64_t Offset = 0;
@@ -61,15 +55,6 @@ struct ModelBundle {
   Task TaskKind = Task::VariableNames;
   crf::CrfModel Model;
 };
-
-/// Writes \p Bundle to \p OS in the version-2 stream format.
-void saveModel(std::ostream &OS, const ModelBundle &Bundle);
-
-/// Restores a bundle written by saveModel(). \returns nullptr on a
-/// malformed or version-mismatched stream; when \p Diag is non-null it
-/// receives the expected-vs-found detail and byte offset of the failure.
-std::unique_ptr<ModelBundle> loadModel(std::istream &IS,
-                                       LoadDiag *Diag = nullptr);
 
 } // namespace core
 } // namespace pigeon

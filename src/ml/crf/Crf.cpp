@@ -13,11 +13,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <istream>
 #include <map>
 #include <optional>
-#include <ostream>
 #include <tuple>
+#include <unordered_map>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -281,111 +280,71 @@ void WeightTable::grow() {
 // Model
 //===----------------------------------------------------------------------===//
 
-void CrfModel::bump(uint64_t Key, double Delta) {
-  WeightTable::Entry &E = Weights.findOrInsert(Key);
-  E.Weight += Delta;
-  E.Total += static_cast<double>(Time) * Delta;
+FrozenCrf FlatCrf::view() const {
+  FrozenCrf V;
+  V.WeightKeys = WeightKeys.data();
+  V.WeightVals = WeightVals.data();
+  V.NumWeights = WeightKeys.size();
+  V.CandKeys = CandKeys.data();
+  V.CandOffsets = CandOffsets.data();
+  V.CandPairs = CandPairs.data();
+  V.NumCands = CandKeys.size();
+  V.PrunedKeys = PrunedKeys.data();
+  V.NumPruned = PrunedKeys.size();
+  V.GlobalTop = GlobalTop.data();
+  V.NumGlobal = static_cast<uint32_t>(GlobalTop.size());
+  return V;
 }
 
-double CrfModel::weight(uint64_t Key) const {
-  if (IsFrozen) {
-    const uint64_t *End = FC.WeightKeys + FC.NumWeights;
-    const uint64_t *It = std::lower_bound(FC.WeightKeys, End, Key);
-    return (It != End && *It == Key) ? FC.WeightVals[It - FC.WeightKeys]
-                                     : 0.0;
-  }
-  return Weights.weight(Key);
+CrfModel::CrfModel(CrfConfig Config) : Config(Config) {
+  static const auto Untrained = std::make_shared<const FlatCrf>();
+  own(Untrained);
 }
 
-bool CrfModel::pathPruned(paths::PathId Path) const {
-  if (IsFrozen)
-    return std::binary_search(FC.PrunedKeys, FC.PrunedKeys + FC.NumPruned,
-                              static_cast<uint64_t>(Path));
-  return PrunedPaths.count(Path) != 0;
-}
-
-CrfModel::CandRef CrfModel::findCandidates(uint64_t Ctx) const {
-  CandRef R;
-  if (IsFrozen) {
-    const uint64_t *End = FC.CandKeys + FC.NumCands;
-    const uint64_t *It = std::lower_bound(FC.CandKeys, End, Ctx);
-    if (It == End || *It != Ctx)
-      return R;
-    size_t I = static_cast<size_t>(It - FC.CandKeys);
-    R.Flat = FC.CandPairs + 2 * FC.CandOffsets[I];
-    R.N = static_cast<size_t>(FC.CandOffsets[I + 1] - FC.CandOffsets[I]);
-    return R;
-  }
-  auto It = Candidates.find(Ctx);
-  if (It == Candidates.end())
-    return R;
-  R.Vec = It->second.data();
-  R.N = It->second.size();
-  return R;
+void CrfModel::own(std::shared_ptr<const FlatCrf> Image) {
+  Owned = std::move(Image);
+  FC = Owned->view();
 }
 
 void CrfModel::adoptFrozen(const FrozenCrf &View) {
-  Weights.clear();
-  Candidates.clear();
-  PrunedPaths.clear();
-  Time = 1;
+  Owned.reset();
   FC = View;
-  IsFrozen = true;
-  // The global fallback list is rank-ordered and tiny (GlobalCandidates
-  // entries); copying it keeps candidatesFor() oblivious to freezing.
-  GlobalTop.clear();
-  GlobalTop.reserve(View.NumGlobal);
-  for (uint32_t I = 0; I < View.NumGlobal; ++I)
-    GlobalTop.push_back(Symbol::fromIndex(View.GlobalTop[I]));
 }
 
-FlatCrf CrfModel::flatten() const {
-  FlatCrf F;
-  if (IsFrozen) {
-    F.WeightKeys.assign(FC.WeightKeys, FC.WeightKeys + FC.NumWeights);
-    F.WeightVals.assign(FC.WeightVals, FC.WeightVals + FC.NumWeights);
-    F.CandKeys.assign(FC.CandKeys, FC.CandKeys + FC.NumCands);
-    F.CandOffsets.assign(FC.CandOffsets, FC.CandOffsets + FC.NumCands + 1);
-    F.CandPairs.assign(FC.CandPairs,
-                       FC.CandPairs + 2 * FC.CandOffsets[FC.NumCands]);
-    F.PrunedKeys.assign(FC.PrunedKeys, FC.PrunedKeys + FC.NumPruned);
-    F.GlobalTop.assign(FC.GlobalTop, FC.GlobalTop + FC.NumGlobal);
-    return F;
-  }
-  F.WeightKeys.reserve(Weights.size());
-  Weights.forEach(
-      [&](const WeightTable::Entry &E) { F.WeightKeys.push_back(E.Key); });
-  std::sort(F.WeightKeys.begin(), F.WeightKeys.end());
-  F.WeightVals.reserve(Weights.size());
-  for (uint64_t Key : F.WeightKeys)
-    F.WeightVals.push_back(Weights.weight(Key));
+double CrfModel::weight(uint64_t Key) const {
+  const uint64_t *End = FC.WeightKeys + FC.NumWeights;
+  const uint64_t *It = std::lower_bound(FC.WeightKeys, End, Key);
+  return (It != End && *It == Key) ? FC.WeightVals[It - FC.WeightKeys] : 0.0;
+}
 
-  F.CandKeys.reserve(Candidates.size());
-  for (const auto &[Ctx, Labels] : Candidates)
-    F.CandKeys.push_back(Ctx);
-  std::sort(F.CandKeys.begin(), F.CandKeys.end());
-  F.CandOffsets.reserve(Candidates.size() + 1);
-  F.CandOffsets.push_back(0);
-  for (uint64_t Ctx : F.CandKeys) {
-    // Per-context order is preserved exactly: votes accumulate in list
-    // order, so reordering here would perturb float sums downstream.
-    const auto &Labels = Candidates.at(Ctx);
-    for (const auto &[Label, Count] : Labels) {
-      F.CandPairs.push_back(Label.index());
-      F.CandPairs.push_back(Count);
-    }
-    F.CandOffsets.push_back(F.CandOffsets.back() + Labels.size());
-  }
+bool CrfModel::pathPruned(paths::PathId Path) const {
+  return std::binary_search(FC.PrunedKeys, FC.PrunedKeys + FC.NumPruned,
+                            static_cast<uint64_t>(Path));
+}
 
-  F.PrunedKeys.assign(PrunedPaths.begin(), PrunedPaths.end());
-  std::sort(F.PrunedKeys.begin(), F.PrunedKeys.end());
-  F.GlobalTop.reserve(GlobalTop.size());
-  for (Symbol S : GlobalTop)
-    F.GlobalTop.push_back(S.index());
-  return F;
+CrfModel::CandRef CrfModel::findCandidates(uint64_t Ctx) const {
+  const uint64_t *End = FC.CandKeys + FC.NumCands;
+  const uint64_t *It = std::lower_bound(FC.CandKeys, End, Ctx);
+  if (It == End || *It != Ctx)
+    return {};
+  size_t I = static_cast<size_t>(It - FC.CandKeys);
+  return {FC.CandPairs + 2 * FC.CandOffsets[I],
+          static_cast<size_t>(FC.CandOffsets[I + 1] - FC.CandOffsets[I])};
 }
 
 namespace {
+
+/// Orders (label, count or score) pairs strongest first, ties by label
+/// index.
+struct StrongestFirst {
+  template <typename T>
+  bool operator()(const std::pair<Symbol, T> &A,
+                  const std::pair<Symbol, T> &B) const {
+    if (A.second != B.second)
+      return A.second > B.second;
+    return A.first.index() < B.first.index();
+  }
+};
 
 /// Per-label vote sums for one node, in first-vote order: a flat list
 /// plus a small open-addressed index from label to list position. Each
@@ -458,8 +417,6 @@ CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
       Ctx = contextKey(Fac.Path, Fac.A == Node, Graph.Nodes[Other].Gold);
     }
     CandRef Cand = findCandidates(Ctx);
-    if (!Cand)
-      continue;
     double Total = Config.VoteSmoothing;
     for (size_t I = 0; I < Cand.size(); ++I)
       Total += static_cast<double>(Cand.count(I));
@@ -467,15 +424,11 @@ CrfModel::candidatesFor(const CrfGraph &Graph, uint32_t Node,
       Tally.add(Cand.label(I), static_cast<double>(Cand.count(I)) / Total);
   }
   std::vector<Symbol> Fallback;
-  for (Symbol S : GlobalTop)
-    if (!Tally.contains(S))
+  for (uint32_t I = 0; I < FC.NumGlobal; ++I)
+    if (Symbol S = Symbol::fromIndex(FC.GlobalTop[I]); !Tally.contains(S))
       Fallback.push_back(S);
   std::vector<std::pair<Symbol, double>> Votes = Tally.take();
-  std::sort(Votes.begin(), Votes.end(), [](const auto &A, const auto &B) {
-    if (A.second != B.second)
-      return A.second > B.second;
-    return A.first.index() < B.first.index();
-  });
+  std::sort(Votes.begin(), Votes.end(), StrongestFirst());
   for (Symbol S : Fallback)
     Votes.emplace_back(S, 0.0);
   return Votes;
@@ -529,8 +482,10 @@ struct NodeMemo {
 
 } // namespace
 
+template <typename WeightFn>
 std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
-                                    const Incidence &Inc) const {
+                                    const Incidence &Inc,
+                                    const WeightFn &Weight) const {
   std::vector<Symbol> Assignment(Graph.Nodes.size());
   for (uint32_t N = 0; N < Graph.Nodes.size(); ++N)
     Assignment[N] = Graph.Nodes[N].Gold;
@@ -586,12 +541,12 @@ std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
     auto StaticWeight = [&](const ScoreTerm &T, Symbol Label) {
       const Factor &Fac = Graph.Factors[T.Factor];
       if (Fac.Unary)
-        return weight(unaryKey(Fac.Path, Label));
-      return Fac.A == N ? weight(pairKey(Fac.Path, Label, Assignment[Fac.B]))
-                        : weight(pairKey(Fac.Path, Assignment[Fac.A], Label));
+        return Weight(unaryKey(Fac.Path, Label));
+      return Fac.A == N ? Weight(pairKey(Fac.Path, Label, Assignment[Fac.B]))
+                        : Weight(pairKey(Fac.Path, Assignment[Fac.A], Label));
     };
     for (const auto &[C, Vote] : Cands[I]) {
-      double Head = weight(biasKey(C));
+      double Head = Weight(biasKey(C));
       for (auto T = Terms.begin(); T != Tail; ++T)
         Head += StaticWeight(*T, C);
       Memo.push_back(Head);
@@ -625,8 +580,8 @@ std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
           }
           const Factor &Fac = Graph.Factors[Steps[St].Factor];
           Score += Fac.A == N
-                       ? weight(pairKey(Fac.Path, C, Assignment[Fac.B]))
-                       : weight(pairKey(Fac.Path, Assignment[Fac.A], C));
+                       ? Weight(pairKey(Fac.Path, C, Assignment[Fac.B]))
+                       : Weight(pairKey(Fac.Path, Assignment[Fac.A], C));
         }
         Row += M.Stride;
         double S = Config.VotePrior * Vote + Score;
@@ -652,105 +607,108 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   auto &Reg = telemetry::MetricsRegistry::global();
   Reg.counter("crf.train.calls").inc();
   Reg.counter("crf.train.graphs").add(Graphs.size());
-  // Training repopulates the mutable tables; thaw a frozen model first.
-  IsFrozen = false;
-  FC = FrozenCrf();
 
   std::optional<telemetry::TraceScope> Pass;
   Pass.emplace("candidates");
-  // Pass 1: candidate tables and global label frequencies.
-  std::unordered_map<uint64_t, std::unordered_map<Symbol, uint32_t>>
-      RawCandidates;
-  std::unordered_map<Symbol, uint64_t> LabelCounts;
-  std::unordered_map<uint64_t, uint64_t> CtxToPath;
-  for (const CrfGraph &G : Graphs) {
-    for (uint32_t N : G.Unknowns)
-      ++LabelCounts[G.Nodes[N].Gold];
-    for (const Factor &F : G.Factors) {
-      if (F.Unary) {
-        if (!G.Nodes[F.A].Known) {
-          uint64_t Ctx = unaryKey(F.Path, Symbol());
-          ++RawCandidates[Ctx][G.Nodes[F.A].Gold];
-          CtxToPath[Ctx] = F.Path;
-        }
-        continue;
-      }
-      bool AKnown = G.Nodes[F.A].Known;
-      bool BKnown = G.Nodes[F.B].Known;
-      if (AKnown == BKnown)
-        continue; // Candidate proposal needs exactly one known side.
-      uint32_t Unknown = AKnown ? F.B : F.A;
-      uint32_t Known = AKnown ? F.A : F.B;
-      uint64_t Ctx =
-          contextKey(F.Path, Unknown == F.A, G.Nodes[Known].Gold);
-      ++RawCandidates[Ctx][G.Nodes[Unknown].Gold];
-      CtxToPath[Ctx] = F.Path;
-    }
-  }
-  // Path purity: how concentrated the label distributions of a path's
-  // contexts are. Near-uniform paths carry no naming signal (they are
-  // typically long-distance cross-unit paths) and are pruned.
-  PrunedPaths.clear();
-  if (Config.MinPathLift > 0) {
-    // The label marginal's own concentration is the baseline: a path is
-    // informative only if its contexts concentrate labels beyond it.
-    uint64_t MarginalMax = 0, MarginalTotal = 0;
-    for (const auto &[Label, Count] : LabelCounts) {
-      MarginalMax = std::max(MarginalMax, Count);
-      MarginalTotal += Count;
-    }
-    double MarginalShare =
-        MarginalTotal == 0 ? 1.0
-                           : static_cast<double>(MarginalMax) /
-                                 static_cast<double>(MarginalTotal);
-    std::unordered_map<uint64_t, std::pair<double, double>> PathStats;
-    for (const auto &[Ctx, Map] : RawCandidates) {
-      uint32_t Max = 0, Total = 0;
-      for (const auto &[Label, Count] : Map) {
-        Max = std::max(Max, Count);
-        Total += Count;
-      }
-      auto &[SumMax, SumTotal] = PathStats[CtxToPath.at(Ctx)];
-      SumMax += Max;
-      SumTotal += Total;
-    }
-    for (const auto &[Path, Stats] : PathStats) {
-      if (Stats.second <= 0)
-        continue;
-      double Lift = (Stats.first / Stats.second) / MarginalShare;
-      if (Lift < Config.MinPathLift)
-        PrunedPaths.insert(Path);
-    }
-  }
-  Candidates.clear();
-  for (auto &[Ctx, Map] : RawCandidates) {
-    std::vector<std::pair<Symbol, uint32_t>> Sorted(Map.begin(), Map.end());
-    std::sort(Sorted.begin(), Sorted.end(),
-              [](const auto &A, const auto &B) {
-                if (A.second != B.second)
-                  return A.second > B.second;
-                return A.first.index() < B.first.index();
-              });
-    if (Sorted.size() > static_cast<size_t>(Config.CandidatesPerContext))
-      Sorted.resize(static_cast<size_t>(Config.CandidatesPerContext));
-    Candidates.emplace(Ctx, std::move(Sorted));
-  }
+  // Pass 1: candidate tables, pruned paths and the global fallback list,
+  // written straight into the flat image the model will keep.
+  FlatCrf Image;
   {
-    std::vector<std::pair<Symbol, uint64_t>> Sorted(LabelCounts.begin(),
+    std::unordered_map<uint64_t, std::unordered_map<Symbol, uint32_t>>
+        RawCandidates;
+    std::unordered_map<Symbol, uint64_t> LabelCounts;
+    std::unordered_map<uint64_t, uint64_t> CtxToPath;
+    for (const CrfGraph &G : Graphs) {
+      for (uint32_t N : G.Unknowns)
+        ++LabelCounts[G.Nodes[N].Gold];
+      for (const Factor &F : G.Factors) {
+        if (F.Unary) {
+          if (!G.Nodes[F.A].Known) {
+            uint64_t Ctx = unaryKey(F.Path, Symbol());
+            ++RawCandidates[Ctx][G.Nodes[F.A].Gold];
+            CtxToPath[Ctx] = F.Path;
+          }
+          continue;
+        }
+        bool AKnown = G.Nodes[F.A].Known;
+        bool BKnown = G.Nodes[F.B].Known;
+        if (AKnown == BKnown)
+          continue; // Candidate proposal needs exactly one known side.
+        uint32_t Unknown = AKnown ? F.B : F.A;
+        uint32_t Known = AKnown ? F.A : F.B;
+        uint64_t Ctx =
+            contextKey(F.Path, Unknown == F.A, G.Nodes[Known].Gold);
+        ++RawCandidates[Ctx][G.Nodes[Unknown].Gold];
+        CtxToPath[Ctx] = F.Path;
+      }
+    }
+    // Path purity: how concentrated the label distributions of a path's
+    // contexts are. Near-uniform paths carry no naming signal (they are
+    // typically long-distance cross-unit paths) and are pruned.
+    if (Config.MinPathLift > 0) {
+      // The label marginal's own concentration is the baseline: a path
+      // is informative only if its contexts concentrate labels beyond it.
+      uint64_t MarginalMax = 0, MarginalTotal = 0;
+      for (const auto &[Label, Count] : LabelCounts) {
+        MarginalMax = std::max(MarginalMax, Count);
+        MarginalTotal += Count;
+      }
+      double MarginalShare =
+          MarginalTotal == 0 ? 1.0
+                             : static_cast<double>(MarginalMax) /
+                                   static_cast<double>(MarginalTotal);
+      std::unordered_map<uint64_t, std::pair<double, double>> PathStats;
+      for (const auto &[Ctx, Map] : RawCandidates) {
+        uint32_t Max = 0, Total = 0;
+        for (const auto &[Label, Count] : Map) {
+          Max = std::max(Max, Count);
+          Total += Count;
+        }
+        auto &[SumMax, SumTotal] = PathStats[CtxToPath.at(Ctx)];
+        SumMax += Max;
+        SumTotal += Total;
+      }
+      for (const auto &[Path, Stats] : PathStats) {
+        if (Stats.second <= 0)
+          continue;
+        double Lift = (Stats.first / Stats.second) / MarginalShare;
+        if (Lift < Config.MinPathLift)
+          Image.PrunedKeys.push_back(Path);
+      }
+      std::sort(Image.PrunedKeys.begin(), Image.PrunedKeys.end());
+    }
+    // Each context keeps its strongest labels in rank order: votes
+    // accumulate in list order, so that order is part of the model.
+    Image.CandKeys.reserve(RawCandidates.size());
+    for (const auto &[Ctx, Map] : RawCandidates)
+      Image.CandKeys.push_back(Ctx);
+    std::sort(Image.CandKeys.begin(), Image.CandKeys.end());
+    Image.CandOffsets.reserve(Image.CandKeys.size() + 1);
+    std::vector<std::pair<Symbol, uint32_t>> Sorted;
+    for (uint64_t Ctx : Image.CandKeys) {
+      const auto &Map = RawCandidates.at(Ctx);
+      Sorted.assign(Map.begin(), Map.end());
+      std::sort(Sorted.begin(), Sorted.end(), StrongestFirst());
+      if (Sorted.size() > static_cast<size_t>(Config.CandidatesPerContext))
+        Sorted.resize(static_cast<size_t>(Config.CandidatesPerContext));
+      for (const auto &[Label, Count] : Sorted) {
+        Image.CandPairs.push_back(Label.index());
+        Image.CandPairs.push_back(Count);
+      }
+      Image.CandOffsets.push_back(Image.CandOffsets.back() + Sorted.size());
+    }
+    std::vector<std::pair<Symbol, uint64_t>> Labels(LabelCounts.begin(),
                                                     LabelCounts.end());
-    std::sort(Sorted.begin(), Sorted.end(),
-              [](const auto &A, const auto &B) {
-                if (A.second != B.second)
-                  return A.second > B.second;
-                return A.first.index() < B.first.index();
-              });
-    GlobalTop.clear();
+    std::sort(Labels.begin(), Labels.end(), StrongestFirst());
     for (size_t I = 0;
-         I < Sorted.size() &&
-         I < static_cast<size_t>(Config.GlobalCandidates);
+         I < Labels.size() && I < static_cast<size_t>(Config.GlobalCandidates);
          ++I)
-      GlobalTop.push_back(Sorted[I].first);
+      Image.GlobalTop.push_back(Labels[I].first.index());
   }
+  // Inference during training reads candidates and pruning through the
+  // image, exactly as predict() will; only the weights still change.
+  Owned.reset();
+  FC = Image.view();
 
   // Pass 2: averaged structured perceptron.
   Pass.emplace("perceptron");
@@ -759,8 +717,14 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
   telemetry::Counter &UpdatesCounter = Reg.counter("crf.updates");
   telemetry::Histogram &EpochSeconds =
       Reg.histogram("crf.epoch.seconds", telemetry::timeBounds());
-  Weights.clear();
-  Time = 1;
+  WeightTable Weights;
+  uint64_t Time = 1;
+  auto Bump = [&Weights, &Time](uint64_t Key, double Delta) {
+    WeightTable::Entry &E = Weights.findOrInsert(Key);
+    E.Weight += Delta;
+    E.Total += static_cast<double>(Time) * Delta;
+  };
+  auto LiveWeight = [&Weights](uint64_t Key) { return Weights.weight(Key); };
   std::vector<Incidence> Incidences;
   Incidences.reserve(Graphs.size());
   for (const CrfGraph &G : Graphs)
@@ -773,7 +737,7 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       const CrfGraph &G = Graphs[GI];
       if (G.Unknowns.empty())
         continue;
-      std::vector<Symbol> Pred = infer(G, Incidences[GI]);
+      std::vector<Symbol> Pred = infer(G, Incidences[GI], LiveWeight);
       // Gold assignment is just the Gold labels.
       bool AnyMistake = false;
       for (uint32_t N : G.Unknowns)
@@ -784,8 +748,8 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
           if (Pred[N] == G.Nodes[N].Gold)
             continue;
           ++Updates;
-          bump(biasKey(G.Nodes[N].Gold), Config.LearningRate);
-          bump(biasKey(Pred[N]), -Config.LearningRate);
+          Bump(biasKey(G.Nodes[N].Gold), Config.LearningRate);
+          Bump(biasKey(Pred[N]), -Config.LearningRate);
         }
         for (const Factor &F : G.Factors) {
           if (pathPruned(F.Path))
@@ -796,8 +760,8 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
             Symbol GoldL = G.Nodes[F.A].Gold;
             Symbol PredL = Pred[F.A];
             if (GoldL != PredL) {
-              bump(unaryKey(F.Path, GoldL), Config.LearningRate);
-              bump(unaryKey(F.Path, PredL), -Config.LearningRate);
+              Bump(unaryKey(F.Path, GoldL), Config.LearningRate);
+              Bump(unaryKey(F.Path, PredL), -Config.LearningRate);
             }
             continue;
           }
@@ -808,8 +772,8 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
           Symbol PredA = Pred[F.A], PredB = Pred[F.B];
           if (GoldA == PredA && GoldB == PredB)
             continue;
-          bump(pairKey(F.Path, GoldA, GoldB), Config.LearningRate);
-          bump(pairKey(F.Path, PredA, PredB), -Config.LearningRate);
+          Bump(pairKey(F.Path, GoldA, GoldB), Config.LearningRate);
+          Bump(pairKey(F.Path, PredA, PredB), -Config.LearningRate);
         }
       }
       ++Time;
@@ -828,19 +792,26 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
     }
     EpochSeconds.observe(EpochScope.seconds());
   }
-  // Finalize averaging: w_avg = w - totals / T.
-  Weights.forEach([this](WeightTable::Entry &E) {
+  // Finalize averaging (w_avg = w - totals / T) and sort the weights into
+  // the image.
+  Image.WeightKeys.reserve(Weights.size());
+  Weights.forEach([&](WeightTable::Entry &E) {
     E.Weight -= E.Total / static_cast<double>(Time);
+    Image.WeightKeys.push_back(E.Key);
   });
-  Reg.gauge("crf.features").set(static_cast<double>(Weights.size()));
-  Reg.gauge("crf.candidate_table")
-      .set(static_cast<double>(Candidates.size()));
-  Reg.gauge("crf.pruned_paths")
-      .set(static_cast<double>(PrunedPaths.size()));
+  std::sort(Image.WeightKeys.begin(), Image.WeightKeys.end());
+  Image.WeightVals.reserve(Image.WeightKeys.size());
+  for (uint64_t Key : Image.WeightKeys)
+    Image.WeightVals.push_back(Weights.weight(Key));
+  own(std::make_shared<const FlatCrf>(std::move(Image)));
+  Reg.gauge("crf.features").set(static_cast<double>(FC.NumWeights));
+  Reg.gauge("crf.candidate_table").set(static_cast<double>(FC.NumCands));
+  Reg.gauge("crf.pruned_paths").set(static_cast<double>(FC.NumPruned));
 }
 
 std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
-  return infer(Graph, Graph.incidence());
+  return infer(Graph, Graph.incidence(),
+               [this](uint64_t Key) { return weight(Key); });
 }
 
 std::vector<std::vector<Symbol>>
@@ -868,11 +839,7 @@ CrfModel::topK(const CrfGraph &Graph, uint32_t Node,
     Scored.emplace_back(
         C, Config.VotePrior * Vote +
                scoreLabel(Graph, Node, C, Assignment, Inc.of(Node)));
-  std::sort(Scored.begin(), Scored.end(), [](const auto &A, const auto &B) {
-    if (A.second != B.second)
-      return A.second > B.second;
-    return A.first.index() < B.first.index();
-  });
+  std::sort(Scored.begin(), Scored.end(), StrongestFirst());
   if (Scored.size() > static_cast<size_t>(K))
     Scored.resize(static_cast<size_t>(K));
   return Scored;
@@ -890,8 +857,6 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
   // per-context term candidatesFor() accumulates.
   auto VoteOf = [this, Label](uint64_t Ctx) {
     CandRef Cand = findCandidates(Ctx);
-    if (!Cand)
-      return 0.0;
     double Total = Config.VoteSmoothing;
     uint32_t Mine = 0;
     for (size_t I = 0; I < Cand.size(); ++I) {
@@ -959,124 +924,4 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
   if (K > 0 && Ex.Paths.size() > static_cast<size_t>(K))
     Ex.Paths.resize(static_cast<size_t>(K));
   return Ex;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr uint32_t CrfMagic = 0x43524631;   // "CRF1"
-constexpr uint32_t CrfVersion = 1;
-
-template <typename T> void writePod(std::ostream &OS, const T &Value) {
-  OS.write(reinterpret_cast<const char *>(&Value), sizeof(Value));
-}
-
-template <typename T> bool readPod(std::istream &IS, T &Value) {
-  IS.read(reinterpret_cast<char *>(&Value), sizeof(Value));
-  return static_cast<bool>(IS);
-}
-
-} // namespace
-
-void CrfModel::save(std::ostream &OS) const {
-  // One canonical image for map-backed and frozen models alike: sorted
-  // keys, so the bytes never depend on a hash container's layout.
-  FlatCrf F = flatten();
-  writePod(OS, CrfMagic);
-  writePod(OS, CrfVersion);
-  writePod(OS, static_cast<uint64_t>(F.WeightKeys.size()));
-  for (size_t I = 0; I < F.WeightKeys.size(); ++I) {
-    writePod(OS, F.WeightKeys[I]);
-    writePod(OS, F.WeightVals[I]);
-  }
-  writePod(OS, static_cast<uint64_t>(F.CandKeys.size()));
-  for (size_t I = 0; I < F.CandKeys.size(); ++I) {
-    writePod(OS, F.CandKeys[I]);
-    writePod(OS, static_cast<uint32_t>(F.CandOffsets[I + 1] -
-                                       F.CandOffsets[I]));
-    for (uint64_t P = 2 * F.CandOffsets[I]; P < 2 * F.CandOffsets[I + 1];
-         ++P)
-      writePod(OS, F.CandPairs[P]);
-  }
-  writePod(OS, static_cast<uint64_t>(F.PrunedKeys.size()));
-  for (uint64_t Path : F.PrunedKeys)
-    writePod(OS, Path);
-  writePod(OS, static_cast<uint32_t>(F.GlobalTop.size()));
-  for (uint32_t Label : F.GlobalTop)
-    writePod(OS, Label);
-}
-
-bool CrfModel::load(std::istream &IS) {
-  Weights.clear();
-  Candidates.clear();
-  PrunedPaths.clear();
-  GlobalTop.clear();
-  Time = 1;
-  IsFrozen = false;
-  FC = FrozenCrf();
-
-  uint32_t Magic = 0, Version = 0;
-  if (!readPod(IS, Magic) || Magic != CrfMagic)
-    return false;
-  if (!readPod(IS, Version) || Version != CrfVersion)
-    return false;
-
-  uint64_t NumWeights = 0;
-  if (!readPod(IS, NumWeights))
-    return false;
-  for (uint64_t I = 0; I < NumWeights; ++I) {
-    uint64_t Key;
-    double W;
-    if (!readPod(IS, Key) || !readPod(IS, W))
-      return false;
-    bool Inserted;
-    WeightTable::Entry &E = Weights.findOrInsert(Key, Inserted);
-    if (!Inserted)
-      return false; // A duplicate key: no save() writes one.
-    E.Weight = W;
-  }
-
-  uint64_t NumContexts = 0;
-  if (!readPod(IS, NumContexts))
-    return false;
-  for (uint64_t I = 0; I < NumContexts; ++I) {
-    uint64_t Ctx;
-    uint32_t NumLabels;
-    if (!readPod(IS, Ctx) || !readPod(IS, NumLabels))
-      return false;
-    std::vector<std::pair<Symbol, uint32_t>> Labels;
-    Labels.reserve(NumLabels);
-    for (uint32_t L = 0; L < NumLabels; ++L) {
-      uint32_t Index, Count;
-      if (!readPod(IS, Index) || !readPod(IS, Count))
-        return false;
-      Labels.emplace_back(Symbol::fromIndex(Index), Count);
-    }
-    if (!Candidates.emplace(Ctx, std::move(Labels)).second)
-      return false;
-  }
-
-  uint64_t NumPruned = 0;
-  if (!readPod(IS, NumPruned))
-    return false;
-  for (uint64_t I = 0; I < NumPruned; ++I) {
-    uint64_t Path;
-    if (!readPod(IS, Path))
-      return false;
-    PrunedPaths.insert(Path);
-  }
-
-  uint32_t NumGlobal = 0;
-  if (!readPod(IS, NumGlobal))
-    return false;
-  for (uint32_t I = 0; I < NumGlobal; ++I) {
-    uint32_t Index;
-    if (!readPod(IS, Index))
-      return false;
-    GlobalTop.push_back(Symbol::fromIndex(Index));
-  }
-  return true;
 }

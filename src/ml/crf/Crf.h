@@ -33,10 +33,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
+#include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pigeon {
@@ -180,13 +178,12 @@ struct NodeExplanation {
   std::vector<Attribution> Paths;
 };
 
-/// Flat, position-independent image of a trained model's learned state:
-/// sorted key arrays with parallel payloads, readable in place with
-/// binary search. This is exactly the representation bundle format v3
-/// lays into the file — a mapped bundle hands the section pointers to
+/// Flat, position-independent image of a model's learned state: sorted
+/// key arrays with parallel payloads, read in place with binary search.
+/// It is the model's only representation. train() builds one into an
+/// owned FlatCrf, and bundle format v3 lays the same arrays into the
+/// file, so a mapped bundle hands the section pointers to
 /// CrfModel::adoptFrozen() and serves without deserializing anything.
-/// All pointers reference memory the caller keeps alive for the model's
-/// lifetime.
 struct FrozenCrf {
   const uint64_t *WeightKeys = nullptr; ///< Feature keys, sorted ascending.
   const double *WeightVals = nullptr;   ///< WeightVals[I] pairs WeightKeys[I].
@@ -204,23 +201,27 @@ struct FrozenCrf {
   uint32_t NumGlobal = 0;
 };
 
-/// Owned flat image produced by CrfModel::flatten(): the same layout as
-/// FrozenCrf but with owning vectors — what the v3 writer serializes.
+/// Owning storage for a FrozenCrf: the arrays train() fills. An empty
+/// image still holds the leading CandOffsets entry.
 struct FlatCrf {
   std::vector<uint64_t> WeightKeys;
   std::vector<double> WeightVals;
   std::vector<uint64_t> CandKeys;
-  std::vector<uint64_t> CandOffsets;
+  std::vector<uint64_t> CandOffsets = {0};
   std::vector<uint32_t> CandPairs;
   std::vector<uint64_t> PrunedKeys;
   std::vector<uint32_t> GlobalTop;
+
+  /// A view of these arrays, valid until one of them changes.
+  FrozenCrf view() const;
 };
 
-/// The learned feature weights of a trainable model: an open-addressed
-/// linear-probe table keyed by the (already finalized, well-mixed)
-/// feature hash, each slot carrying the weight and the perceptron's
-/// averaging total. Capacity is a power of two kept at most 3/4 full; key
-/// 0 marks an empty slot, so a real key 0 lives in a slot of its own.
+/// The feature weights the perceptron updates while train() runs: an
+/// open-addressed linear-probe table keyed by the (already finalized,
+/// well-mixed) feature hash, each slot carrying the weight and the
+/// perceptron's averaging total. Capacity is a power of two kept at most
+/// 3/4 full; key 0 marks an empty slot, so a real key 0 lives in a slot
+/// of its own.
 class WeightTable {
 public:
   struct Entry {
@@ -230,7 +231,6 @@ public:
   };
 
   size_t size() const { return Count + (HasZero ? 1 : 0); }
-  void clear() { *this = WeightTable(); }
 
   /// \returns the weight of \p Key, 0.0 when absent.
   double weight(uint64_t Key) const {
@@ -277,12 +277,14 @@ private:
   void grow();
 };
 
-/// The learned model.
+/// The learned model. Every read goes through its flat image: the one
+/// train() built, or the mapped sections adoptFrozen() was handed.
 class CrfModel {
 public:
-  explicit CrfModel(CrfConfig Config = CrfConfig()) : Config(Config) {}
+  explicit CrfModel(CrfConfig Config = CrfConfig());
 
-  /// Trains on \p Graphs (gold labels in GraphNode::Gold).
+  /// Trains on \p Graphs (gold labels in GraphNode::Gold) and replaces
+  /// the image with an owned one holding the result.
   void train(const std::vector<CrfGraph> &Graphs);
 
   /// MAP assignment: one label per node (known nodes keep Gold; unknown
@@ -315,81 +317,50 @@ public:
                           const std::vector<Symbol> &Assignment,
                           int K) const;
 
-  /// Serializes the trained model (weights, candidate tables, pruning
-  /// set, global candidates) to \p OS in a versioned binary format: the
-  /// flatten() image with its sorted keys, so a map-backed model and its
-  /// frozen copy write identical bytes. Feature keys are hashes over
-  /// PathIds and Symbol indices, so a saved model is only meaningful
-  /// together with the StringInterner and PathTable it was trained
-  /// against (persist those alongside).
-  void save(std::ostream &OS) const;
-
-  /// Restores a model previously written by save(). \returns false on a
-  /// malformed or version-mismatched stream, including one that repeats a
-  /// weight key or a context key.
-  bool load(std::istream &IS);
-
   /// Serves the model in place from \p View (typically sections of an
-  /// mmap'ed v3 bundle): drops the mutable maps and routes weight,
-  /// candidate and pruning lookups through binary search over the flat
-  /// arrays. Only the (tiny) global-candidate list is copied. Read APIs
-  /// produce bit-identical results to the map-backed model the image was
-  /// flattened from; train() or load() thaw the model back to maps.
+  /// mmap'ed v3 bundle), whose memory the caller keeps alive for the
+  /// model's lifetime; a later train() replaces it with an owned image.
   void adoptFrozen(const FrozenCrf &View);
 
-  /// \returns the learned state as an owned flat image — sorted keys,
-  /// per-context candidate order preserved — suitable for the v3 writer.
-  /// Works on both map-backed and frozen models.
-  FlatCrf flatten() const;
+  /// The image every read goes through; the v3 writer serializes it.
+  /// Feature keys are hashes over PathIds and Symbol indices, so it is
+  /// only meaningful together with the StringInterner and PathTable the
+  /// model was trained against.
+  const FrozenCrf &image() const { return FC; }
 
-  /// True when the model reads from a frozen flat image (adoptFrozen).
-  bool frozen() const { return IsFrozen; }
+  /// True when the model reads an image it does not own (adoptFrozen),
+  /// as a mapped bundle's model does.
+  bool frozen() const { return !Owned; }
 
   /// Number of nonzero feature weights (model size).
-  size_t numFeatures() const {
-    return IsFrozen ? FC.NumWeights : Weights.size();
-  }
+  size_t numFeatures() const { return FC.NumWeights; }
 
   /// Sum of training-time candidate-table entries (diagnostics).
-  size_t candidateTableSize() const {
-    return IsFrozen ? FC.NumCands : Candidates.size();
-  }
+  size_t candidateTableSize() const { return FC.NumCands; }
 
 private:
   CrfConfig Config;
-  WeightTable Weights;
-  uint64_t Time = 1;
-  std::unordered_map<uint64_t, std::vector<std::pair<Symbol, uint32_t>>>
-      Candidates;
-  std::vector<Symbol> GlobalTop;
-  /// Paths whose training contexts were too impure to be informative.
-  std::unordered_set<uint64_t> PrunedPaths;
-  /// Flat read-only state of a frozen model (adoptFrozen); the maps
-  /// above stay empty while IsFrozen is set.
+  /// Storage behind FC when the model built its image itself. Shared and
+  /// immutable, so copies and moves of a trained model keep FC valid.
+  std::shared_ptr<const FlatCrf> Owned;
   FrozenCrf FC;
-  bool IsFrozen = false;
 
-  /// One context's candidate list, readable uniformly over the
-  /// map-backed vector and the frozen flat pairs.
+  /// Makes \p Image the model's owned image.
+  void own(std::shared_ptr<const FlatCrf> Image);
+
+  /// One context's candidate list: (label index, count) pairs.
   struct CandRef {
-    const std::pair<Symbol, uint32_t> *Vec = nullptr;
-    const uint32_t *Flat = nullptr;
+    const uint32_t *Pairs = nullptr;
     size_t N = 0;
-    explicit operator bool() const { return Vec || Flat; }
     size_t size() const { return N; }
-    Symbol label(size_t I) const {
-      return Vec ? Vec[I].first : Symbol::fromIndex(Flat[2 * I]);
-    }
-    uint32_t count(size_t I) const {
-      return Vec ? Vec[I].second : Flat[2 * I + 1];
-    }
+    Symbol label(size_t I) const { return Symbol::fromIndex(Pairs[2 * I]); }
+    uint32_t count(size_t I) const { return Pairs[2 * I + 1]; }
   };
-  /// \returns the candidate list of \p Ctx, or an empty ref on a miss.
+  /// \returns the candidate list of \p Ctx, empty on a miss.
   CandRef findCandidates(uint64_t Ctx) const;
 
   bool pathPruned(paths::PathId Path) const;
   double weight(uint64_t Key) const;
-  void bump(uint64_t Key, double Delta);
 
   /// Candidate labels for one unknown node with their empirical vote
   /// masses, strongest first.
@@ -402,8 +373,12 @@ private:
                     const std::vector<Symbol> &Assignment,
                     std::span<const uint32_t> Incident) const;
 
-  std::vector<Symbol> infer(const CrfGraph &Graph,
-                            const Incidence &Inc) const;
+  /// MAP inference reading feature weights through \p Weight (a key ->
+  /// weight callable): the image's on predict(), the perceptron's live
+  /// table during train().
+  template <typename WeightFn>
+  std::vector<Symbol> infer(const CrfGraph &Graph, const Incidence &Inc,
+                            const WeightFn &Weight) const;
 };
 
 //===----------------------------------------------------------------------===//

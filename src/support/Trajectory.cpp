@@ -63,14 +63,18 @@ BenchRecord bench::foldSidecar(const std::string &BenchName,
         const json::Value *V = H.find(Key);
         return V ? V->numberOr(0.0) : 0.0;
       };
+      Stats.Count = static_cast<uint64_t>(Num("count"));
+      // An empty series (e.g. one a registry reset left behind) has no
+      // percentiles; folding it would record zeros as if measured.
+      if (Stats.Count == 0)
+        continue;
       Stats.P50 = Num("p50");
       Stats.P90 = Num("p90");
       Stats.P99 = Num("p99");
       Stats.Sum = Num("sum");
-      Stats.Count = static_cast<uint64_t>(Num("count"));
       Rec.Phases[Stage] = Stats;
       // Derived throughput: iterations per wall second of the stage.
-      if (Stats.Sum > 0 && Stats.Count > 0)
+      if (Stats.Sum > 0)
         Rec.Throughput[Stage + ".per_sec"] =
             static_cast<double>(Stats.Count) / Stats.Sum;
     }

@@ -17,7 +17,8 @@
 ///    `.speedup`, plus a derived `<stage>.per_sec` (= count / sum) for
 ///    every `<stage>.wall.seconds` histogram with positive sum;
 ///  * phases — p50/p90/p99/sum/count of every `<stage>.wall.seconds`
-///    histogram;
+///    histogram that holds at least one observation (an empty series,
+///    such as one a registry reset leaves behind, is omitted);
 ///  * accuracy — every gauge whose name contains `accuracy`;
 ///  * latency — every gauge whose name contains `latency_ms`
 ///    (bench_serve's `serve.latency_ms.{p50,p99}{,.single,.concurrent}`

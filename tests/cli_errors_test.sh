@@ -65,4 +65,36 @@ grep -q "accuracy n/a (n=0)" "$TMP/out4" \
 grep -q "no elements to evaluate" "$TMP/err4" \
   || fail "empty eval stderr lacks the explanation: $(cat "$TMP/err4")"
 
+# 5. a bundle of the retired v2 stream format: predict and serve name the
+#    version and exit 1, never crash. The file is a v2 header: the
+#    little-endian magic 0x50494742 ("BGIP" on disk), version 2, then
+#    lang/task/extraction bytes.
+printf 'BGIP\002\000\000\000\000\000\004\000\000\000\003\000\000\000\000\001' \
+  > "$TMP/v2.bin"
+"$PIGEON" predict --model "$TMP/v2.bin" "$TMP/a.js" > /dev/null 2> "$TMP/err5"
+RC=$?
+[ "$RC" = 1 ] || fail "predict on a v2 bundle exited $RC, not 1"
+grep -q "expected 3, found 2" "$TMP/err5" \
+  || fail "predict on a v2 bundle lacks the version mismatch: $(cat "$TMP/err5")"
+"$PIGEON" serve --model "$TMP/v2.bin" --stdio < /dev/null > /dev/null \
+  2> "$TMP/err5s"
+RC=$?
+[ "$RC" = 1 ] || fail "serve on a v2 bundle exited $RC, not 1"
+grep -q "expected 3, found 2" "$TMP/err5s" \
+  || fail "serve on a v2 bundle lacks the version mismatch: $(cat "$TMP/err5s")"
+
+# 6. a bundle whose string arena (the first section, at byte 360) was
+#    damaged in place: still well-formed, so predict serves it, but eval
+#    verifies the trailer checksum and refuses it.
+cp "$TMP/model.bin" "$TMP/damaged.bin"
+printf '\001' | dd of="$TMP/damaged.bin" bs=1 seek=363 conv=notrunc 2> /dev/null
+"$PIGEON" predict --model "$TMP/damaged.bin" "$TMP/a.js" > /dev/null 2>&1 \
+  || fail "predict refused a structurally valid bundle"
+if "$PIGEON" eval --model "$TMP/damaged.bin" --lang js "$TMP/corpus" \
+    > /dev/null 2> "$TMP/err6"; then
+  fail "eval accepted a bundle with a bad checksum"
+fi
+grep -q "checksum mismatch" "$TMP/err6" \
+  || fail "eval error lacks the checksum diagnostic: $(cat "$TMP/err6")"
+
 echo "PASS"

@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Covers the zero-copy bundle format from both sides: the honest side
-/// (round trips, determinism, v2-vs-v3 prediction identity across
-/// languages and tasks, live extension over frozen arenas) and the
-/// hostile side (truncation, misalignment, overlap, checksum damage,
-/// crafted overflowing section bounds, cross-version reads). Every
+/// (round trips, determinism, trained-vs-mapped prediction identity
+/// across languages and tasks, live extension over frozen arenas) and
+/// the hostile side (truncation, misalignment, overlap, checksum damage,
+/// crafted overflowing section bounds, retired-version reads). Every
 /// hostile case must fail closed — nullptr plus a diagnostic naming the
 /// byte offset — and never read out of bounds.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TempBundle.h"
 
 #include "core/Experiments.h"
 #include "core/MappedBundle.h"
@@ -25,15 +27,13 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 using namespace pigeon;
 using namespace pigeon::ast;
 using namespace pigeon::core;
 using pigeon::lang::Language;
+using pigeon::test::TempFile;
+using pigeon::test::v3Bytes;
 
 namespace {
 
@@ -97,38 +97,11 @@ std::string signatureOf(ModelBundle &Bundle, const std::string &Source) {
   return Sig;
 }
 
-std::string v3Bytes(const ModelBundle &Bundle) {
-  std::ostringstream OS;
-  saveModelV3(OS, Bundle);
-  return OS.str();
-}
-
-/// Writes bytes to a unique temp file; unlinked at destruction.
-class TempFile {
-public:
-  explicit TempFile(const std::string &Bytes) {
-    char Template[] = "/tmp/pigeon_mapped_test_XXXXXX";
-    int Fd = ::mkstemp(Template);
-    EXPECT_GE(Fd, 0);
-    PathStr = Template;
-    EXPECT_EQ(::write(Fd, Bytes.data(), Bytes.size()),
-              static_cast<ssize_t>(Bytes.size()));
-    ::close(Fd);
-  }
-  ~TempFile() { ::unlink(PathStr.c_str()); }
-  const std::string &path() const { return PathStr; }
-
-private:
-  std::string PathStr;
-};
-
 /// Maps a (possibly corrupted) byte image and expects rejection; returns
 /// the diagnostic for content checks.
 LoadDiag expectRejected(const std::string &Bytes) {
-  TempFile File(Bytes);
   LoadDiag Diag;
-  auto Bundle = openMappedBundle(File.path(), &Diag,
-                                 /*VerifyChecksum=*/true);
+  auto Bundle = test::mapBytes(Bytes, &Diag);
   EXPECT_EQ(Bundle, nullptr) << "hostile image was accepted: " << Diag.Error;
   EXPECT_FALSE(Diag.Error.empty());
   return Diag;
@@ -163,7 +136,7 @@ TEST(MappedBundle, V3RoundTripPredictsIdentically) {
   EXPECT_EQ(signatureOf(*Mapped, MinifiedJs), Before);
 }
 
-TEST(MappedBundle, V2AndV3PredictIdenticallyAcrossLangsAndTasks) {
+TEST(MappedBundle, TrainedAndMappedPredictIdenticallyAcrossLangsAndTasks) {
   const struct {
     Language Lang;
     Task TaskKind;
@@ -175,22 +148,18 @@ TEST(MappedBundle, V2AndV3PredictIdenticallyAcrossLangsAndTasks) {
       {Language::Java, Task::MethodNames, MinifiedJava},
   };
   for (const auto &C : Cases) {
-    ModelBundle Original = trainBundle(C.Lang, C.TaskKind);
-
-    std::stringstream V2;
-    saveModel(V2, Original);
-    std::unique_ptr<ModelBundle> FromV2 = loadModel(V2);
-    ASSERT_NE(FromV2, nullptr);
-
-    TempFile File(v3Bytes(Original));
+    ModelBundle Trained = trainBundle(C.Lang, C.TaskKind);
     LoadDiag Diag;
-    auto FromV3 =
-        openMappedBundle(File.path(), &Diag, /*VerifyChecksum=*/true);
-    ASSERT_NE(FromV3, nullptr)
+    auto Mapped = test::remap(Trained, &Diag);
+    ASSERT_NE(Mapped, nullptr)
         << "lang " << static_cast<int>(C.Lang) << " task "
         << static_cast<int>(C.TaskKind) << ": " << Diag.Error;
+    EXPECT_FALSE(Trained.Model.frozen());
+    EXPECT_TRUE(Mapped->Model.frozen());
 
-    EXPECT_EQ(signatureOf(*FromV2, C.Source), signatureOf(*FromV3, C.Source))
+    // Each bundle parses the source into its own interner, so novel ids
+    // cannot leak from one side to the other.
+    EXPECT_EQ(signatureOf(Trained, C.Source), signatureOf(*Mapped, C.Source))
         << "lang " << static_cast<int>(C.Lang) << " task "
         << static_cast<int>(C.TaskKind);
   }
@@ -202,8 +171,8 @@ TEST(MappedBundle, SaveIsDeterministic) {
 }
 
 TEST(MappedBundle, FrozenRoundTripResavesIdentically) {
-  // map -> saveModelV3 must reproduce the file byte for byte: the frozen
-  // flatten() path and the trained-map flatten() path agree exactly.
+  // map -> saveModelV3 must reproduce the file byte for byte: a mapped
+  // model's image is the trained model's image.
   ModelBundle Original = trainBundle();
   std::string First = v3Bytes(Original);
   TempFile File(First);
@@ -233,50 +202,34 @@ TEST(MappedBundle, NewStringsAndPathsExtendFrozenArenas) {
   EXPECT_FALSE(signatureOf(*Mapped, MinifiedJs).empty());
 }
 
-TEST(MappedBundle, LoadModelFileSniffsBothFormats) {
-  ModelBundle Original = trainBundle();
-
-  std::ostringstream V2;
-  saveModel(V2, Original);
-  TempFile F2(V2.str());
-  TempFile F3(v3Bytes(Original));
-
-  LoadDiag Diag;
-  auto B2 = loadModelFile(F2.path(), &Diag);
-  ASSERT_NE(B2, nullptr) << Diag.Error;
-  EXPECT_EQ(B2->Mapping, nullptr);
-
-  auto B3 = loadModelFile(F3.path(), &Diag, /*VerifyChecksum=*/true);
-  ASSERT_NE(B3, nullptr) << Diag.Error;
-  EXPECT_NE(B3->Mapping, nullptr);
-
-  EXPECT_EQ(signatureOf(*B2, MinifiedJs), signatureOf(*B3, MinifiedJs));
-}
-
 //===----------------------------------------------------------------------===//
-// Cross-version reads (satellite: expected-vs-found diagnostics)
+// Retired versions (expected-vs-found diagnostics)
 //===----------------------------------------------------------------------===//
-
-TEST(MappedBundle, V3FedToV2ReaderFailsWithHint) {
-  ModelBundle Original = trainBundle();
-  std::stringstream Buffer(v3Bytes(Original));
-  LoadDiag Diag;
-  EXPECT_EQ(loadModel(Buffer, &Diag), nullptr);
-  EXPECT_EQ(Diag.Offset, 4u);
-  EXPECT_NE(Diag.Error.find("expected"), std::string::npos) << Diag.Error;
-  EXPECT_NE(Diag.Error.find("migrate-bundle"), std::string::npos)
-      << Diag.Error;
-}
 
 TEST(MappedBundle, V2FedToV3ReaderFailsWithHint) {
-  ModelBundle Original = trainBundle();
-  std::ostringstream V2;
-  saveModel(V2, Original);
-  LoadDiag Diag = expectRejected(V2.str());
-  // A v2 stream is shorter than anything with a v3 section table, or
-  // fails the version check at offset 4 — either way the diagnostic
-  // carries expected-vs-found text.
-  EXPECT_NE(Diag.Error.find("expected"), std::string::npos) << Diag.Error;
+  // The head of a v2 stream bundle: the same magic, version 2, then the
+  // language, task and extraction settings. Varint-coded tables follow.
+  std::string V2;
+  auto Pod = [&V2](const auto &Value) {
+    V2.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
+  };
+  Pod(uint32_t{0x50494742}); // "PIGB"
+  Pod(uint32_t{2});
+  Pod(uint8_t{0}); // JavaScript.
+  Pod(uint8_t{0}); // Variable names.
+  Pod(int32_t{4}); // max_length.
+  Pod(int32_t{3}); // max_width.
+  Pod(uint8_t{0}); // Abstraction.
+  Pod(uint8_t{1}); // Semi-paths.
+  // Short or long, the file is named by its version.
+  for (const std::string &Img : {V2, V2 + std::string(4096, '\1')}) {
+    LoadDiag Diag = expectRejected(Img);
+    EXPECT_EQ(Diag.Offset, 4u);
+    EXPECT_NE(Diag.Error.find("bundle version mismatch: expected 3, found 2"),
+              std::string::npos)
+        << Diag.Error;
+    EXPECT_NE(Diag.Error.find("retrain"), std::string::npos) << Diag.Error;
+  }
 }
 
 TEST(MappedBundle, BadMagicReportsExpectedAndFound) {

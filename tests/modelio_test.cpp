@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TempBundle.h"
+
 #include "core/Experiments.h"
 #include "core/ModelIO.h"
 
@@ -11,12 +13,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 using namespace pigeon;
 using namespace pigeon::ast;
 using namespace pigeon::core;
 using pigeon::lang::Language;
+using pigeon::test::mapBytes;
+using pigeon::test::remap;
+using pigeon::test::v3Bytes;
 
 namespace {
 
@@ -73,10 +76,9 @@ TEST(ModelIO, RoundTripPredictsIdentically) {
   auto Before = predictWith(Original, MinifiedFlag);
   ASSERT_FALSE(Before.empty());
 
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::unique_ptr<ModelBundle> Restored = loadModel(Buffer);
-  ASSERT_NE(Restored, nullptr);
+  LoadDiag Diag;
+  std::unique_ptr<ModelBundle> Restored = remap(Original, &Diag);
+  ASSERT_NE(Restored, nullptr) << Diag.Error;
   EXPECT_EQ(Restored->Lang, Original.Lang);
   EXPECT_EQ(Restored->TaskKind, Original.TaskKind);
   EXPECT_EQ(Restored->Extraction.MaxLength, Original.Extraction.MaxLength);
@@ -91,9 +93,7 @@ TEST(ModelIO, RoundTripPredictsIdentically) {
 
 TEST(ModelIO, PredictsFlagNameAfterReload) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::unique_ptr<ModelBundle> Restored = loadModel(Buffer);
+  std::unique_ptr<ModelBundle> Restored = remap(Original);
   ASSERT_NE(Restored, nullptr);
   auto Pred = predictWith(*Restored, MinifiedFlag);
   ASSERT_TRUE(Pred.count("a"));
@@ -102,9 +102,7 @@ TEST(ModelIO, PredictsFlagNameAfterReload) {
 
 TEST(ModelIO, NewStringsInternAfterSavedOnes) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::unique_ptr<ModelBundle> Restored = loadModel(Buffer);
+  std::unique_ptr<ModelBundle> Restored = remap(Original);
   ASSERT_NE(Restored, nullptr);
   size_t Saved = Restored->Interner->size();
   Symbol Fresh = Restored->Interner->intern("neverSeenBefore123");
@@ -112,132 +110,37 @@ TEST(ModelIO, NewStringsInternAfterSavedOnes) {
 }
 
 TEST(ModelIO, RejectsGarbage) {
-  std::stringstream Buffer("definitely not a model");
-  EXPECT_EQ(loadModel(Buffer), nullptr);
+  EXPECT_EQ(mapBytes("definitely not a model"), nullptr);
 }
 
 TEST(ModelIO, RejectsTruncation) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::string Bytes = Buffer.str();
-  // Chop in the middle of the interner section.
-  std::stringstream Truncated(Bytes.substr(0, Bytes.size() / 3));
-  EXPECT_EQ(loadModel(Truncated), nullptr);
+  std::string Bytes = v3Bytes(Original);
+  // Chop in the middle of the string arena.
+  EXPECT_EQ(mapBytes(Bytes.substr(0, Bytes.size() / 3)), nullptr);
 }
 
 TEST(ModelIO, RejectsWrongMagic) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::string Bytes = Buffer.str();
+  std::string Bytes = v3Bytes(Original);
   Bytes[0] ^= 0x5a;
-  std::stringstream Corrupted(Bytes);
-  EXPECT_EQ(loadModel(Corrupted), nullptr);
+  EXPECT_EQ(mapBytes(Bytes), nullptr);
 }
 
 TEST(ModelIO, RejectsVersionMismatch) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::string Bytes = Buffer.str();
+  std::string Bytes = v3Bytes(Original);
   // A bundle from a future (or past) format version must not load.
   Bytes[4] ^= 0x01; // Low byte of the little-endian version field.
-  std::stringstream Corrupted(Bytes);
-  EXPECT_EQ(loadModel(Corrupted), nullptr);
+  EXPECT_EQ(mapBytes(Bytes), nullptr);
 }
 
 TEST(ModelIO, RejectsTruncationAtEveryQuarter) {
   ModelBundle Original = trainBundle();
-  std::stringstream Buffer;
-  saveModel(Buffer, Original);
-  std::string Bytes = Buffer.str();
-  for (size_t Num = 1; Num <= 3; ++Num) {
-    std::stringstream Truncated(Bytes.substr(0, Bytes.size() * Num / 4));
-    EXPECT_EQ(loadModel(Truncated), nullptr) << "quarter " << Num;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Canonical v2 model image
-//===----------------------------------------------------------------------===//
-
-/// A frozen view over \p Flat, which must outlive every model adopting it.
-crf::FrozenCrf viewOf(const crf::FlatCrf &Flat) {
-  crf::FrozenCrf View;
-  View.WeightKeys = Flat.WeightKeys.data();
-  View.WeightVals = Flat.WeightVals.data();
-  View.NumWeights = Flat.WeightKeys.size();
-  View.CandKeys = Flat.CandKeys.data();
-  View.CandOffsets = Flat.CandOffsets.data();
-  View.CandPairs = Flat.CandPairs.data();
-  View.NumCands = Flat.CandKeys.size();
-  View.PrunedKeys = Flat.PrunedKeys.data();
-  View.NumPruned = Flat.PrunedKeys.size();
-  View.GlobalTop = Flat.GlobalTop.data();
-  View.NumGlobal = static_cast<uint32_t>(Flat.GlobalTop.size());
-  return View;
-}
-
-TEST(ModelIO, MapBackedAndFrozenSaveIdenticalBytes) {
-  ModelBundle Bundle = trainBundle();
-  ASSERT_FALSE(Bundle.Model.frozen());
-  std::stringstream MapBacked;
-  saveModel(MapBacked, Bundle);
-
-  crf::FlatCrf Flat = Bundle.Model.flatten();
-  Bundle.Model.adoptFrozen(viewOf(Flat));
-  ASSERT_TRUE(Bundle.Model.frozen());
-  std::stringstream Frozen;
-  saveModel(Frozen, Bundle);
-  EXPECT_EQ(MapBacked.str(), Frozen.str());
-
-  // Reloading the v2 image and saving it again is a fixed point.
-  std::unique_ptr<ModelBundle> Restored = loadModel(MapBacked);
-  ASSERT_NE(Restored, nullptr);
-  std::stringstream Resaved;
-  saveModel(Resaved, *Restored);
-  EXPECT_EQ(Resaved.str(), Frozen.str());
-}
-
-/// A hand-written CRF section: \p WeightKeys each with weight 1.0, then
-/// one single-label candidate list per entry of \p CtxKeys.
-std::string crfStream(const std::vector<uint64_t> &WeightKeys,
-                      const std::vector<uint64_t> &CtxKeys) {
-  std::string Bytes;
-  auto Pod = [&Bytes](const auto &Value) {
-    Bytes.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
-  };
-  Pod(uint32_t{0x43524631}); // "CRF1"
-  Pod(uint32_t{1});
-  Pod(static_cast<uint64_t>(WeightKeys.size()));
-  for (uint64_t Key : WeightKeys) {
-    Pod(Key);
-    Pod(1.0);
-  }
-  Pod(static_cast<uint64_t>(CtxKeys.size()));
-  for (uint64_t Ctx : CtxKeys) {
-    Pod(Ctx);
-    Pod(uint32_t{1}); // One (label, count) pair.
-    Pod(uint32_t{3});
-    Pod(uint32_t{1});
-  }
-  Pod(uint64_t{0}); // No pruned paths.
-  Pod(uint32_t{0}); // No global candidates.
-  return Bytes;
-}
-
-TEST(ModelIO, CrfLoadRejectsDuplicateKeys) {
-  auto Loads = [](const std::string &Bytes) {
-    std::stringstream IS(Bytes);
-    crf::CrfModel Model;
-    return Model.load(IS);
-  };
-  EXPECT_TRUE(Loads(crfStream({7, 8}, {9, 10})));
-  EXPECT_FALSE(Loads(crfStream({7, 8, 7}, {9, 10})))
-      << "a duplicate weight key must not load";
-  EXPECT_FALSE(Loads(crfStream({7, 8}, {9, 10, 9})))
-      << "a duplicate context key must not load";
+  std::string Bytes = v3Bytes(Original);
+  for (size_t Num = 1; Num <= 3; ++Num)
+    EXPECT_EQ(mapBytes(Bytes.substr(0, Bytes.size() * Num / 4)), nullptr)
+        << "quarter " << Num;
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,10 +176,9 @@ TEST_P(ModelIOMatrix, RoundTripsHeaderAndTables) {
   Bundle.Model.train(Graphs);
   ASSERT_GT(Bundle.Table.size(), 0u);
 
-  std::stringstream Buffer;
-  saveModel(Buffer, Bundle);
-  std::unique_ptr<ModelBundle> Restored = loadModel(Buffer);
-  ASSERT_NE(Restored, nullptr);
+  LoadDiag Diag;
+  std::unique_ptr<ModelBundle> Restored = remap(Bundle, &Diag);
+  ASSERT_NE(Restored, nullptr) << Diag.Error;
   EXPECT_EQ(Restored->Lang, Lang);
   EXPECT_EQ(Restored->TaskKind, TaskKind);
   EXPECT_EQ(Restored->Extraction.MaxLength, Bundle.Extraction.MaxLength);

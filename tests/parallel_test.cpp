@@ -14,6 +14,7 @@
 
 #include "core/ContextsIO.h"
 #include "core/Experiments.h"
+#include "core/MappedBundle.h"
 #include "core/ModelIO.h"
 #include "datagen/Sketch.h"
 #include "support/Telemetry.h"
@@ -654,7 +655,7 @@ std::string modelBytesAt(size_t Threads) {
   Bundle.Table = std::move(Art.Table);
   Bundle.Model.train(Graphs);
   std::ostringstream OS;
-  saveModel(OS, Bundle);
+  saveModelV3(OS, Bundle);
   return std::move(OS).str();
 }
 

@@ -10,6 +10,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempBundle.h"
+
+#include "core/ModelIO.h"
 #include "core/Pipeline.h"
 #include "ml/crf/Crf.h"
 #include "paths/Paths.h"
@@ -17,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -240,28 +242,32 @@ TEST_P(CorpusProperty, GraphInvariants) {
 }
 
 TEST_P(CorpusProperty, CrfModelSerializationRoundTrips) {
-  PathTable Table;
-  ExtractionConfig Config;
+  ModelBundle Bundle;
   crf::ElementSelector Selector = selectorFor(Task::VariableNames);
   std::vector<crf::CrfGraph> Graphs;
   for (size_t I = 0; I < 16 && I < corpus().Files.size(); ++I) {
     const Tree &T = corpus().Files[I].Tree;
     Graphs.push_back(crf::buildGraph(
-        T, extractPathContexts(T, Config, Table), Selector));
+        T, extractPathContexts(T, Bundle.Extraction, Bundle.Table),
+        Selector));
   }
   crf::CrfConfig CC;
   CC.Epochs = 2;
-  crf::CrfModel Model(CC);
-  Model.train(Graphs);
+  Bundle.Model = crf::CrfModel(CC);
+  Bundle.Model.train(Graphs);
+  // The bundle's interner holds the corpus's strings at the same ids, so
+  // every label the model learned stays in range.
+  Bundle.Interner = std::make_unique<StringInterner>();
+  for (uint32_t I = 1; I < corpus().Interner->size(); ++I)
+    Bundle.Interner->intern(corpus().Interner->str(Symbol::fromIndex(I)));
 
-  std::stringstream Buffer;
-  Model.save(Buffer);
-  crf::CrfModel Restored(CC);
-  ASSERT_TRUE(Restored.load(Buffer));
-  EXPECT_EQ(Restored.numFeatures(), Model.numFeatures());
+  LoadDiag Diag;
+  std::unique_ptr<ModelBundle> Restored = test::remap(Bundle, &Diag);
+  ASSERT_NE(Restored, nullptr) << Diag.Error;
+  EXPECT_EQ(Restored->Model.numFeatures(), Bundle.Model.numFeatures());
   for (const crf::CrfGraph &G : Graphs) {
-    std::vector<Symbol> A = Model.predict(G);
-    std::vector<Symbol> B = Restored.predict(G);
+    std::vector<Symbol> A = Bundle.Model.predict(G);
+    std::vector<Symbol> B = Restored->Model.predict(G);
     EXPECT_EQ(A, B) << "a restored model must predict identically";
   }
 }
@@ -282,37 +288,35 @@ INSTANTIATE_TEST_SUITE_P(
 // Serialization corner cases
 //===----------------------------------------------------------------------===//
 
+/// A bundle around a model trained on nothing.
+ModelBundle emptyBundle() {
+  ModelBundle Bundle;
+  Bundle.Interner = std::make_unique<StringInterner>();
+  Bundle.Model.train({});
+  return Bundle;
+}
+
 TEST(CrfSerialization, RejectsGarbage) {
-  std::stringstream Buffer("not a model");
-  crf::CrfModel Model;
-  EXPECT_FALSE(Model.load(Buffer));
-  EXPECT_EQ(Model.numFeatures(), 0u);
+  LoadDiag Diag;
+  EXPECT_EQ(test::mapBytes("not a model", &Diag), nullptr);
+  EXPECT_FALSE(Diag.Error.empty());
 }
 
 TEST(CrfSerialization, RejectsTruncatedStream) {
-  crf::CrfModel Model;
-  Model.train({});
-  std::stringstream Buffer;
-  Model.save(Buffer);
-  std::string Bytes = Buffer.str();
-  std::stringstream Truncated(Bytes.substr(0, Bytes.size() / 2));
-  crf::CrfModel Restored;
-  // An empty model serializes to only counts; halving may still parse,
-  // so assert no crash and consistent emptiness either way.
-  bool Ok = Restored.load(Truncated);
-  if (Ok) {
-    EXPECT_EQ(Restored.numFeatures(), 0u);
-  }
+  // Even an empty model's image carries a header, a section table and a
+  // trailer; any cut through it must be rejected.
+  std::string Bytes = test::v3Bytes(emptyBundle());
+  LoadDiag Diag;
+  EXPECT_EQ(test::mapBytes(Bytes.substr(0, Bytes.size() / 2), &Diag),
+            nullptr);
+  EXPECT_FALSE(Diag.Error.empty());
 }
 
 TEST(CrfSerialization, EmptyModelRoundTrips) {
-  crf::CrfModel Model;
-  Model.train({});
-  std::stringstream Buffer;
-  Model.save(Buffer);
-  crf::CrfModel Restored;
-  EXPECT_TRUE(Restored.load(Buffer));
-  EXPECT_EQ(Restored.numFeatures(), 0u);
+  std::unique_ptr<ModelBundle> Restored = test::remap(emptyBundle());
+  ASSERT_NE(Restored, nullptr);
+  EXPECT_EQ(Restored->Model.numFeatures(), 0u);
+  EXPECT_EQ(Restored->Model.candidateTableSize(), 0u);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "serve/Serve.h"
 
+#include "TempBundle.h"
 #include "serve/SlowLog.h"
 
 #include "core/Experiments.h"
@@ -52,11 +53,11 @@ using pigeon::lang::Language;
 
 namespace {
 
-/// Trains a small JS variable-name bundle and round-trips it through
-/// save/load so every test serves exactly what `pigeon serve` would: a
-/// bundle restored from bytes.
-std::string trainedBundleBytes() {
-  static const std::string Bytes = [] {
+/// Trains a small JS variable-name bundle once and writes it as v3 to a
+/// temp file that lives as long as the process, so every test serves
+/// exactly what `pigeon serve` would: a bundle mapped from that file.
+const test::TempFile &trainedBundleFile() {
+  static const test::TempFile File([] {
     ModelBundle Bundle;
     Bundle.Lang = Language::JavaScript;
     Bundle.Interner = std::make_unique<StringInterner>();
@@ -79,17 +80,15 @@ std::string trainedBundleBytes() {
       Graphs.push_back(crf::buildGraph(*Keep.back(), Contexts, Selector));
     }
     Bundle.Model.train(Graphs);
-    std::stringstream Buffer;
-    saveModel(Buffer, Bundle);
-    return Buffer.str();
-  }();
-  return Bytes;
+    return test::v3Bytes(Bundle);
+  }());
+  return File;
 }
 
 std::unique_ptr<ModelBundle> loadBundle() {
-  std::stringstream Buffer(trainedBundleBytes());
-  auto Bundle = loadModel(Buffer);
-  EXPECT_NE(Bundle, nullptr);
+  LoadDiag Diag;
+  auto Bundle = openMappedBundle(trainedBundleFile().path(), &Diag);
+  EXPECT_NE(Bundle, nullptr) << Diag.Error;
   return Bundle;
 }
 

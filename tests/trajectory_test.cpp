@@ -80,6 +80,23 @@ TEST(FoldSidecar, AppliesTheFoldingRules) {
   EXPECT_EQ(Rec.Accuracy.count("crf.features"), 0u);
 }
 
+TEST(FoldSidecar, OmitsEmptySeries) {
+  // After MetricsRegistry::reset() a phase histogram stays registered
+  // with count 0; it must not fold into a phase whose percentiles read 0.
+  telemetry::MetricsRegistry Reg;
+  Reg.histogram("parse.wall.seconds", telemetry::timeBounds()).observe(0.5);
+  Reg.histogram("extract.wall.seconds", telemetry::timeBounds());
+  std::ostringstream OS;
+  Reg.writeJson(OS);
+  std::optional<json::Value> Doc = json::parse(OS.str());
+  ASSERT_TRUE(Doc.has_value());
+
+  BenchRecord Rec = foldSidecar("bench_x", *Doc);
+  EXPECT_EQ(Rec.Phases.count("parse"), 1u);
+  EXPECT_EQ(Rec.Phases.count("extract"), 0u);
+  EXPECT_EQ(Rec.Throughput.count("extract.per_sec"), 0u);
+}
+
 TEST(FoldSidecar, TolerantOfForeignDocuments) {
   std::optional<json::Value> Doc =
       json::parse("{\"gauges\":[1,2],\"histograms\":{\"x.wall.seconds\":3}}");

@@ -99,8 +99,6 @@ int usage() {
          "  pigeon eval    --model MODEL"
          " (--from-contexts CTX | --lang <js|java|py|cs> PATH...)\n"
          "  pigeon predict --model MODEL FILE\n"
-         "  pigeon migrate-bundle --in OLD --out NEW"
-         " [--bundle-format <2|3>] [--check]\n"
          "  pigeon serve   --model MODEL"
          " (--socket PATH | --tcp HOST:PORT | --stdio)\n"
          "                 [--serve-workers N]\n"
@@ -375,16 +373,15 @@ loadContextsFile(const std::string &Path) {
 }
 
 //===----------------------------------------------------------------------===//
-// model loading (shared by eval / predict / serve / migrate-bundle)
+// model loading (shared by eval / predict / serve)
 //===----------------------------------------------------------------------===//
 
-/// Loads a bundle of either on-disk format — v3 maps in place, anything
-/// else takes the v2 stream loader — printing the loader's diagnostic
-/// (with its byte offset) on failure.
+/// Maps the v3 bundle at \p ModelPath in place, printing the loader's
+/// diagnostic (with its byte offset) on failure.
 std::unique_ptr<ModelBundle> loadBundleFile(const std::string &ModelPath,
                                             bool VerifyChecksum = false) {
   LoadDiag Diag;
-  auto Bundle = loadModelFile(ModelPath, &Diag, VerifyChecksum);
+  auto Bundle = openMappedBundle(ModelPath, &Diag, VerifyChecksum);
   if (!Bundle)
     std::cerr << "error: " << ModelPath << ": "
               << (Diag.Error.empty() ? "not a PIGEON model" : Diag.Error)
@@ -399,8 +396,7 @@ std::unique_ptr<ModelBundle> loadBundleFile(const std::string &ModelPath,
 /// Trains and saves a bundle from an artifact (loaded or just built).
 /// Both `train` routes converge here, which is what makes them produce
 /// byte-identical bundles for the same corpus.
-int trainFromArtifact(ContextsArtifact &&Art, const std::string &OutPath,
-                      int BundleFormat) {
+int trainFromArtifact(ContextsArtifact &&Art, const std::string &OutPath) {
   ModelBundle Bundle;
   Bundle.Lang = Art.Lang;
   Bundle.TaskKind = Art.TaskKind;
@@ -433,10 +429,7 @@ int trainFromArtifact(ContextsArtifact &&Art, const std::string &OutPath,
     return 1;
   }
   telemetry::TraceScope Phase("save");
-  if (BundleFormat == 3)
-    saveModelV3(Out, Bundle);
-  else
-    saveModel(Out, Bundle);
+  saveModelV3(Out, Bundle);
   Out.flush();
   if (!Out) {
     std::cerr << openError("write", OutPath) << "\n";
@@ -447,17 +440,17 @@ int trainFromArtifact(ContextsArtifact &&Art, const std::string &OutPath,
 }
 
 int cmdTrain(Language Lang, Task TaskKind, const std::string &OutPath,
-             const std::vector<std::string> &Roots, int BundleFormat) {
+             const std::vector<std::string> &Roots) {
   auto Art =
       buildArtifactFromRoots(Lang, TaskKind, tunedExtraction(Lang, TaskKind),
                              Roots);
   if (!Art)
     return 1;
-  return trainFromArtifact(std::move(*Art), OutPath, BundleFormat);
+  return trainFromArtifact(std::move(*Art), OutPath);
 }
 
 int cmdTrainFromContexts(const std::string &ContextsPath,
-                         const std::string &OutPath, int BundleFormat) {
+                         const std::string &OutPath) {
   auto Art = loadContextsFile(ContextsPath);
   if (!Art)
     return 1;
@@ -466,7 +459,7 @@ int cmdTrainFromContexts(const std::string &ContextsPath,
                  "trains through `pigeon explain`/experiments only\n";
     return 1;
   }
-  return trainFromArtifact(std::move(*Art), OutPath, BundleFormat);
+  return trainFromArtifact(std::move(*Art), OutPath);
 }
 
 //===----------------------------------------------------------------------===//
@@ -478,8 +471,11 @@ int cmdEval(const std::string &ModelPath, const std::string &ContextsPath,
             const std::vector<std::string> &Roots) {
   std::unique_ptr<ModelBundle> Bundle;
   {
+    // A batch job can afford the trailer checksum (a read of every
+    // page): the one CLI path that catches damage the structural checks
+    // cannot see.
     telemetry::TraceScope Phase("load");
-    Bundle = loadBundleFile(ModelPath);
+    Bundle = loadBundleFile(ModelPath, /*VerifyChecksum=*/true);
   }
   if (!Bundle)
     return 1;
@@ -590,104 +586,6 @@ int cmdPredict(const std::string &ModelPath, const std::string &Path) {
 }
 
 //===----------------------------------------------------------------------===//
-// migrate-bundle
-//===----------------------------------------------------------------------===//
-
-/// Deterministic per-element top-3 signature of \p Bundle's predictions
-/// on \p Text: one `gold: label=score,...` line per unknown element,
-/// scores printed at full double precision. Two bundles that predict
-/// byte-identically produce byte-identical signatures.
-std::string topKSignature(ModelBundle &Bundle, const std::string &Text) {
-  auto R = parseAs(Bundle.Lang, Text, *Bundle.Interner);
-  if (!R.Tree)
-    return "<parse-failed>";
-  auto Contexts =
-      paths::extractPathContexts(*R.Tree, Bundle.Extraction, Bundle.Table);
-  crf::CrfGraph G =
-      crf::buildGraph(*R.Tree, Contexts, selectorFor(Bundle.TaskKind));
-  std::vector<Symbol> Pred = Bundle.Model.predict(G);
-  std::string Sig;
-  char Buf[64];
-  for (uint32_t N : G.Unknowns) {
-    Sig += std::string(Bundle.Interner->str(G.Nodes[N].Gold));
-    Sig += ": ";
-    for (const auto &[Label, Score] : Bundle.Model.topK(G, N, Pred, 3)) {
-      std::snprintf(Buf, sizeof(Buf), "%.17g", Score);
-      Sig += std::string(Bundle.Interner->str(Label));
-      Sig += '=';
-      Sig += Buf;
-      Sig += ',';
-    }
-    Sig += '\n';
-  }
-  return Sig;
-}
-
-int cmdMigrate(const std::string &InPath, const std::string &OutPath,
-               int BundleFormat, bool Check) {
-  std::unique_ptr<ModelBundle> Bundle =
-      loadBundleFile(InPath, /*VerifyChecksum=*/true);
-  if (!Bundle)
-    return 1;
-  bool InWasMapped = Bundle->Mapping != nullptr;
-  {
-    std::ofstream Out(OutPath, std::ios::binary);
-    if (!Out) {
-      std::cerr << openError("write", OutPath) << "\n";
-      return 1;
-    }
-    telemetry::TraceScope Phase("save");
-    if (BundleFormat == 3)
-      saveModelV3(Out, *Bundle);
-    else
-      saveModel(Out, *Bundle);
-    Out.flush();
-    if (!Out) {
-      std::cerr << openError("write", OutPath) << "\n";
-      return 1;
-    }
-  }
-  std::cerr << "migrated " << InPath << " (v" << (InWasMapped ? 3 : 2)
-            << ") -> " << OutPath << " (v" << BundleFormat << ")\n";
-  if (!Check)
-    return 0;
-
-  // --check: reload both files fresh and diff per-element top-3
-  // predictions (labels and scores) over a synthetic corpus in the
-  // bundle's language. Each bundle parses its own copy so novel interned
-  // ids cannot leak between the two.
-  telemetry::TraceScope Phase("check");
-  auto Old = loadBundleFile(InPath);
-  auto New = loadBundleFile(OutPath, /*VerifyChecksum=*/true);
-  if (!Old || !New)
-    return 1;
-  datagen::CorpusSpec Spec = datagen::defaultSpec(Old->Lang, /*Seed=*/2018);
-  Spec.NumProjects = 4;
-  std::vector<datagen::SourceFile> Files = datagen::generateCorpus(Spec);
-  size_t Mismatches = 0, Checked = 0;
-  for (const datagen::SourceFile &File : Files) {
-    std::string A = topKSignature(*Old, File.Text);
-    std::string B = topKSignature(*New, File.Text);
-    ++Checked;
-    if (A != B) {
-      ++Mismatches;
-      if (Mismatches <= 3)
-        std::cerr << "check: " << File.FileName
-                  << ": predictions differ\n  old: " << A << "  new: " << B;
-    }
-  }
-  if (Mismatches) {
-    std::cerr << "check FAILED: " << Mismatches << "/" << Checked
-              << " files differ between " << InPath << " and " << OutPath
-              << "\n";
-    return 1;
-  }
-  std::cerr << "check ok: top-3 predictions identical on " << Checked
-            << " files\n";
-  return 0;
-}
-
-//===----------------------------------------------------------------------===//
 // serve
 //===----------------------------------------------------------------------===//
 
@@ -719,11 +617,11 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
   }
   if (!Bundle)
     return 1;
-  // Load cost and residency: a v3 bundle is served from the mapping (its
+  // Load cost and residency: the bundle is served from the mapping (its
   // pages are file-backed and shared across processes), so the heap RSS
-  // delta stays near zero; a v2 bundle is deserialized onto the heap.
+  // delta stays near zero.
   uint64_t RssAfterKb = telemetry::currentRssKb();
-  uint64_t MappedKb = Bundle->Mapping ? Bundle->Mapping->size() / 1024 : 0;
+  uint64_t MappedKb = Bundle->Mapping->size() / 1024;
   auto &Reg = telemetry::MetricsRegistry::global();
   Reg.gauge("model.load.seconds").set(LoadSeconds);
   Reg.gauge("model.load.rss_delta.kb")
@@ -742,10 +640,8 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
             << lang::languageName(Service.bundle().Lang) << ", "
             << taskName(Service.bundle().TaskKind) << ", "
             << Service.bundle().Model.numFeatures() << " features), "
-            << (Service.bundle().Mapping
-                    ? "mmap-resident " + std::to_string(MappedKb) + " KiB"
-                    : "heap-resident")
-            << ", " << Service.workers() << " worker"
+            << "mmap-resident " << MappedKb << " KiB, " << Service.workers()
+            << " worker"
             << (Service.workers() == 1 ? "" : "s") << ", "
             << (Stdio ? "stdio"
                       : !TcpHostPort.empty() ? "tcp " + TcpHostPort
@@ -1018,10 +914,8 @@ int main(int argc, char **argv) {
   std::optional<Language> Lang;
   std::string ModelPath, OutPath, MetricsPath, TracePath, ContextsPath;
   std::string SocketPath, TcpHostPort, PromPath, ProfilePath;
-  std::string SlowLogPath, FlightRecPath, InPath;
+  std::string SlowLogPath, FlightRecPath;
   bool Stdio = false;
-  bool Check = false;
-  int BundleFormat = 3;
   double MetricsInterval = 10.0;
   double TraceMaxMb = 0;
   serve::ServeConfig ServeOptions;
@@ -1043,21 +937,6 @@ int main(int argc, char **argv) {
         return usage();
     } else if (Arg == "--model") {
       ModelPath = Value();
-    } else if (Arg == "--in") {
-      InPath = Value();
-      if (InPath.empty()) {
-        std::cerr << "error: --in requires a file path\n";
-        return 2;
-      }
-    } else if (Arg == "--check") {
-      Check = true;
-    } else if (Arg == "--bundle-format") {
-      std::string V = Value();
-      if (V != "2" && V != "3") {
-        std::cerr << "error: --bundle-format wants 2 (stream) or 3 (mmap)\n";
-        return 2;
-      }
-      BundleFormat = V == "2" ? 2 : 3;
     } else if (Arg == "--out") {
       OutPath = Value();
     } else if (Arg == "--from-contexts") {
@@ -1274,14 +1153,14 @@ int main(int argc, char **argv) {
         // Language, task, and extraction config come from the artifact.
         if (!Positional.empty())
           return usage();
-        RC = cmdTrainFromContexts(ContextsPath, OutPath, BundleFormat);
+        RC = cmdTrainFromContexts(ContextsPath, OutPath);
       } else {
         if (!Lang || Positional.empty())
           return usage();
         auto TaskKind = ParseTask();
         if (!TaskKind)
           return usage();
-        RC = cmdTrain(*Lang, *TaskKind, OutPath, Positional, BundleFormat);
+        RC = cmdTrain(*Lang, *TaskKind, OutPath, Positional);
       }
     } else if (Command == "eval") {
       if (ModelPath.empty())
@@ -1295,10 +1174,6 @@ int main(int argc, char **argv) {
       if (ModelPath.empty() || Positional.size() != 1)
         return usage();
       RC = cmdPredict(ModelPath, Positional[0]);
-    } else if (Command == "migrate-bundle") {
-      if (InPath.empty() || OutPath.empty() || !Positional.empty())
-        return usage();
-      RC = cmdMigrate(InPath, OutPath, BundleFormat, Check);
     } else if (Command == "serve") {
       int Transports = (Stdio ? 1 : 0) + (!SocketPath.empty() ? 1 : 0) +
                        (!TcpHostPort.empty() ? 1 : 0);
