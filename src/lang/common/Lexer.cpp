@@ -253,12 +253,28 @@ bool Lexer::lexPunctuator() {
   return true;
 }
 
+void Lexer::pairBracket() {
+  Token &T = Out.back();
+  uint32_t Index = static_cast<uint32_t>(Out.size() - 1);
+  if (T.opens()) {
+    OpenBrackets.push_back(Index);
+  } else if (T.closes()) {
+    if (OpenBrackets.empty()) {
+      T.Match = Index; // A stray closer pairs with itself.
+      return;
+    }
+    T.Match = OpenBrackets.back();
+    Out[OpenBrackets.back()].Match = Index;
+    OpenBrackets.pop_back();
+  }
+}
+
 std::vector<Token> Lexer::lexAll() {
   bool AtLineStart = Config.SignificantIndentation;
   while (true) {
     if (Config.SignificantIndentation && AtLineStart) {
       // Inside brackets a physical newline does not start a logical line.
-      if (BracketDepth == 0) {
+      if (OpenBrackets.empty()) {
         handleLineStart();
         LineHasTokens = false;
       }
@@ -269,7 +285,7 @@ std::vector<Token> Lexer::lexAll() {
 
     char C = peek();
     if (C == '\n') {
-      if (Config.SignificantIndentation && BracketDepth == 0) {
+      if (Config.SignificantIndentation && OpenBrackets.empty()) {
         if (LineHasTokens)
           emit(TokenKind::Newline, Pos);
         AtLineStart = true;
@@ -308,12 +324,10 @@ std::vector<Token> Lexer::lexAll() {
       lexString(C);
       continue;
     }
-    if (C == '(' || C == '[' || C == '{')
-      ++BracketDepth;
-    else if (C == ')' || C == ']' || C == '}')
-      BracketDepth = std::max(0, BracketDepth - 1);
-    if (lexPunctuator())
+    if (lexPunctuator()) {
+      pairBracket();
       continue;
+    }
 
     Diags.error(static_cast<uint32_t>(Pos), std::string("unexpected "
                                                         "character '") +
@@ -331,6 +345,8 @@ std::vector<Token> Lexer::lexAll() {
       emit(TokenKind::Dedent, Pos);
     }
   }
+  for (uint32_t Open : OpenBrackets)
+    Out[Open].Match = static_cast<uint32_t>(Out.size()); // Pairs with Eof.
   Out.push_back({TokenKind::Eof, Source.substr(Pos > Source.size()
                                                    ? Source.size()
                                                    : Pos,

@@ -8,7 +8,9 @@
 /// One lexer serves all four languages; a LexerConfig selects the keyword
 /// set, punctuators, comment styles and whether indentation is significant
 /// (Python). Indentation-sensitive mode emits Newline/Indent/Dedent tokens
-/// with bracket-nesting suppression, mirroring CPython's tokenizer.
+/// with bracket-nesting suppression, mirroring CPython's tokenizer. Every
+/// bracket token carries the index of its partner (Token::Match), so
+/// parsers skip a bracket group in O(1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +59,9 @@ private:
   Diagnostics &Diags;
 
   size_t Pos = 0;
-  int BracketDepth = 0;
+  /// Token indices of the brackets opened and not yet closed. Newlines
+  /// inside brackets are not logical line breaks (indentation mode).
+  std::vector<uint32_t> OpenBrackets;
   std::vector<int> IndentStack;
   std::vector<Token> Out;
   /// True when at least one real token was emitted since the last Newline,
@@ -75,6 +79,8 @@ private:
   void lexIdentifier();
   void lexString(char Quote);
   bool lexPunctuator();
+  /// Pairs the bracket just emitted with its partner (Token::Match).
+  void pairBracket();
   void skipBlockComment();
 };
 

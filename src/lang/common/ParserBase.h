@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Token-cursor plumbing shared by the four recursive-descent parsers:
-/// lookahead, conditional consumption, expectation with diagnostics, and
-/// panic-mode recovery helpers.
+/// lookahead over the lexer's bracket pairing, conditional consumption,
+/// expectation with diagnostics, panic-mode recovery helpers, and the
+/// nesting budget that bounds recursion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "lang/common/Diagnostics.h"
 #include "lang/common/Token.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <vector>
@@ -27,6 +29,15 @@ namespace lang {
 /// Base class holding the token cursor. Each frontend derives its parser
 /// from this and emits into an ast::TreeBuilder.
 class ParserBase {
+public:
+  /// Deepest nesting a parse accepts. Each parser opens one level per
+  /// statement, expression, prefix operator or cast, and type it is
+  /// inside, so every recursion cycle spends budget; past the limit the
+  /// input is rejected instead of overflowing the stack. The deepest
+  /// accepted input must parse on a default-sized std::thread stack under
+  /// AddressSanitizer (DESIGN §4).
+  static constexpr unsigned MaxNesting = 400;
+
 protected:
   ParserBase(const std::vector<Token> &Tokens, Diagnostics &Diags)
       : Tokens(Tokens), Diags(Diags) {
@@ -40,6 +51,39 @@ protected:
   }
 
   bool atEnd() const { return peek().is(TokenKind::Eof); }
+
+  /// Token \p I of the stream; Eof past its end.
+  const Token &tokenAt(size_t I) const {
+    return I < Tokens.size() ? Tokens[I] : Tokens.back();
+  }
+
+  /// One past the bracket group that opens at token \p I, in O(1) via
+  /// the lexer's pairing (Eof if the group never closes); I + 1 if token
+  /// \p I opens no group.
+  size_t skipGroup(size_t I) const {
+    const Token &T = tokenAt(I);
+    if (!T.opens())
+      return I + 1;
+    return std::min<size_t>(T.Match + 1, Tokens.size() - 1);
+  }
+
+  /// One past the `name (.name | [...])*` chain starting at token \p I,
+  /// whose name is an identifier or `this`; Eof if no name starts there.
+  /// An assignment operator or a postfix ++/-- after a chain applies to
+  /// the whole chain.
+  size_t chainEnd(size_t I) const {
+    if (!tokenAt(I).is(TokenKind::Identifier) && !tokenAt(I).is("this"))
+      return Tokens.size() - 1;
+    ++I;
+    while (true) {
+      if (tokenAt(I).is("."))
+        I += 2;
+      else if (tokenAt(I).is("["))
+        I = skipGroup(I);
+      else
+        return I;
+    }
+  }
 
   /// Consumes and returns the current token.
   Token advance() {
@@ -87,7 +131,35 @@ protected:
     return Bad;
   }
 
-  void error(std::string Message) { Diags.error(peek().Offset, Message); }
+  /// Reports an error at the cursor. Silent once the nesting budget has
+  /// tripped: that diagnostic is the parse's last.
+  void error(std::string Message) {
+    if (!TooDeep)
+      Diags.error(peek().Offset, Message);
+  }
+
+  /// One level of the nesting budget, held for the extent of a nested
+  /// parse. Converts to false when the budget is spent: the parse then
+  /// reports one diagnostic, jumps to Eof and yields no tree, so the
+  /// caller returns without parsing further.
+  class Nested {
+  public:
+    explicit Nested(ParserBase &P) : P(P) {
+      if (++P.Depth > MaxNesting && !P.TooDeep) {
+        P.error("nesting deeper than " + std::to_string(MaxNesting) +
+                " levels");
+        P.TooDeep = true;
+        P.Cursor = P.Tokens.size() - 1;
+      }
+    }
+    ~Nested() { --P.Depth; }
+    Nested(const Nested &) = delete;
+    Nested &operator=(const Nested &) = delete;
+    explicit operator bool() const { return !P.TooDeep; }
+
+  private:
+    ParserBase &P;
+  };
 
   /// Skips tokens until one of \p Spellings or Eof; does not consume the
   /// stop token. Used for statement-level recovery.
@@ -103,6 +175,9 @@ protected:
   const std::vector<Token> &Tokens;
   Diagnostics &Diags;
   size_t Cursor = 0;
+  unsigned Depth = 0;
+  /// Set once the nesting budget is spent; the parse then has no tree.
+  bool TooDeep = false;
 };
 
 } // namespace lang

@@ -48,8 +48,18 @@ struct Token {
   std::string_view Text;
   /// Byte offset of the first character within the source buffer.
   uint32_t Offset = 0;
+  /// For a bracket, the index of its partner in the token vector: the
+  /// lexer pairs `(`, `[` and `{` with the next unpaired closer of any
+  /// kind. An opener that never closes pairs with Eof; a stray closer
+  /// pairs with itself. Unused (0) for other tokens.
+  uint32_t Match = 0;
 
   bool is(TokenKind K) const { return Kind == K; }
+
+  /// True for `(`, `[` and `{`.
+  bool opens() const { return isBracket("([{"); }
+  /// True for `)`, `]` and `}`.
+  bool closes() const { return isBracket(")]}"); }
 
   /// True if this is a keyword or punctuator spelled exactly \p Spelling.
   bool is(std::string_view Spelling) const {
@@ -59,6 +69,12 @@ struct Token {
 
   /// The literal's contents without quotes (StringLiteral only).
   std::string_view stringValue() const;
+
+private:
+  bool isBracket(std::string_view Chars) const {
+    return Kind == TokenKind::Punct && Text.size() == 1 &&
+           Chars.find(Text[0]) != std::string_view::npos;
+  }
 };
 
 } // namespace lang

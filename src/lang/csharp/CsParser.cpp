@@ -66,7 +66,7 @@ public:
            StringInterner &Interner)
       : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
 
-  Tree run() {
+  std::optional<Tree> run() {
     Builder.begin("CompilationUnit");
     while (at("using")) {
       advance();
@@ -97,6 +97,8 @@ public:
         advance();
     }
     Builder.end();
+    if (TooDeep)
+      return std::nullopt;
     return std::move(Builder).finish();
   }
 
@@ -187,6 +189,9 @@ private:
   }
 
   void parseType() {
+    Nested Level(*this); // Generic arguments nest types.
+    if (!Level)
+      return;
     size_t End = Cursor;
     int ArrayDims = 0;
     if (scanType(Cursor, End)) {
@@ -274,24 +279,14 @@ private:
 
   void prescanMembers(std::string_view ClassName) {
     size_t I = Cursor;
-    int Depth = 1;
     auto Tok = [&](size_t J) -> const Token & {
       return J < Tokens.size() ? Tokens[J] : Tokens.back();
     };
-    while (I < Tokens.size() && Depth > 0) {
-      const Token &T = Tok(I);
-      if (T.is("{")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("}")) {
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth != 1) {
-        ++I;
+    // Walk the class body token by token at brace depth 1; member bodies
+    // and accessor lists are skipped whole.
+    while (!Tok(I).is("}") && !Tok(I).is(TokenKind::Eof)) {
+      if (Tok(I).is("{")) {
+        I = skipGroup(I);
         continue;
       }
       size_t J = I;
@@ -506,6 +501,9 @@ private:
   }
 
   void parseStatement() {
+    Nested Level(*this);
+    if (!Level)
+      return;
     if (at("{")) {
       parseBlock();
       return;
@@ -714,64 +712,15 @@ private:
            Op == "/=" || Op == "%=";
   }
 
-  bool isAssignmentAhead() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    auto Tok = [&](size_t J) -> const Token & {
-      return J < Tokens.size() ? Tokens[J] : Tokens.back();
-    };
-    if (!(Tok(I).is(TokenKind::Identifier) || Tok(I).is("this")))
-      return false;
-    ++I;
-    while (I < Tokens.size()) {
-      const Token &T = Tok(I);
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text))
-        return true;
-      if (T.is(".")) {
-        I += 2;
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string findAssignOp() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-    }
-    return "=";
-  }
-
   void parseAssignment() {
-    if (isAssignmentAhead()) {
-      std::string Op = findAssignOp();
-      Builder.begin(std::string("AssignmentExpression") + Op);
+    Nested Level(*this);
+    if (!Level)
+      return;
+    const Token &Op = tokenAt(chainEnd(Cursor));
+    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text)) {
+      Builder.begin("AssignmentExpression" + std::string(Op.Text));
       parseCallChain();
-      expect(Op);
+      expect(Op.Text);
       parseAssignment();
       Builder.end();
       return;
@@ -780,22 +729,14 @@ private:
   }
 
   bool isConditionalAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-      } else if (Depth == 0) {
-        if (T.is("?"))
-          return true;
-        if (T.is(";") || T.is(",") || T.is(":") || T.is(TokenKind::Eof) ||
-            (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-          return false;
-      }
+      if (T.is("?"))
+        return true;
+      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
+          T.is(TokenKind::Eof) ||
+          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
+        return false;
     }
     return false;
   }
@@ -840,12 +781,16 @@ private:
   }
 
   void parseBinaryLevel(int Prec, bool StopAtQuestion) {
+    // Levels without operators open no node: pass over them here rather
+    // than recurse, which keeps a nesting level's stack cost small.
+    std::vector<std::string> Ops;
+    while (Prec <= 10 &&
+           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
+      ++Prec;
     if (Prec > 10) {
       parseUnary();
       return;
     }
-    std::vector<std::string> Ops =
-        operatorSpellingsAtLevel(Prec, StopAtQuestion);
     for (auto It = Ops.rbegin(); It != Ops.rend(); ++It) {
       if (*It == "is" || *It == "as")
         Builder.begin(*It == "is" ? "IsExpression" : "AsExpression");
@@ -872,25 +817,15 @@ private:
   std::vector<std::string>
   operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
     std::vector<std::string> Ops;
-    int Depth = 0;
     bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
         continue;
       }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is(TokenKind::Eof) || T.is(";") || T.is(",") || T.is(":"))
+      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
+          T.is(":"))
         break;
       if (StopAtQuestion && T.is("?"))
         break;
@@ -928,6 +863,9 @@ private:
 
   void parseUnary() {
     if (at("!") || at("~") || at("-") || at("+") || at("++") || at("--")) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       std::string Op(advance().Text);
       Builder.begin(std::string("PrefixUnaryExpression") + Op);
       parseUnary();
@@ -935,6 +873,9 @@ private:
       return;
     }
     if (isCastAhead()) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       Builder.begin("CastExpression");
       expect("(");
       parseType();
@@ -965,9 +906,9 @@ private:
   }
 
   void parsePostfix() {
-    if (peekPostfixIncrement()) {
-      std::string Op = postfixOpSpelling();
-      Builder.begin(std::string("PostfixUnaryExpression") + Op);
+    const Token &Op = tokenAt(chainEnd(Cursor));
+    if (Op.is("++") || Op.is("--")) {
+      Builder.begin("PostfixUnaryExpression" + std::string(Op.Text));
       parseCallChain();
       advance();
       Builder.end();
@@ -976,122 +917,42 @@ private:
     parseCallChain();
   }
 
-  bool peekPostfixIncrement() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    if (!(Tokens[I].is(TokenKind::Identifier) || Tokens[I].is("this")))
-      return false;
-    ++I;
-    while (I < Tokens.size()) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return true;
-      if (T.is(".")) {
-        I += 2;
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string postfixOpSpelling() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-    }
-    return "++";
-  }
-
   /// Roslyn shape: member access and invocation are separate wrappers —
   /// `a.b(c)` is InvocationExpression(MemberAccessExpression(a, b),
   /// ArgumentList(Argument(c))). This yields deeper trees than Java.
   void parseCallChain() {
+    // Skip the primary: `new T(args)`, `new T[n]...`, a bare call
+    // `name(args)`, a parenthesised expression or a single token. Then
+    // pre-scan the links; `.name(` is a member access followed by an
+    // invocation.
+    bool PrimaryIsBareCall = false;
+    size_t I = Cursor;
+    if (at("new")) {
+      size_t End = ++I;
+      if (scanType(I, End))
+        I = End;
+      if (tokenAt(I).is("("))
+        I = skipGroup(I);
+      else
+        while (tokenAt(I).is("["))
+          I = skipGroup(I);
+    } else if (atKind(TokenKind::Identifier) && peek(1).is("(")) {
+      PrimaryIsBareCall = true;
+      I = skipGroup(I + 1);
+    } else {
+      I = skipGroup(I);
+    }
     enum LinkKind { Dot, CallLink, IndexLink };
     std::vector<LinkKind> Links;
-    bool PrimaryIsBareCall = false;
-    {
-      size_t I = Cursor;
-      auto Tok = [&](size_t J) -> const Token & {
-        return J < Tokens.size() ? Tokens[J] : Tokens.back();
-      };
-      auto SkipGroup = [&](size_t &J) {
-        int D = 0;
-        do {
-          if (Tok(J).is("(") || Tok(J).is("[") || Tok(J).is("{"))
-            ++D;
-          else if (Tok(J).is(")") || Tok(J).is("]") || Tok(J).is("}"))
-            --D;
-          ++J;
-        } while (J < Tokens.size() && D > 0);
-      };
-      const Token &T = Tok(I);
-      if (T.is("(")) {
-        SkipGroup(I);
-      } else if (T.is("new")) {
-        ++I;
-        size_t End = I;
-        if (scanType(I, End))
-          I = End;
-        if (Tok(I).is("("))
-          SkipGroup(I);
-        else
-          while (Tok(I).is("["))
-            SkipGroup(I);
-      } else if (T.is(TokenKind::Identifier) && Tok(I + 1).is("(")) {
-        PrimaryIsBareCall = true;
-        ++I;
-        SkipGroup(I);
+    while (true) {
+      const Token &U = tokenAt(I);
+      if (U.is(".")) {
+        Links.push_back(Dot);
+        I += 2;
+      } else if (U.is("(") || U.is("[")) {
+        Links.push_back(U.is("(") ? CallLink : IndexLink);
+        I = skipGroup(I);
       } else {
-        ++I;
-      }
-      while (I < Tokens.size()) {
-        const Token &U = Tok(I);
-        if (U.is(".")) {
-          // `.name(` is a member access followed by an invocation.
-          if (Tok(I + 2).is("(")) {
-            Links.push_back(Dot);
-            Links.push_back(CallLink);
-            I += 2;
-            SkipGroup(I);
-            continue;
-          }
-          Links.push_back(Dot);
-          I += 2;
-          continue;
-        }
-        if (U.is("(")) {
-          Links.push_back(CallLink);
-          SkipGroup(I);
-          continue;
-        }
-        if (U.is("[")) {
-          Links.push_back(IndexLink);
-          SkipGroup(I);
-          continue;
-        }
         break;
       }
     }

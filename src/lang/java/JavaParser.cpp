@@ -64,7 +64,7 @@ public:
              StringInterner &Interner)
       : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
 
-  Tree run() {
+  std::optional<Tree> run() {
     Builder.begin("CompilationUnit");
     if (at("package")) {
       advance();
@@ -93,6 +93,8 @@ public:
         advance();
     }
     Builder.end();
+    if (TooDeep)
+      return std::nullopt;
     return std::move(Builder).finish();
   }
 
@@ -113,16 +115,8 @@ private:
         advance();
         if (atKind(TokenKind::Identifier))
           advance();
-        if (accept("(")) {
-          int Depth = 1;
-          while (!atEnd() && Depth > 0) {
-            if (at("("))
-              ++Depth;
-            if (at(")"))
-              --Depth;
-            advance();
-          }
-        }
+        if (at("("))
+          Cursor = skipGroup(Cursor);
         continue;
       }
       if (atKind(TokenKind::Keyword) && isModifier(peek().Text)) {
@@ -200,6 +194,9 @@ private:
   /// Parses a type, emitting PrimitiveType / ClassOrInterfaceType /
   /// ArrayType nodes. \returns false (after diagnosing) on malformed input.
   void parseType() {
+    Nested Level(*this); // Generic arguments nest types.
+    if (!Level)
+      return;
     // Count trailing "[]" pairs first so ArrayType wrappers can open
     // outermost-first.
     size_t End = Cursor;
@@ -296,24 +293,14 @@ private:
   /// parsing bodies, so that uses preceding declarations link correctly.
   void prescanMembers(std::string_view ClassName) {
     size_t I = Cursor;
-    int Depth = 1; // We are just inside the class brace.
     auto Tok = [&](size_t J) -> const Token & {
       return J < Tokens.size() ? Tokens[J] : Tokens.back();
     };
-    while (I < Tokens.size() && Depth > 0) {
-      const Token &T = Tok(I);
-      if (T.is("{")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("}")) {
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth != 1) {
-        ++I;
+    // Walk the class body token by token at brace depth 1; member bodies
+    // and initializer blocks are skipped whole.
+    while (!Tok(I).is("}") && !Tok(I).is(TokenKind::Eof)) {
+      if (Tok(I).is("{")) {
+        I = skipGroup(I);
         continue;
       }
       // At member level: skip modifiers, then try `Type name (` = method,
@@ -484,6 +471,9 @@ private:
   }
 
   void parseStatement() {
+    Nested Level(*this);
+    if (!Level)
+      return;
     if (at("{")) {
       parseBlock();
       return;
@@ -696,64 +686,15 @@ private:
            Op == "/=" || Op == "%=";
   }
 
-  bool isAssignmentAhead() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    auto Tok = [&](size_t J) -> const Token & {
-      return J < Tokens.size() ? Tokens[J] : Tokens.back();
-    };
-    if (!(Tok(I).is(TokenKind::Identifier) || Tok(I).is("this")))
-      return false;
-    ++I;
-    while (I < Tokens.size()) {
-      const Token &T = Tok(I);
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text))
-        return true;
-      if (T.is(".")) {
-        I += 2;
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string findAssignOp() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-    }
-    return "=";
-  }
-
   void parseAssignment() {
-    if (isAssignmentAhead()) {
-      std::string Op = findAssignOp();
-      Builder.begin(std::string("Assign") + Op);
+    Nested Level(*this);
+    if (!Level)
+      return;
+    const Token &Op = tokenAt(chainEnd(Cursor));
+    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text)) {
+      Builder.begin("Assign" + std::string(Op.Text));
       parseCallChain();
-      expect(Op);
+      expect(Op.Text);
       parseAssignment();
       Builder.end();
       return;
@@ -762,22 +703,14 @@ private:
   }
 
   bool isConditionalAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-      } else if (Depth == 0) {
-        if (T.is("?"))
-          return true;
-        if (T.is(";") || T.is(",") || T.is(":") || T.is(TokenKind::Eof) ||
-            (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-          return false;
-      }
+      if (T.is("?"))
+        return true;
+      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
+          T.is(TokenKind::Eof) ||
+          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
+        return false;
     }
     return false;
   }
@@ -820,12 +753,16 @@ private:
   }
 
   void parseBinaryLevel(int Prec, bool StopAtQuestion) {
+    // Levels without operators open no node: pass over them here rather
+    // than recurse, which keeps a nesting level's stack cost small.
+    std::vector<std::string> Ops;
+    while (Prec <= 10 &&
+           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
+      ++Prec;
     if (Prec > 10) {
       parseUnary();
       return;
     }
-    std::vector<std::string> Ops =
-        operatorSpellingsAtLevel(Prec, StopAtQuestion);
     for (auto It = Ops.rbegin(); It != Ops.rend(); ++It) {
       if (*It == "instanceof")
         Builder.begin("InstanceOfExpr");
@@ -852,25 +789,15 @@ private:
   std::vector<std::string>
   operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
     std::vector<std::string> Ops;
-    int Depth = 0;
     bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
         continue;
       }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is(TokenKind::Eof) || T.is(";") || T.is(",") || T.is(":"))
+      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
+          T.is(":"))
         break;
       if (StopAtQuestion && T.is("?"))
         break;
@@ -911,6 +838,9 @@ private:
 
   void parseUnary() {
     if (at("!") || at("~") || at("-") || at("+") || at("++") || at("--")) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       std::string Op(advance().Text);
       Builder.begin(std::string("UnaryExpr") + Op);
       parseUnary();
@@ -919,6 +849,9 @@ private:
     }
     // Cast expression: (Type) operand.
     if (isCastAhead()) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       Builder.begin("CastExpr");
       expect("(");
       parseType();
@@ -953,9 +886,9 @@ private:
   }
 
   void parsePostfix() {
-    if (peekPostfixIncrement()) {
-      std::string Op = postfixOpSpelling();
-      Builder.begin(std::string("UnaryExprPostfix") + Op);
+    const Token &Op = tokenAt(chainEnd(Cursor));
+    if (Op.is("++") || Op.is("--")) {
+      Builder.begin("UnaryExprPostfix" + std::string(Op.Text));
       parseCallChain();
       advance(); // ++/--.
       Builder.end();
@@ -964,154 +897,40 @@ private:
     parseCallChain();
   }
 
-  bool peekPostfixIncrement() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    if (!(Tokens[I].is(TokenKind::Identifier) || Tokens[I].is("this")))
-      return false;
-    ++I;
-    while (I < Tokens.size()) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return true;
-      if (T.is(".")) {
-        I += 2;
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string postfixOpSpelling() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-    }
-    return "++";
-  }
-
   /// Parses a primary followed by member/call/index links, fusing `.name(`
   /// into MethodCallExpr and `.name` into FieldAccessExpr (JavaParser
   /// style). Wrapper nodes open outermost-first via pre-scan.
   void parseCallChain() {
+    // Skip the primary: `new T(args)`, `new T[n]...`, a bare call
+    // `name(args)`, a parenthesised expression or a single token.
+    bool PrimaryIsBareCall = false;
+    size_t I = Cursor;
+    if (at("new")) {
+      size_t End = ++I;
+      if (scanType(I, End))
+        I = End;
+      if (tokenAt(I).is("("))
+        I = skipGroup(I);
+      else
+        while (tokenAt(I).is("["))
+          I = skipGroup(I);
+    } else if (atKind(TokenKind::Identifier) && peek(1).is("(")) {
+      PrimaryIsBareCall = true;
+      I = skipGroup(I + 1);
+    } else {
+      I = skipGroup(I);
+    }
     enum LinkKind { DotCall, DotField, Sub };
     std::vector<LinkKind> Links;
-    bool PrimaryIsBareCall = false;
-    {
-      size_t I = Cursor;
-      auto Tok = [&](size_t J) -> const Token & {
-        return J < Tokens.size() ? Tokens[J] : Tokens.back();
-      };
-      // Skip the primary.
-      const Token &T = Tok(I);
-      if (T.is("(")) {
-        int D = 0;
-        do {
-          if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-            ++D;
-          else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-            --D;
-          ++I;
-        } while (I < Tokens.size() && D > 0);
-      } else if (T.is("new")) {
-        ++I; // new.
-        size_t End = I;
-        if (scanType(I, End))
-          I = End;
-        if (Tok(I).is("(")) {
-          int D = 0;
-          do {
-            if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-              ++D;
-            else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-              --D;
-            ++I;
-          } while (I < Tokens.size() && D > 0);
-        } else if (Tok(I).is("[")) {
-          // Array creation; dims already inside scanType's "[]" pairs only
-          // when empty, so consume "[expr]" groups here.
-          while (Tok(I).is("[")) {
-            int D = 0;
-            do {
-              if (Tok(I).is("["))
-                ++D;
-              else if (Tok(I).is("]"))
-                --D;
-              ++I;
-            } while (I < Tokens.size() && D > 0);
-          }
-        }
-      } else if (T.is(TokenKind::Identifier) && Tok(I + 1).is("(")) {
-        PrimaryIsBareCall = true;
-        ++I;
-        int D = 0;
-        do {
-          if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-            ++D;
-          else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-            --D;
-          ++I;
-        } while (I < Tokens.size() && D > 0);
+    while (true) {
+      if (tokenAt(I).is(".")) {
+        bool Call = tokenAt(I + 2).is("(");
+        Links.push_back(Call ? DotCall : DotField);
+        I = Call ? skipGroup(I + 2) : I + 2;
+      } else if (tokenAt(I).is("[")) {
+        Links.push_back(Sub);
+        I = skipGroup(I);
       } else {
-        ++I; // Identifier, literal, this, ...
-      }
-      // Scan links.
-      int Depth = 0;
-      while (I < Tokens.size()) {
-        const Token &U = Tok(I);
-        if (Depth == 0 && U.is(".")) {
-          if (Tok(I + 2).is("(")) {
-            Links.push_back(DotCall);
-            I += 2; // '.' name; the '(' group is scanned below.
-            int D = 0;
-            do {
-              if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-                ++D;
-              else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-                --D;
-              ++I;
-            } while (I < Tokens.size() && D > 0);
-            continue;
-          }
-          Links.push_back(DotField);
-          I += 2;
-          continue;
-        }
-        if (Depth == 0 && U.is("[")) {
-          Links.push_back(Sub);
-          int D = 0;
-          do {
-            if (Tok(I).is("["))
-              ++D;
-            else if (Tok(I).is("]"))
-              --D;
-            ++I;
-          } while (I < Tokens.size() && D > 0);
-          continue;
-        }
         break;
       }
     }

@@ -48,7 +48,7 @@ public:
            StringInterner &Interner)
       : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
 
-  Tree run() {
+  std::optional<Tree> run() {
     Builder.begin("Toplevel");
     while (!atEnd()) {
       size_t Before = Cursor;
@@ -57,6 +57,8 @@ public:
         advance(); // Guarantee progress on malformed input.
     }
     Builder.end();
+    if (TooDeep)
+      return std::nullopt;
     return std::move(Builder).finish();
   }
 
@@ -107,6 +109,9 @@ private:
   //===--------------------------------------------------------------------===//
 
   void parseStatement() {
+    Nested Level(*this);
+    if (!Level)
+      return;
     if (at("function")) {
       parseFunctionDecl();
       return;
@@ -396,80 +401,23 @@ private:
   }
 
   void parseAssignment() {
-    // Parse the LHS first into a pending subtree: we cannot know whether an
-    // Assign node wraps it until we see the operator, so parse-then-wrap is
-    // not possible with a streaming builder. Instead, detect assignments
-    // with lookahead on simple LHS shapes (identifier / member chains),
-    // which covers MiniJS (and the corpora the generator produces).
-    if (isAssignmentAhead()) {
-      // Scan the operator to name the node (Assign=, Assign+=, ...).
-      std::string Op = findAssignOp();
-      Builder.begin(std::string("Assign") + Op);
+    Nested Level(*this);
+    if (!Level)
+      return;
+    // The streaming builder must open Assign before its target, so the
+    // operator ending the target's chain decides (Assign=, Assign+=, ...).
+    size_t End = chainEnd(Cursor);
+    const Token &Op = tokenAt(End);
+    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text) &&
+        !tokenAt(End + 1).is("=")) {
+      Builder.begin("Assign" + std::string(Op.Text));
       parseCallChain(/*StopAtAssign=*/true);
-      expect(Op);
+      expect(Op.Text);
       parseAssignment();
       Builder.end();
       return;
     }
     parseConditional();
-  }
-
-  /// Lookahead: does an assignment operator terminate the upcoming
-  /// primary/member chain at the current bracket depth?
-  bool isAssignmentAhead() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    // A simple LHS: identifier/this followed by .prop, [expr], or nothing.
-    if (!(peek().is(TokenKind::Identifier) || peek().is("this")))
-      return false;
-    ++I;
-    auto Tok = [&](size_t J) -> const Token & {
-      return J < Tokens.size() ? Tokens[J] : Tokens.back();
-    };
-    while (I < Tokens.size()) {
-      const Token &T = Tok(I);
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text) &&
-          !Tok(I + 1).is("=")) // Exclude '==' family (not produced anyway).
-        return true;
-      if (T.is(".")) {
-        I += 2; // Skip '.' and the property name.
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string findAssignOp() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    while (I < Tokens.size()) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && T.is(TokenKind::Punct) && isAssignOp(T.Text))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-      ++I;
-    }
-    return "=";
   }
 
   void parseConditional() {
@@ -490,22 +438,14 @@ private:
   }
 
   bool isConditionalAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-      } else if (Depth == 0) {
-        if (T.is("?"))
-          return true;
-        if (T.is(";") || T.is(",") || T.is(":") || T.is(TokenKind::Eof) ||
-            (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-          return false;
-      }
+      if (T.is("?"))
+        return true;
+      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
+          T.is(TokenKind::Eof) ||
+          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
+        return false;
     }
     return false;
   }
@@ -553,14 +493,18 @@ private:
   /// builder requires knowing the chain length ahead of time; we count
   /// same-level operators via lookahead.
   void parseBinaryLevel(int Prec, bool StopAtQuestion) {
+    // A streaming preorder builder must open wrapper nodes before their
+    // contents, so pre-scan the operator spellings of this level. Levels
+    // without operators open no node and are passed over here rather than
+    // recursed through, which keeps a nesting level's stack cost small.
+    std::vector<std::string> Ops;
+    while (Prec <= 10 &&
+           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
+      ++Prec;
     if (Prec > 10) {
       parseUnary();
       return;
     }
-    // A streaming preorder builder must open wrapper nodes before their
-    // contents, so pre-scan the operator spellings of this level.
-    std::vector<std::string> Ops =
-        operatorSpellingsAtLevel(Prec, StopAtQuestion);
     int Count = static_cast<int>(Ops.size());
     // Left-nested: ((a op1 b) op2 c). Outermost node is the *last* op.
     for (auto It = Ops.rbegin(); It != Ops.rend(); ++It)
@@ -588,25 +532,15 @@ private:
   std::vector<std::string>
   operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
     std::vector<std::string> Ops;
-    int Depth = 0;
     bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
         continue;
       }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is(TokenKind::Eof) || T.is(";") || T.is(",") || T.is(":"))
+      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
+          T.is(":"))
         break;
       if (StopAtQuestion && T.is("?"))
         break;
@@ -632,6 +566,9 @@ private:
   void parseUnary() {
     if (at("!") || at("~") || at("typeof") || at("delete") ||
         (at("-") ) || (at("+")) || at("++") || at("--")) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       std::string Op(advance().Text);
       Builder.begin(std::string("UnaryPrefix") + Op);
       parseUnary();
@@ -643,9 +580,9 @@ private:
 
   void parsePostfix() {
     // Member/call chain with optional postfix ++/--.
-    if (peekPostfixIncrement()) {
-      std::string Op = postfixOpSpelling();
-      Builder.begin(std::string("UnaryPostfix") + Op);
+    const Token &Op = tokenAt(chainEnd(Cursor));
+    if (Op.is("++") || Op.is("--")) {
+      Builder.begin("UnaryPostfix" + std::string(Op.Text));
       parseCallChain(/*StopAtAssign=*/false);
       advance(); // The ++/--.
       Builder.end();
@@ -654,154 +591,38 @@ private:
     parseCallChain(/*StopAtAssign=*/false);
   }
 
-  bool peekPostfixIncrement() const {
-    // Lookahead: a primary/member chain followed immediately by ++/--.
-    size_t I = Cursor;
-    int Depth = 0;
-    if (!(Tokens[I].is(TokenKind::Identifier) || Tokens[I].is("this")))
-      return false;
-    ++I;
-    while (I < Tokens.size()) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return true;
-      if (T.is(".")) {
-        I += 2;
-        continue;
-      }
-      if (T.is("[")) {
-        ++Depth;
-        ++I;
-        continue;
-      }
-      if (T.is("]")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-        ++I;
-        continue;
-      }
-      if (Depth > 0) {
-        ++I;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  std::string postfixOpSpelling() const {
-    size_t I = Cursor;
-    int Depth = 0;
-    while (I < Tokens.size()) {
-      const Token &T = Tokens[I];
-      if (Depth == 0 && (T.is("++") || T.is("--")))
-        return std::string(T.Text);
-      if (T.is("["))
-        ++Depth;
-      else if (T.is("]"))
-        --Depth;
-      ++I;
-    }
-    return "++";
-  }
-
   /// Parses primary expressions followed by .prop / [index] / (args)
   /// chains. The streaming-builder problem (wrap-after-parse) is solved by
   /// pre-scanning the chain links and opening the wrapper nodes outermost
   /// first.
   void parseCallChain(bool StopAtAssign) {
     (void)StopAtAssign;
-    struct Link {
-      enum Kind { DotLink, SubLink, CallLink } K;
-    };
-    // Pre-scan chain links following the primary expression.
-    std::vector<Link::Kind> Links;
-    {
-      size_t I = Cursor;
-      int Depth = 0;
-      // Skip the primary: identifier/this/literal or parenthesised expr or
-      // array/object literal or function expr or new-expr.
-      if (I < Tokens.size()) {
-        const Token &T = Tokens[I];
-        if (T.is("(") || T.is("[") || T.is("{")) {
-          int D = 0;
-          do {
-            const Token &U = Tokens[I];
-            if (U.is("(") || U.is("[") || U.is("{"))
-              ++D;
-            else if (U.is(")") || U.is("]") || U.is("}"))
-              --D;
-            ++I;
-          } while (I < Tokens.size() && D > 0);
-        } else if (T.is("function")) {
-          // function [name] (args) { ... }  — skip to matching brace.
-          ++I;
-          if (I < Tokens.size() && Tokens[I].is(TokenKind::Identifier))
-            ++I;
-          int D = 0;
-          bool SeenBrace = false;
-          while (I < Tokens.size()) {
-            const Token &U = Tokens[I];
-            if (U.is("(") || U.is("[") || U.is("{")) {
-              ++D;
-              if (U.is("{"))
-                SeenBrace = true;
-            } else if (U.is(")") || U.is("]") || U.is("}")) {
-              --D;
-              if (SeenBrace && D == 0) {
-                ++I;
-                break;
-              }
-            }
-            ++I;
-          }
-        } else if (T.is("new")) {
-          // Links after a new-expression attach inside parseNew; treat the
-          // whole new-expr as opaque here (no outer links pre-scanned).
-          Links.clear();
-          I = Cursor;
-          parseNewOrPrimaryWithLinks();
-          return;
-        } else {
-          ++I;
-        }
-      }
-      while (I < Tokens.size()) {
-        const Token &T = Tokens[I];
-        if (Depth == 0 && T.is(".")) {
-          Links.push_back(Link::DotLink);
-          I += 2;
-          continue;
-        }
-        if (Depth == 0 && T.is("[")) {
-          Links.push_back(Link::SubLink);
-          ++Depth;
-          ++I;
-          continue;
-        }
-        if (Depth == 0 && T.is("(")) {
-          Links.push_back(Link::CallLink);
-          ++Depth;
-          ++I;
-          continue;
-        }
-        if (T.is("(") || T.is("[") || T.is("{")) {
-          ++Depth;
-          ++I;
-          continue;
-        }
-        if (T.is(")") || T.is("]") || T.is("}")) {
-          if (Depth == 0)
-            break;
-          --Depth;
-          ++I;
-          continue;
-        }
-        if (Depth > 0) {
-          ++I;
-          continue;
-        }
+    if (at("new")) {
+      // Links after a new-expression attach inside parseNew; treat the
+      // whole new-expr as opaque here (no outer links pre-scanned).
+      parseNewOrPrimaryWithLinks();
+      return;
+    }
+    // Skip the primary: a name or literal, a bracket group (parenthesised
+    // expression, array or object literal), or a function expression
+    // `function [name] (params) { body }`; then pre-scan its links.
+    size_t I = Cursor;
+    if (at("function"))
+      I = skipGroup(
+          skipGroup(I + (tokenAt(I + 1).is(TokenKind::Identifier) ? 2 : 1)));
+    else
+      I = skipGroup(I);
+    enum LinkKind { DotLink, SubLink, CallLink };
+    std::vector<LinkKind> Links;
+    while (true) {
+      const Token &T = tokenAt(I);
+      if (T.is(".")) {
+        Links.push_back(DotLink);
+        I += 2;
+      } else if (T.is("[") || T.is("(")) {
+        Links.push_back(T.is("[") ? SubLink : CallLink);
+        I = skipGroup(I);
+      } else {
         break;
       }
     }
@@ -809,35 +630,35 @@ private:
     // Open wrappers outermost-first: the last link is the outermost node.
     for (auto It = Links.rbegin(); It != Links.rend(); ++It) {
       switch (*It) {
-      case Link::DotLink:
+      case DotLink:
         Builder.begin("Dot");
         break;
-      case Link::SubLink:
+      case SubLink:
         Builder.begin("Sub");
         break;
-      case Link::CallLink:
+      case CallLink:
         Builder.begin("Call");
         break;
       }
     }
 
-    bool CalleeNext = !Links.empty() && Links.front() == Link::CallLink;
+    bool CalleeNext = !Links.empty() && Links.front() == CallLink;
     parsePrimary(CalleeNext);
 
-    for (Link::Kind K : Links) {
+    for (LinkKind K : Links) {
       switch (K) {
-      case Link::DotLink: {
+      case DotLink: {
         expect(".");
         Token Prop = expectIdentifierOrKeyword("property name");
         Builder.terminal(intern("Property"), intern(Prop.Text));
         break;
       }
-      case Link::SubLink:
+      case SubLink:
         expect("[");
         parseExpression();
         expect("]");
         break;
-      case Link::CallLink:
+      case CallLink:
         expect("(");
         while (!at(")") && !atEnd()) {
           parseAssignment();

@@ -46,7 +46,7 @@ public:
            StringInterner &Interner)
       : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
 
-  Tree run() {
+  std::optional<Tree> run() {
     Builder.begin("Module");
     while (!atEnd()) {
       size_t Before = Cursor;
@@ -55,6 +55,8 @@ public:
         advance();
     }
     Builder.end();
+    if (TooDeep)
+      return std::nullopt;
     return std::move(Builder).finish();
   }
 
@@ -135,6 +137,9 @@ private:
   //===--------------------------------------------------------------------===//
 
   void parseStatement() {
+    Nested Level(*this);
+    if (!Level)
+      return;
     // Decorators: skip entirely.
     while (at("@")) {
       skipUntilNewline();
@@ -272,6 +277,9 @@ private:
   }
 
   void parseIf(bool IsElif) {
+    Nested Level(*this); // An elif chain nests If nodes.
+    if (!Level)
+      return;
     advance(); // if / elif.
     Builder.begin("If");
     parseExpression();
@@ -469,21 +477,12 @@ private:
   /// Scans to end of line at depth 0 for '=' or an augmented op.
   /// \returns "" (no assignment), "=" or the augmented spelling.
   std::string assignOpAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
       if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";"))
         return "";
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}"))
-        --Depth;
-      else if (Depth == 0 && T.is(TokenKind::Punct)) {
-        if (T.Text == "=")
-          return "=";
-        if (isAugOp(T.Text))
-          return std::string(T.Text);
-      }
+      if (T.is("=") || (T.is(TokenKind::Punct) && isAugOp(T.Text)))
+        return std::string(T.Text);
     }
     return "";
   }
@@ -518,20 +517,14 @@ private:
 
   /// Number of top-level commas before '=' / end of the target list.
   int commasBeforeAssign() const {
-    int Depth = 0, Commas = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    int Commas = 0;
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof))
+      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is("=") ||
+          (T.is(TokenKind::Punct) && isAugOp(T.Text)))
         break;
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}"))
-        --Depth;
-      else if (Depth == 0 && T.is(","))
+      if (T.is(","))
         ++Commas;
-      else if (Depth == 0 && T.is(TokenKind::Punct) &&
-               (T.Text == "=" || isAugOp(T.Text)))
-        break;
     }
     return Commas;
   }
@@ -581,7 +574,7 @@ private:
 
   /// expr (',' expr)* — wraps multiple values in Tuple.
   void parseExpressionList() {
-    int Commas = commasUntilLineEnd();
+    int Commas = commasAhead();
     if (Commas > 0)
       Builder.begin("Tuple");
     parseExpression();
@@ -594,21 +587,17 @@ private:
       Builder.end();
   }
 
-  int commasUntilLineEnd() const {
-    int Depth = 0, Commas = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+  /// Number of commas at the cursor's bracket level before the end of the
+  /// line or of the enclosing group.
+  int commasAhead() const {
+    int Commas = 0;
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";"))
+      if (T.closes() || T.is(TokenKind::Newline) || T.is(TokenKind::Eof) ||
+          T.is(";"))
         break;
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-      } else if (Depth == 0 && T.is(",")) {
+      if (T.is(","))
         ++Commas;
-      }
     }
     return Commas;
   }
@@ -617,6 +606,9 @@ private:
 
   /// Python conditional expression: a if cond else b.
   void parseTernary() {
+    Nested Level(*this);
+    if (!Level)
+      return;
     if (isTernaryAhead()) {
       Builder.begin("IfExp");
       parseBoolOr(/*StopAtIf=*/true);
@@ -631,27 +623,24 @@ private:
   }
 
   bool isTernaryAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";") ||
-          T.is(":"))
+      if (T.is("if"))
+        return true;
+      if (endsOperatorScan(T, /*StopAtIf=*/false))
         return false;
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-      } else if (Depth == 0) {
-        if (T.is("if"))
-          return true;
-        if (T.is(",") || T.is("=") ||
-            (T.is(TokenKind::Punct) && isAugOp(T.Text)))
-          return false;
-      }
     }
     return false;
+  }
+
+  /// True if \p T, met at the scan's bracket level, ends an operator
+  /// chain: the end of the line, statement, list item, slice bound or
+  /// group, an assignment, or (with \p StopAtIf) a conditional's keyword.
+  static bool endsOperatorScan(const Token &T, bool StopAtIf) {
+    return T.closes() || T.is(TokenKind::Newline) || T.is(TokenKind::Eof) ||
+           T.is(";") || T.is(",") || T.is(":") || T.is("=") ||
+           (T.is(TokenKind::Punct) && isAugOp(T.Text)) ||
+           (StopAtIf && (T.is("if") || T.is("else")));
   }
 
   /// Counts the same-level operators ahead so nested BoolOp/BinOp nodes
@@ -660,39 +649,21 @@ private:
   int countLevelOps(std::initializer_list<std::string_view> Spellings,
                     std::initializer_list<std::string_view> LooserOps,
                     bool StopAtIf) const {
-    int Depth = 0, Count = 0;
+    int Count = 0;
     bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";") ||
-          T.is(","))
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
+        continue;
+      }
+      if (endsOperatorScan(T, StopAtIf))
         break;
-      if (StopAtIf && Depth == 0 && (T.is("if") || T.is("else")))
-        break;
-      if (Depth == 0) {
-        bool Looser = false;
-        for (std::string_view S : LooserOps)
-          if (T.is(S))
-            Looser = true;
-        if (Looser)
-          break;
-      }
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
-        continue;
-      }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is(":") || T.is("=") ||
-          (T.is(TokenKind::Punct) && isAugOp(T.Text)))
+      bool Looser = false;
+      for (std::string_view S : LooserOps)
+        if (T.is(S))
+          Looser = true;
+      if (Looser)
         break;
       bool Matched = false;
       for (std::string_view S : Spellings)
@@ -746,6 +717,9 @@ private:
 
   void parseNot(bool StopAtIf) {
     if (at("not")) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       advance();
       Builder.begin("UnaryOpNot");
       parseNot(StopAtIf);
@@ -780,32 +754,14 @@ private:
 
   std::vector<std::string> comparisonOpsAhead(bool StopAtIf) const {
     std::vector<std::string> Ops;
-    int Depth = 0;
     bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";") ||
-          T.is(",") || T.is(":"))
-        break;
-      if (StopAtIf && Depth == 0 && (T.is("if") || T.is("else")))
-        break;
-      if (Depth == 0 && (T.is("and") || T.is("or")))
-        break;
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
         continue;
       }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is("=") || (T.is(TokenKind::Punct) && isAugOp(T.Text)))
+      if (endsOperatorScan(T, StopAtIf) || T.is("and") || T.is("or"))
         break;
       if (PrevWasOperand) {
         if (T.is("<") || T.is(">") || T.is("<=") || T.is(">=") ||
@@ -853,11 +809,15 @@ private:
   void parseBinLevel(int Level, bool StopAtIf) {
     static const std::initializer_list<std::string_view> Levels[3] = {
         {"+", "-"}, {"*", "/", "%", "//"}, {"**"}};
+    // Levels without operators open no node: pass over them here rather
+    // than recurse, which keeps a nesting level's stack cost small.
+    std::vector<std::string> Ops;
+    while (Level < 3 && (Ops = binOpsAhead(Levels[Level], StopAtIf)).empty())
+      ++Level;
     if (Level >= 3) {
       parseUnary(StopAtIf);
       return;
     }
-    std::vector<std::string> Ops = binOpsAhead(Levels[Level], StopAtIf);
     for (auto It = Ops.rbegin(); It != Ops.rend(); ++It)
       Builder.begin(std::string("BinOp") + *It);
     parseBinLevel(Level + 1, StopAtIf);
@@ -872,7 +832,6 @@ private:
   binOpsAhead(std::initializer_list<std::string_view> Spellings,
               bool StopAtIf) const {
     std::vector<std::string> Ops;
-    int Depth = 0;
     bool PrevWasOperand = false;
     auto LowerPrecedence = [&](const Token &T) {
       // Operators looser than this level end the scan.
@@ -893,30 +852,13 @@ private:
       }
       return false;
     };
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof) || T.is(";") ||
-          T.is(",") || T.is(":"))
-        break;
-      if (StopAtIf && Depth == 0 && (T.is("if") || T.is("else")))
-        break;
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        ++Depth;
-        PrevWasOperand = false;
+      if (T.opens()) {
+        PrevWasOperand = true; // The group is one operand.
         continue;
       }
-      if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-        PrevWasOperand = true;
-        continue;
-      }
-      if (Depth > 0)
-        continue;
-      if (T.is("=") || (T.is(TokenKind::Punct) && isAugOp(T.Text)))
-        break;
-      if (LowerPrecedence(T))
+      if (endsOperatorScan(T, StopAtIf) || LowerPrecedence(T))
         break;
       bool Matched = false;
       for (std::string_view S : Spellings)
@@ -939,6 +881,9 @@ private:
 
   void parseUnary(bool StopAtIf) {
     if (at("-") || at("+")) {
+      Nested Level(*this);
+      if (!Level)
+        return;
       std::string Op(advance().Text);
       Builder.begin(Op == "-" ? "UnaryOpUSub" : "UnaryOpUAdd");
       parseUnary(StopAtIf);
@@ -950,45 +895,18 @@ private:
 
   /// Primary expression followed by .attr / (args) / [index] links.
   void parseChainExpr(bool IsTargetContext) {
+    // Skip the primary (a token or a bracket group), then pre-scan links.
     enum LinkKind { Attr, CallLink, SubLink };
     std::vector<LinkKind> Links;
-    {
-      size_t I = Cursor;
-      auto Tok = [&](size_t J) -> const Token & {
-        return J < Tokens.size() ? Tokens[J] : Tokens.back();
-      };
-      const Token &T = Tok(I);
-      if (T.is("(") || T.is("[") || T.is("{")) {
-        int D = 0;
-        do {
-          if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-            ++D;
-          else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-            --D;
-          ++I;
-        } while (I < Tokens.size() && D > 0);
+    for (size_t I = skipGroup(Cursor);;) {
+      const Token &U = tokenAt(I);
+      if (U.is(".")) {
+        Links.push_back(Attr);
+        I += 2;
+      } else if (U.is("(") || U.is("[")) {
+        Links.push_back(U.is("(") ? CallLink : SubLink);
+        I = skipGroup(I);
       } else {
-        ++I;
-      }
-      while (I < Tokens.size()) {
-        const Token &U = Tok(I);
-        if (U.is(".")) {
-          Links.push_back(Attr);
-          I += 2;
-          continue;
-        }
-        if (U.is("(") || U.is("[")) {
-          Links.push_back(U.is("(") ? CallLink : SubLink);
-          int D = 0;
-          do {
-            if (Tok(I).is("(") || Tok(I).is("[") || Tok(I).is("{"))
-              ++D;
-            else if (Tok(I).is(")") || Tok(I).is("]") || Tok(I).is("}"))
-              --D;
-            ++I;
-          } while (I < Tokens.size() && D > 0);
-          continue;
-        }
         break;
       }
     }
@@ -1086,18 +1004,11 @@ private:
   }
 
   bool sliceAhead() const {
-    int Depth = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
+    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
       const Token &T = Tokens[I];
-      if (T.is("[") || T.is("(") || T.is("{"))
-        ++Depth;
-      else if (T.is("]") || T.is(")") || T.is("}")) {
-        if (Depth == 0)
-          return false;
-        --Depth;
-      } else if (Depth == 0 && T.is(":"))
+      if (T.is(":"))
         return true;
-      else if (T.is(TokenKind::Newline) || T.is(TokenKind::Eof))
+      if (T.closes() || T.is(TokenKind::Newline) || T.is(TokenKind::Eof))
         return false;
     }
     return false;
@@ -1169,7 +1080,7 @@ private:
         Builder.end();
         return;
       }
-      int Commas = commasUntilCloser(')');
+      int Commas = commasAhead();
       if (Commas > 0)
         Builder.begin("Tuple");
       parseTernary();
@@ -1215,26 +1126,6 @@ private:
           "' in expression");
     advance();
     Builder.terminal(intern("Error"), intern("<error>"));
-  }
-
-  int commasUntilCloser(char Closer) const {
-    int Depth = 0, Commas = 0;
-    for (size_t I = Cursor; I < Tokens.size(); ++I) {
-      const Token &T = Tokens[I];
-      if (T.is(TokenKind::Eof))
-        break;
-      if (T.is("(") || T.is("[") || T.is("{"))
-        ++Depth;
-      else if (T.is(")") || T.is("]") || T.is("}")) {
-        if (Depth == 0)
-          break;
-        --Depth;
-      } else if (Depth == 0 && T.is(",")) {
-        ++Commas;
-      }
-    }
-    (void)Closer;
-    return Commas;
   }
 };
 

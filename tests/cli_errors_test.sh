@@ -97,4 +97,23 @@ fi
 grep -q "checksum mismatch" "$TMP/err6" \
   || fail "eval error lacks the checksum diagnostic: $(cat "$TMP/err6")"
 
+# 7. source nested past the parsers' budget: predict and extract exit 1
+#    and name the limit, instead of overflowing the stack.
+awk 'BEGIN { printf "function f(x) { return ";
+             for (i = 0; i < 10000; i++) printf "(";
+             printf "x";
+             for (i = 0; i < 10000; i++) printf ")";
+             print "; }" }' > "$TMP/deep.js"
+"$PIGEON" predict --model "$TMP/model.bin" "$TMP/deep.js" > /dev/null \
+  2> "$TMP/err7"
+RC=$?
+[ "$RC" = 1 ] || fail "predict on deep nesting exited $RC, not 1"
+grep -q "nesting deeper than" "$TMP/err7" \
+  || fail "predict on deep nesting lacks the reason: $(cat "$TMP/err7")"
+"$PIGEON" extract --lang js "$TMP/deep.js" > /dev/null 2> "$TMP/err7e"
+RC=$?
+[ "$RC" = 1 ] || fail "extract on deep nesting exited $RC, not 1"
+grep -q "nesting deeper than" "$TMP/err7e" \
+  || fail "extract on deep nesting lacks the reason: $(cat "$TMP/err7e")"
+
 echo "PASS"

@@ -6,6 +6,8 @@
 
 #include "lang/csharp/CsParser.h"
 
+#include "ParserNesting.h"
+
 #include <gtest/gtest.h>
 
 using namespace pigeon;
@@ -253,6 +255,25 @@ TEST(CsParserErrors, OperatorDriftRaisesDiagnosticNotUB) {
   for (const lang::Diagnostic &D : R.Diags)
     SawDrift |= D.Message.find("operator drift") != std::string::npos;
   EXPECT_TRUE(SawDrift);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+TEST(CsParserNesting, AtLimitParsesOneDeeperFailsClosed) {
+  // A statement and its expression take two levels; each group, prefix
+  // operator, cast or block one more, and the innermost cast's type one.
+  const char *Method = "class A { void F() { ";
+  const std::pair<const char *, const char *> Nests[] = {
+      {"(", ")"}, {"!", ""}, {"~", ""}};
+  for (const auto &[Open, Close] : Nests)
+    test::expectNestingLimit(cs::parse, Method, Open, "x", Close, "; } }", 2);
+  test::expectNestingLimit(cs::parse, Method, "(int) ", "x", "", "; } }", 3);
+  test::expectNestingLimit(cs::parse, Method, "{", "x;", "}", " } }", 2);
+  // Each generic argument is one more type level.
+  test::expectNestingLimit(cs::parse, "class A { ", "List<", "X", ">",
+                           " f; }", 1);
 }
 
 } // namespace

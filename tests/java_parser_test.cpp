@@ -6,6 +6,8 @@
 
 #include "lang/java/JavaParser.h"
 
+#include "ParserNesting.h"
+
 #include <gtest/gtest.h>
 
 using namespace pigeon;
@@ -391,6 +393,25 @@ TEST(JavaParserErrors, OperatorDriftRaisesDiagnosticNotUB) {
   for (const lang::Diagnostic &D : R.Diags)
     SawDrift |= D.Message.find("operator drift") != std::string::npos;
   EXPECT_TRUE(SawDrift);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+TEST(JavaParserNesting, AtLimitParsesOneDeeperFailsClosed) {
+  // A statement and its expression take two levels; each group, prefix
+  // operator, cast or block one more, and the innermost cast's type one.
+  const char *Method = "class A { void f() { ";
+  const std::pair<const char *, const char *> Nests[] = {
+      {"(", ")"}, {"!", ""}, {"~", ""}};
+  for (const auto &[Open, Close] : Nests)
+    test::expectNestingLimit(java::parse, Method, Open, "x", Close, "; } }", 2);
+  test::expectNestingLimit(java::parse, Method, "(int) ", "x", "", "; } }", 3);
+  test::expectNestingLimit(java::parse, Method, "{", "x;", "}", " } }", 2);
+  // Each generic argument is one more type level.
+  test::expectNestingLimit(java::parse, "class A { ", "List<", "X", ">",
+                           " f; }", 1);
 }
 
 } // namespace

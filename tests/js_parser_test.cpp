@@ -6,6 +6,8 @@
 
 #include "lang/js/JsParser.h"
 
+#include "ParserNesting.h"
+
 #include <gtest/gtest.h>
 
 using namespace pigeon;
@@ -386,6 +388,19 @@ TEST(JsParserRecovery, OperatorDriftRaisesDiagnosticNotUB) {
     SawDrift |= D.Message.find("operator drift") != std::string::npos;
   EXPECT_TRUE(SawDrift) << "drift must raise a diagnostic: "
                         << (R.Diags.empty() ? "(none)" : R.Diags[0].str());
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+TEST(JsParserNesting, AtLimitParsesOneDeeperFailsClosed) {
+  // A statement and its expression take two levels; each group, prefix
+  // operator or block one more.
+  const std::pair<const char *, const char *> Nests[] = {
+      {"(", ")"}, {"[", "]"}, {"!", ""}, {"~", ""}, {"{", "}"}};
+  for (const auto &[Open, Close] : Nests)
+    test::expectNestingLimit(js::parse, "", Open, "x", Close, ";", 2);
 }
 
 } // namespace

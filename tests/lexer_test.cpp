@@ -146,6 +146,41 @@ TEST(Lexer, OffsetsAreByteAccurate) {
   EXPECT_EQ(T[1].Offset, 3u);
 }
 
+//===----------------------------------------------------------------------===//
+// Bracket pairing
+//===----------------------------------------------------------------------===//
+
+static_assert(sizeof(Token) == 32, "Token::Match must fit Token's padding");
+
+TEST(LexerBrackets, NestedPairsPointAtEachOther) {
+  auto T = lexOk("( [ { } ] )", basicConfig());
+  ASSERT_EQ(T.size(), 7u);
+  const uint32_t Partner[] = {5, 4, 3, 2, 1, 0};
+  for (uint32_t I = 0; I < 6; ++I)
+    EXPECT_EQ(T[I].Match, Partner[I]) << "token " << I;
+}
+
+TEST(LexerBrackets, PairingIgnoresBracketKind) {
+  auto T = lexOk("( ]", basicConfig());
+  EXPECT_EQ(T[0].Match, 1u);
+  EXPECT_EQ(T[1].Match, 0u);
+}
+
+TEST(LexerBrackets, UnclosedOpenerPairsWithEof) {
+  auto T = lexOk("f ( a [ b ]", basicConfig());
+  ASSERT_TRUE(T.back().is(TokenKind::Eof));
+  EXPECT_EQ(T[1].Match, T.size() - 1);
+  EXPECT_EQ(T[3].Match, 5u);
+  EXPECT_EQ(T[5].Match, 3u);
+}
+
+TEST(LexerBrackets, StrayCloserPairsWithItself) {
+  auto T = lexOk("a ) ( b )", basicConfig());
+  EXPECT_EQ(T[1].Match, 1u);
+  EXPECT_EQ(T[2].Match, 4u);
+  EXPECT_EQ(T[4].Match, 2u);
+}
+
 TEST(Lexer, DiagnosticLineAndColumn) {
   Diagnostics D("ok\n  'x");
   lex("ok\n  'x", basicConfig(), D);
@@ -215,6 +250,24 @@ TEST(LexerIndent, CommentOnlyLinesIgnored) {
 TEST(LexerIndent, BracketsSuppressNewlines) {
   auto T = lexOk("f(a,\n   b)\nc\n", pyConfig());
   EXPECT_EQ(kinds(T), "f ( a , b ) NL c NL EOF");
+}
+
+TEST(LexerIndent, NestedBracketsSuppressNewlinesUntilClosed) {
+  auto T = lexOk("f([a,\n  b],\n c)\nd\n", pyConfig());
+  EXPECT_EQ(kinds(T), "f ( [ a , b ] , c ) NL d NL EOF");
+  EXPECT_EQ(T[1].Match, 9u);
+  EXPECT_EQ(T[2].Match, 6u);
+}
+
+TEST(LexerIndent, StrayCloserDoesNotSuppressNewlines) {
+  auto T = lexOk("a)\nb\n", pyConfig());
+  EXPECT_EQ(kinds(T), "a ) NL b NL EOF");
+}
+
+TEST(LexerIndent, UnclosedBracketSuppressesNewlinesToEof) {
+  auto T = lexOk("f(a\nb\n", pyConfig());
+  EXPECT_EQ(kinds(T), "f ( a b NL EOF");
+  EXPECT_EQ(T[1].Match, T.size() - 1);
 }
 
 TEST(LexerIndent, DedentAtEofClosesAllLevels) {

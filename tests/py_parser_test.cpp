@@ -6,6 +6,8 @@
 
 #include "lang/python/PyParser.h"
 
+#include "ParserNesting.h"
+
 #include <gtest/gtest.h>
 
 using namespace pigeon;
@@ -323,6 +325,31 @@ TEST(PyParserElements, FunctionScopesAreIsolated) {
   EXPECT_EQ(XCount, 2) << "x in f and x in g are distinct elements";
 }
 
+TEST(PyParser, CommasAndColonsInsideBracketsKeepOperatorChains) {
+  // Operator lookahead skips bracket groups whole: a ',' or ':' inside one
+  // does not end the chain.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"y = [a, b] + [b]\n",
+       "(Module (Assign (Name y) (BinOp+ (List (Name a) (Name b)) "
+       "(List (Name b)))))"},
+      {"x = a + g(b, a) + b\n",
+       "(Module (Assign (Name x) (BinOp+ (BinOp+ (Name a) "
+       "(Call (Name g) (Name b) (Name a))) (Name b))))"},
+      {"x = a + d[1:2] + b\n",
+       "(Module (Assign (Name x) (BinOp+ (BinOp+ (Name a) "
+       "(Subscript (Name d) (Slice (Num 1) (Num 2)))) (Name b))))"},
+      {"x = a or g(b, a) or b\n",
+       "(Module (Assign (Name x) (BoolOpOr (Name a) "
+       "(Call (Name g) (Name b) (Name a)) (Name b))))"},
+      {"def f():\n    return a * g(b, a) * b\n",
+       "(Module (FunctionDef (FunctionName f) (arguments) (Body (Return "
+       "(BinOp* (BinOp* (Name a) (Call (Name g) (Name b) (Name a))) "
+       "(Name b))))))"},
+  };
+  for (const auto &[Source, Expected] : Cases)
+    EXPECT_EQ(sexprOf(Source), Expected) << Source;
+}
+
 //===----------------------------------------------------------------------===//
 // Error handling
 //===----------------------------------------------------------------------===//
@@ -344,6 +371,19 @@ TEST(PyParserErrors, GarbageTerminates) {
   lang::ParseResult R = py::parse("&& ^^ ~~\n", SI);
   ASSERT_TRUE(R.Tree.has_value());
   EXPECT_FALSE(R.Diags.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting budget
+//===----------------------------------------------------------------------===//
+
+TEST(PyParserNesting, AtLimitParsesOneDeeperFailsClosed) {
+  // A statement and its expression take two levels; each group or prefix
+  // operator one more.
+  const std::pair<const char *, const char *> Nests[] = {
+      {"(", ")"}, {"[", "]"}, {"not ", ""}, {"- ", ""}};
+  for (const auto &[Open, Close] : Nests)
+    test::expectNestingLimit(py::parse, "x = ", Open, "y", Close, "\n", 2);
 }
 
 } // namespace

@@ -401,22 +401,29 @@ TEST(Serve, DrainWaitsOutTheStragglerWindow) {
 
 TEST(Serve, StreamFrontEndAnswersEveryLineThenEofCleanly) {
   Service S(loadBundle());
+  // A line nested far past the parsers' budget gets parse_failed, and
+  // the lines around it are still answered.
+  std::string Deep = "function h(x) { return " + std::string(10000, '(') +
+                     "x" + std::string(10000, ')') + "; }";
   std::istringstream In(requestLine(MinifiedFlag, ",\"id\":1") + "\n" +
-                        "garbage\n" + requestLine(MinifiedLoop, ",\"id\":3") +
+                        "garbage\n" + requestLine(Deep, ",\"id\":2") +
+                        "\n" + requestLine(MinifiedLoop, ",\"id\":3") +
                         "\n");
   std::ostringstream Out;
   EXPECT_EQ(serveStream(S, In, Out), 0);
   std::istringstream Lines(Out.str());
   std::string Line;
-  size_t Count = 0, Ok = 0, Errors = 0;
+  size_t Count = 0, Ok = 0, Errors = 0, ParseFailed = 0;
   while (std::getline(Lines, Line)) {
     ++Count;
     json::Value Doc = parsed(Line);
     (Doc.find("ok")->boolean() ? Ok : Errors) += 1;
+    ParseFailed += errorCode(Doc) == "parse_failed";
   }
-  EXPECT_EQ(Count, 3u);
+  EXPECT_EQ(Count, 4u);
   EXPECT_EQ(Ok, 2u);
-  EXPECT_EQ(Errors, 1u);
+  EXPECT_EQ(Errors, 2u);
+  EXPECT_EQ(ParseFailed, 1u);
 }
 
 TEST(Serve, FdLoopDrainsOnEof) {

@@ -252,12 +252,12 @@ int cmdExtract(Language Lang, const paths::ExtractionConfig &Config,
     telemetry::TraceScope Phase("parse");
     R = parseAs(Lang, *Text, Interner);
   }
+  for (const lang::Diagnostic &D : R->Diags)
+    std::cerr << Path << ":" << D.str() << "\n";
   if (!R->Tree) {
     std::cerr << "error: parse failed\n";
     return 1;
   }
-  for (const lang::Diagnostic &D : R->Diags)
-    std::cerr << Path << ":" << D.str() << "\n";
 
   paths::PathTable Table;
   std::vector<paths::PathContext> Contexts;
@@ -551,6 +551,8 @@ int cmdPredict(const std::string &ModelPath, const std::string &Path) {
     R = parseAs(Bundle->Lang, *Text, *Bundle->Interner);
   }
   if (!R->Tree) {
+    for (const lang::Diagnostic &D : R->Diags)
+      std::cerr << Path << ":" << D.str() << "\n";
     std::cerr << "error: parse failed\n";
     return 1;
   }
