@@ -261,7 +261,7 @@ void recordCrfThroughput() {
         .set(static_cast<double>(Unknowns) / PredictSeconds);
 }
 
-/// Model-load cost of a v3 bundle, the format every tool maps: the
+/// Model-load cost of a bundle, mapped the way every tool maps it: the
 /// bundle is written to a temp file and mapped repeatedly (best-of, after
 /// a warm-up); the wall time and the RSS delta of one held-open load land
 /// as gauges.
@@ -331,10 +331,10 @@ int recordModelLoadCost() {
   }
 
   auto &Reg = telemetry::MetricsRegistry::global();
-  Reg.gauge("model.load.v3_mmap.seconds").set(Best);
-  Reg.gauge("model.load.v3_mmap.rss_delta.kb")
+  Reg.gauge("model.load.mmap.seconds").set(Best);
+  Reg.gauge("model.load.mmap.rss_delta.kb")
       .set(static_cast<double>(RssDelta));
-  std::fprintf(stderr, "model load: v3 mmap %.3f ms, rss delta %llu KiB\n",
+  std::fprintf(stderr, "model load: mmap %.3f ms, rss delta %llu KiB\n",
                Best * 1e3, static_cast<unsigned long long>(RssDelta));
   return 0;
 }

@@ -69,7 +69,7 @@ std::vector<std::string> requestLines(int Count) {
   return Lines;
 }
 
-/// The bench's trained bundle, written once as v3 to a temp file that
+/// The bench's trained bundle, written once to a temp file that
 /// every Service maps in place, the way `pigeon serve` loads a model.
 /// The file is unlinked at destruction.
 class BundleFile {

@@ -1,4 +1,4 @@
-//===- MappedBundle.cpp - Zero-copy mmap model bundles (v3) ------------------===//
+//===- MappedBundle.cpp - Zero-copy mmap model bundles (v4) ------------------===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
@@ -72,14 +72,14 @@ MappedRegion::~MappedRegion() {
 namespace {
 
 constexpr uint32_t BundleMagic = 0x50494742;  // "PIGB"
-constexpr uint32_t MappedVersion = 3;
-constexpr uint32_t TrailerMagic = 0x33544750; // "PGT3"
+constexpr uint32_t MappedVersion = 4;
+constexpr uint32_t TrailerMagic = 0x34544750; // "PGT4"
 
 constexpr uint64_t HeaderBytes = 48;
-constexpr uint32_t NumSections = 13;
+constexpr uint32_t NumSections = 11;
 constexpr uint64_t SectionEntryBytes = 24;
 constexpr uint64_t SectionsStart =
-    HeaderBytes + NumSections * SectionEntryBytes; // 360
+    HeaderBytes + NumSections * SectionEntryBytes; // 312
 constexpr uint64_t TrailerBytes = 16;
 constexpr uint64_t MinFileBytes = SectionsStart + TrailerBytes;
 
@@ -93,14 +93,16 @@ enum SectionKind : uint32_t {
   SecPathArena,     ///< Concatenated packed-path bytes, ids 1..PathCount.
   SecPathOffsets,   ///< u64 x (PathCount+1), [0] == 0.
   SecPathIndex,     ///< u32 x pow2 slots, value = path id.
-  SecWeightKeys,    ///< u64 x NumWeights, sorted ascending.
-  SecWeightVals,    ///< f64 x NumWeights, parallel to keys.
-  SecCandKeys,      ///< u64 x NumCands, sorted ascending.
-  SecCandOffsets,   ///< u64 x (NumCands+1) entry offsets into CandPairs.
-  SecCandPairs,     ///< u32 x 2*TotalEntries: (label, count) pairs.
+  SecWeights,       ///< {u64 key, f64 weight} x (2^k + 1) table slots.
+  SecCands,         ///< {u64 key, u32 first, u32 count} x (2^k + 1) slots.
+  SecCandPairs,     ///< (u32 label, u32 count) pairs, lists in key order.
   SecPruned,        ///< u64 x NumPruned, sorted ascending.
   SecGlobalTop,     ///< u32 x NumGlobal label indices, rank order.
 };
+
+static_assert(sizeof(crf::WeightSlot) == 16 && sizeof(crf::CandSlot) == 16,
+              "table slots are stored as 16-byte records");
+constexpr uint64_t SlotBytes = 16;
 
 struct SectionDesc {
   uint64_t Offset = 0;
@@ -147,9 +149,11 @@ std::vector<uint32_t> buildStoredIndex(const std::vector<uint64_t> &Hashes,
 //===----------------------------------------------------------------------===//
 
 /// Accumulates the file image in memory (the checksum needs the final
-/// bytes anyway), tracking 8-byte alignment.
+/// bytes anyway), tracking 8-byte alignment. The buffer is sized for the
+/// whole file up front, so writing never holds two copies of it.
 class ImageBuilder {
 public:
+  explicit ImageBuilder(uint64_t Capacity) { Buf.reserve(Capacity); }
   template <typename T> void pod(const T &Value) {
     Buf.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
   }
@@ -214,7 +218,6 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   std::vector<uint32_t> PathIndex = buildStoredIndex(PathHashes, PathValues);
 
   const crf::FrozenCrf &F = Bundle.Model.image();
-  uint64_t NumCandPairs = 2 * F.CandOffsets[F.NumCands];
 
   // Lay out the section table: every section starts 8-byte aligned.
   uint64_t Lengths[NumSections] = {
@@ -224,11 +227,9 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
       PathArena.size(),
       PathOffsets.size() * 8,
       PathIndex.size() * 4,
-      F.NumWeights * 8,
-      F.NumWeights * 8,
-      F.NumCands * 8,
-      (F.NumCands + 1) * 8,
-      NumCandPairs * 4,
+      F.Weights.numSlots() * SlotBytes,
+      F.Cands.numSlots() * SlotBytes,
+      F.NumCandPairs * 8,
       F.NumPruned * 8,
       uint64_t(F.NumGlobal) * 4,
   };
@@ -242,7 +243,7 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   uint64_t TrailerOff = At;
   uint64_t FileSize = TrailerOff + TrailerBytes;
 
-  ImageBuilder Img;
+  ImageBuilder Img(FileSize);
   // Header.
   Img.pod(BundleMagic);
   Img.pod(MappedVersion);
@@ -256,7 +257,7 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   Img.pod(NumSections);
   Img.pod(StrCount);
   Img.pod(PathCount);
-  Img.pod(static_cast<uint64_t>(0)); // Reserved: pads the header to 48.
+  Img.pod(F.NumWeights);
   assert(Img.size() == HeaderBytes && "header layout drifted");
   // Section table.
   for (uint32_t I = 0; I < NumSections; ++I) {
@@ -277,11 +278,9 @@ void core::saveModelV3(std::ostream &OS, const ModelBundle &Bundle) {
   Emit(PathArena.data(), PathArena.size());
   Emit(PathOffsets.data(), PathOffsets.size() * 8);
   Emit(PathIndex.data(), PathIndex.size() * 4);
-  Emit(F.WeightKeys, F.NumWeights * 8);
-  Emit(F.WeightVals, F.NumWeights * 8);
-  Emit(F.CandKeys, F.NumCands * 8);
-  Emit(F.CandOffsets, (F.NumCands + 1) * 8);
-  Emit(F.CandPairs, NumCandPairs * 4);
+  Emit(F.Weights.Slots, F.Weights.numSlots() * SlotBytes);
+  Emit(F.Cands.Slots, F.Cands.numSlots() * SlotBytes);
+  Emit(F.CandPairs, F.NumCandPairs * 8);
   Emit(F.PrunedKeys, F.NumPruned * 8);
   Emit(F.GlobalTop, uint64_t(F.NumGlobal) * 4);
   assert(Img.size() == TrailerOff && "section layout drifted");
@@ -315,10 +314,8 @@ const char *sectionName(uint32_t Kind) {
   case SecPathArena: return "path arena";
   case SecPathOffsets: return "path offsets";
   case SecPathIndex: return "path index";
-  case SecWeightKeys: return "weight keys";
-  case SecWeightVals: return "weight values";
-  case SecCandKeys: return "candidate keys";
-  case SecCandOffsets: return "candidate offsets";
+  case SecWeights: return "weight table";
+  case SecCands: return "candidate table";
   case SecCandPairs: return "candidate pairs";
   case SecPruned: return "pruned paths";
   case SecGlobalTop: return "global candidates";
@@ -401,7 +398,8 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
 
   auto Truncated = [&] {
     V.fail(0, "truncated: file is " + std::to_string(Size) +
-                  " bytes, a v3 bundle needs at least " +
+                  " bytes, a v" + std::to_string(MappedVersion) +
+                  " bundle needs at least " +
                   std::to_string(MinFileBytes));
     return nullptr;
   };
@@ -418,9 +416,11 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   uint32_t Version = readAt<uint32_t>(Base, 4);
   if (Version != MappedVersion) {
     std::string Hint =
-        Version == 2 ? " (a v2 stream bundle, a format no longer read — "
-                       "retrain the model with `pigeon train`)"
-                     : "";
+        Version < MappedVersion
+            ? " (bundle format v" + std::to_string(Version) +
+                  " is retired and no longer read — retrain the model with "
+                  "`pigeon train`)"
+            : "";
     V.fail(4, "bundle version mismatch: expected " +
                   std::to_string(MappedVersion) + ", found " +
                   std::to_string(Version) + Hint);
@@ -442,6 +442,7 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   uint32_t SectionCount = readAt<uint32_t>(Base, 28);
   uint32_t StrCount = readAt<uint32_t>(Base, 32);
   uint32_t PathCount = readAt<uint32_t>(Base, 36);
+  uint64_t NumWeights = readAt<uint64_t>(Base, 40);
   if (SectionCount != NumSections) {
     V.fail(28, "section count mismatch: expected " +
                    std::to_string(NumSections) + ", found " +
@@ -482,7 +483,7 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   uint32_t TMagic = readAt<uint32_t>(Base, TrailerOff + 8);
   if (TMagic != TrailerMagic) {
     V.fail(TrailerOff + 8, "bad trailer magic: expected " +
-                               hex32(TrailerMagic) + " (\"PGT3\"), found " +
+                               hex32(TrailerMagic) + " (\"PGT4\"), found " +
                                hex32(TMagic));
     return nullptr;
   }
@@ -545,14 +546,12 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
                std::to_string(Elem));
     return false;
   };
-  for (uint32_t Kind : {SecStrOffsets, SecPathOffsets, SecWeightKeys,
-                        SecWeightVals, SecCandKeys, SecCandOffsets,
-                        SecPruned})
-    if (!DivisibleBy(Kind, 8))
-      return nullptr;
-  for (uint32_t Kind : {SecStrIndex, SecPathIndex, SecCandPairs,
-                        SecGlobalTop})
-    if (!DivisibleBy(Kind, 4))
+  const std::pair<uint32_t, uint64_t> ElemBytes[] = {
+      {SecStrOffsets, 8}, {SecStrIndex, 4},        {SecPathOffsets, 8},
+      {SecPathIndex, 4},  {SecWeights, SlotBytes}, {SecCands, SlotBytes},
+      {SecCandPairs, 8},  {SecPruned, 8},          {SecGlobalTop, 4}};
+  for (auto [Kind, Elem] : ElemBytes)
+    if (!DivisibleBy(Kind, Elem))
       return nullptr;
 
   auto SecPtr = [&](uint32_t Kind) { return Base + S[Kind - 1].Offset; };
@@ -573,13 +572,37 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   if (SecLen(SecPathOffsets) != (uint64_t(PathCount) + 1) * 8)
     return CountMismatch(SecPathOffsets, (uint64_t(PathCount) + 1) * 8,
                          "the header path count");
-  if (SecLen(SecWeightVals) != SecLen(SecWeightKeys))
-    return CountMismatch(SecWeightVals, SecLen(SecWeightKeys),
-                         "the weight-key section");
-  uint64_t NumCands = SecLen(SecCandKeys) / 8;
-  if (SecLen(SecCandOffsets) != (NumCands + 1) * 8)
-    return CountMismatch(SecCandOffsets, (NumCands + 1) * 8,
-                         "the candidate-key section");
+  // A hashed table is 2^k probed slots plus the slot of key 0, whose key
+  // field is a presence flag.
+  auto TableMask = [&](uint32_t Kind, uint64_t &Mask) {
+    uint64_t Slots = SecLen(Kind) / SlotBytes;
+    const char *Name = sectionName(Kind);
+    if (Slots < 2 || ((Slots - 1) & (Slots - 2)) != 0)
+      return V.fail(HeaderBytes + uint64_t(Kind - 1) * SectionEntryBytes + 16,
+                    std::string(Name) + " section: " + std::to_string(Slots) +
+                        " slots, expected 2^k + 1 (a power-of-two table "
+                        "plus the key-0 slot)");
+    Mask = Slots - 2;
+    uint64_t Flag = readAt<uint64_t>(SecPtr(Kind), (Mask + 1) * SlotBytes);
+    if (Flag > 1)
+      return V.fail(SecOff(Kind) + (Mask + 1) * SlotBytes,
+                    std::string(Name) + ": key-0 slot flag " +
+                        std::to_string(Flag) + " is neither 0 nor 1");
+    return true;
+  };
+  uint64_t WeightMask = 0, CandMask = 0;
+  if (!TableMask(SecWeights, WeightMask) || !TableMask(SecCands, CandMask))
+    return nullptr;
+  // The weight table is not walked: any key or value bits are safe to
+  // read and probe() is bounded, so a bad slot can only misreport a
+  // weight. Its entry count is checked against the load limit.
+  if (NumWeights > 3 * (WeightMask + 1) / 4 + 1) {
+    V.fail(40, "weight count " + std::to_string(NumWeights) +
+                   " exceeds what a table of " +
+                   std::to_string(WeightMask + 1) +
+                   " slots holds at 3/4 load plus key 0");
+    return nullptr;
+  }
 
   const auto *StrOffsets =
       reinterpret_cast<const uint64_t *>(SecPtr(SecStrOffsets));
@@ -611,16 +634,39 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
                     SecOff(SecPathIndex), "path index"))
     return nullptr;
 
-  const auto *CandOffsets =
-      reinterpret_cast<const uint64_t *>(SecPtr(SecCandOffsets));
-  // Candidate offsets count entries; each entry is a (label, count)
-  // pair of u32 — 8 bytes in the pair section.
-  if (!V.checkOffsets(CandOffsets, NumCands, SecLen(SecCandPairs) / 8,
-                      SecOff(SecCandOffsets), "candidate offsets"))
+  // Every stored context's pair range must lie in the pair section, and
+  // the probed slots must respect the 3/4 load limit.
+  const auto *Cands =
+      reinterpret_cast<const crf::CandSlot *>(SecPtr(SecCands));
+  uint64_t NumPairs = SecLen(SecCandPairs) / 8;
+  uint64_t NumCands = 0;
+  for (uint64_t I = 0; I <= CandMask + 1; ++I) {
+    const crf::CandSlot &C = Cands[I];
+    if (C.Key == 0)
+      continue;
+    uint64_t End = 0;
+    if (!io::checkedAdd(C.First, C.Count, End) || End > NumPairs) {
+      V.fail(SecOff(SecCands) + I * SlotBytes + 8,
+             "candidate slot " + std::to_string(I) + ": pairs [" +
+                 std::to_string(C.First) + ", " + std::to_string(C.First) +
+                 " + " + std::to_string(C.Count) + ") pass the " +
+                 std::to_string(NumPairs) + " pairs of the pair section");
+      return nullptr;
+    }
+    if (I <= CandMask)
+      ++NumCands;
+  }
+  if (NumCands > 3 * (CandMask + 1) / 4) {
+    V.fail(SecOff(SecCands),
+           "candidate table: " + std::to_string(NumCands) + " of " +
+               std::to_string(CandMask + 1) +
+               " slots occupied, above the 3/4 load limit");
     return nullptr;
+  }
+  NumCands += Cands[CandMask + 1].Key;
   const auto *CandPairs =
       reinterpret_cast<const uint32_t *>(SecPtr(SecCandPairs));
-  for (uint64_t I = 0; I < SecLen(SecCandPairs) / 8; ++I)
+  for (uint64_t I = 0; I < NumPairs; ++I)
     if (CandPairs[2 * I] >= StrCount) {
       V.fail(SecOff(SecCandPairs) + I * 8,
              "candidate pair " + std::to_string(I) + ": label index " +
@@ -683,13 +729,13 @@ std::unique_ptr<ModelBundle> core::openMappedBundle(const std::string &Path,
   Bundle->Table = paths::PathTable(paths::PathTable::Frozen, PV);
 
   crf::FrozenCrf CV;
-  CV.WeightKeys = reinterpret_cast<const uint64_t *>(SecPtr(SecWeightKeys));
-  CV.WeightVals = reinterpret_cast<const double *>(SecPtr(SecWeightVals));
-  CV.NumWeights = SecLen(SecWeightKeys) / 8;
-  CV.CandKeys = reinterpret_cast<const uint64_t *>(SecPtr(SecCandKeys));
-  CV.CandOffsets = CandOffsets;
-  CV.CandPairs = CandPairs;
+  CV.Weights = {reinterpret_cast<const crf::WeightSlot *>(SecPtr(SecWeights)),
+                WeightMask};
+  CV.NumWeights = NumWeights;
+  CV.Cands = {Cands, CandMask};
   CV.NumCands = NumCands;
+  CV.CandPairs = CandPairs;
+  CV.NumCandPairs = NumPairs;
   CV.PrunedKeys = reinterpret_cast<const uint64_t *>(SecPtr(SecPruned));
   CV.NumPruned = SecLen(SecPruned) / 8;
   CV.GlobalTop = GlobalTop;

@@ -12,7 +12,7 @@
 /// bundle's own, so every saved id keeps its meaning while the bundle
 /// parses and predicts on new files.
 ///
-/// Bundles persist in one on-disk format, v3 (MappedBundle.h): written by
+/// Bundles persist in one on-disk format, v4 (MappedBundle.h): written by
 /// saveModelV3 and served in place from an mmap by openMappedBundle.
 ///
 //===----------------------------------------------------------------------===//

@@ -251,29 +251,22 @@ WeightTable::Entry &WeightTable::findOrInsert(uint64_t Key, bool &Inserted) {
   }
   if ((Count + 1) * 4 > Slots.size() * 3)
     grow();
-  size_t I = Key & Mask;
-  while (Slots[I].Key != 0 && Slots[I].Key != Key)
-    I = (I + 1) & Mask;
-  if (Slots[I].Key == 0) {
-    Slots[I].Key = Key;
+  Entry *E = probe(Slots.data(), Mask, Key);
+  if (E->Key == 0) {
+    E->Key = Key;
     ++Count;
     Inserted = true;
   }
-  return Slots[I];
+  return *E;
 }
 
 void WeightTable::grow() {
   std::vector<Entry> Old = std::move(Slots);
   Slots.assign(Old.empty() ? 64 : 2 * Old.size(), Entry());
   Mask = Slots.size() - 1;
-  for (const Entry &E : Old) {
-    if (E.Key == 0)
-      continue;
-    size_t I = E.Key & Mask;
-    while (Slots[I].Key != 0)
-      I = (I + 1) & Mask;
-    Slots[I] = E;
-  }
+  for (const Entry &E : Old)
+    if (E.Key != 0)
+      *probe(Slots.data(), Mask, E.Key) = E;
 }
 
 //===----------------------------------------------------------------------===//
@@ -282,13 +275,12 @@ void WeightTable::grow() {
 
 FrozenCrf FlatCrf::view() const {
   FrozenCrf V;
-  V.WeightKeys = WeightKeys.data();
-  V.WeightVals = WeightVals.data();
-  V.NumWeights = WeightKeys.size();
-  V.CandKeys = CandKeys.data();
-  V.CandOffsets = CandOffsets.data();
+  V.Weights = {Weights.data(), Weights.size() - 2};
+  V.NumWeights = NumWeights;
+  V.Cands = {Cands.data(), Cands.size() - 2};
+  V.NumCands = NumCands;
   V.CandPairs = CandPairs.data();
-  V.NumCands = CandKeys.size();
+  V.NumCandPairs = CandPairs.size() / 2;
   V.PrunedKeys = PrunedKeys.data();
   V.NumPruned = PrunedKeys.size();
   V.GlobalTop = GlobalTop.data();
@@ -312,9 +304,8 @@ void CrfModel::adoptFrozen(const FrozenCrf &View) {
 }
 
 double CrfModel::weight(uint64_t Key) const {
-  const uint64_t *End = FC.WeightKeys + FC.NumWeights;
-  const uint64_t *It = std::lower_bound(FC.WeightKeys, End, Key);
-  return (It != End && *It == Key) ? FC.WeightVals[It - FC.WeightKeys] : 0.0;
+  const WeightSlot *S = FC.Weights.find(Key);
+  return S ? S->Weight : 0.0;
 }
 
 bool CrfModel::pathPruned(paths::PathId Path) const {
@@ -323,13 +314,10 @@ bool CrfModel::pathPruned(paths::PathId Path) const {
 }
 
 CrfModel::CandRef CrfModel::findCandidates(uint64_t Ctx) const {
-  const uint64_t *End = FC.CandKeys + FC.NumCands;
-  const uint64_t *It = std::lower_bound(FC.CandKeys, End, Ctx);
-  if (It == End || *It != Ctx)
+  const CandSlot *S = FC.Cands.find(Ctx);
+  if (!S)
     return {};
-  size_t I = static_cast<size_t>(It - FC.CandKeys);
-  return {FC.CandPairs + 2 * FC.CandOffsets[I],
-          static_cast<size_t>(FC.CandOffsets[I + 1] - FC.CandOffsets[I])};
+  return {FC.CandPairs + 2 * size_t(S->First), S->Count};
 }
 
 namespace {
@@ -678,25 +666,33 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
       std::sort(Image.PrunedKeys.begin(), Image.PrunedKeys.end());
     }
     // Each context keeps its strongest labels in rank order: votes
-    // accumulate in list order, so that order is part of the model.
-    Image.CandKeys.reserve(RawCandidates.size());
+    // accumulate in list order, so that order is part of the model. The
+    // lists are laid out in ascending context-key order.
+    std::vector<uint64_t> CtxKeys;
+    CtxKeys.reserve(RawCandidates.size());
     for (const auto &[Ctx, Map] : RawCandidates)
-      Image.CandKeys.push_back(Ctx);
-    std::sort(Image.CandKeys.begin(), Image.CandKeys.end());
-    Image.CandOffsets.reserve(Image.CandKeys.size() + 1);
+      CtxKeys.push_back(Ctx);
+    std::sort(CtxKeys.begin(), CtxKeys.end());
+    std::vector<CandSlot> Cands;
+    Cands.reserve(CtxKeys.size());
     std::vector<std::pair<Symbol, uint32_t>> Sorted;
-    for (uint64_t Ctx : Image.CandKeys) {
+    for (uint64_t Ctx : CtxKeys) {
       const auto &Map = RawCandidates.at(Ctx);
       Sorted.assign(Map.begin(), Map.end());
       std::sort(Sorted.begin(), Sorted.end(), StrongestFirst());
       if (Sorted.size() > static_cast<size_t>(Config.CandidatesPerContext))
         Sorted.resize(static_cast<size_t>(Config.CandidatesPerContext));
+      assert(Image.CandPairs.size() / 2 + Sorted.size() <= UINT32_MAX &&
+             "candidate pairs overflow the u32 slot fields");
+      Cands.push_back({Ctx, static_cast<uint32_t>(Image.CandPairs.size() / 2),
+                       static_cast<uint32_t>(Sorted.size())});
       for (const auto &[Label, Count] : Sorted) {
         Image.CandPairs.push_back(Label.index());
         Image.CandPairs.push_back(Count);
       }
-      Image.CandOffsets.push_back(Image.CandOffsets.back() + Sorted.size());
     }
+    Image.NumCands = Cands.size();
+    Image.Cands = freezeTable(std::move(Cands));
     std::vector<std::pair<Symbol, uint64_t>> Labels(LabelCounts.begin(),
                                                     LabelCounts.end());
     std::sort(Labels.begin(), Labels.end(), StrongestFirst());
@@ -792,17 +788,19 @@ void CrfModel::train(const std::vector<CrfGraph> &Graphs) {
     }
     EpochSeconds.observe(EpochScope.seconds());
   }
-  // Finalize averaging (w_avg = w - totals / T) and sort the weights into
-  // the image.
-  Image.WeightKeys.reserve(Weights.size());
-  Weights.forEach([&](WeightTable::Entry &E) {
-    E.Weight -= E.Total / static_cast<double>(Time);
-    Image.WeightKeys.push_back(E.Key);
+  // Finalize averaging (w_avg = w - totals / T) and freeze the weights
+  // into the image.
+  std::vector<WeightSlot> Averaged;
+  Averaged.reserve(Weights.size());
+  Weights.forEach([&](const WeightTable::Entry &E) {
+    Averaged.push_back({E.Key, E.Weight - E.Total / static_cast<double>(Time)});
   });
-  std::sort(Image.WeightKeys.begin(), Image.WeightKeys.end());
-  Image.WeightVals.reserve(Image.WeightKeys.size());
-  for (uint64_t Key : Image.WeightKeys)
-    Image.WeightVals.push_back(Weights.weight(Key));
+  // Release the live table and the incidences before the frozen table is
+  // allocated, so peak memory stays that of the perceptron pass.
+  Weights = WeightTable();
+  Incidences = std::vector<Incidence>();
+  Image.NumWeights = Averaged.size();
+  Image.Weights = freezeTable(std::move(Averaged));
   own(std::make_shared<const FlatCrf>(std::move(Image)));
   Reg.gauge("crf.features").set(static_cast<double>(FC.NumWeights));
   Reg.gauge("crf.candidate_table").set(static_cast<double>(FC.NumCands));

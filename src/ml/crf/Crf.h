@@ -22,6 +22,12 @@
 /// candidate labels, with candidates proposed from per-context tables
 /// learned during training — the same regime Nice2Predict uses.
 ///
+/// Feature reads are hashed: the perceptron's live WeightTable and the
+/// trained model's frozen weight and candidate tables (FrozenCrf, stored
+/// as-is in a bundle and read in place from a mapping) are open-addressed
+/// linear-probe tables sharing one probe(), so training, prediction,
+/// top-k, explain and eval look up a feature in one probe sequence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIGEON_ML_CRF_CRF_H
@@ -31,6 +37,7 @@
 #include "paths/Paths.h"
 #include "support/StringInterner.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -178,36 +185,116 @@ struct NodeExplanation {
   std::vector<Attribution> Paths;
 };
 
-/// Flat, position-independent image of a model's learned state: sorted
-/// key arrays with parallel payloads, read in place with binary search.
-/// It is the model's only representation. train() builds one into an
-/// owned FlatCrf, and bundle format v3 lays the same arrays into the
-/// file, so a mapped bundle hands the section pointers to
-/// CrfModel::adoptFrozen() and serves without deserializing anything.
+//===----------------------------------------------------------------------===//
+// Hashed tables
+//===----------------------------------------------------------------------===//
+
+/// The one probe every hashed feature table of the model uses: open
+/// addressing with linear probing over the Mask + 1 slots at \p Slots
+/// (Mask + 1 a power of two), starting at Key & Mask. Key 0 marks an
+/// empty slot, so \p Key must be nonzero; every table keeps key 0 in a
+/// slot of its own. The probe visits at most Mask + 1 slots, so even a
+/// table with no empty slot (a hostile mapped one) terminates.
+/// \returns the slot holding \p Key, else the empty slot that ends its
+/// probe sequence (where an insertion puts it), else nullptr.
+template <typename Slot>
+Slot *probe(Slot *Slots, uint64_t Mask, uint64_t Key) {
+  uint64_t I = Key & Mask;
+  for (uint64_t Step = 0; Step <= Mask; ++Step, I = (I + 1) & Mask)
+    if (Slots[I].Key == Key || Slots[I].Key == 0)
+      return Slots + I;
+  return nullptr;
+}
+
+/// One slot of a frozen weight table.
+struct WeightSlot {
+  uint64_t Key = 0;
+  double Weight = 0;
+};
+
+/// One slot of a frozen candidate table: the context's (label, count)
+/// list is pairs [First, First + Count) of the pair array.
+struct CandSlot {
+  uint64_t Key = 0;
+  uint32_t First = 0;
+  uint32_t Count = 0;
+};
+
+/// A read-only hashed table laid out as train() freezes it and bundle v4
+/// stores it: Mask + 1 probed slots (a power of two, at most 3/4 full),
+/// then one more slot for key 0 whose Key field is 1 when key 0 is
+/// stored and 0 when it is not.
+template <typename Slot> struct FrozenTable {
+  const Slot *Slots = nullptr; ///< Mask + 2 slots.
+  uint64_t Mask = 0;
+
+  uint64_t numSlots() const { return Mask + 2; }
+
+  /// \returns the slot of \p Key, nullptr when absent.
+  const Slot *find(uint64_t Key) const {
+    if (Key == 0)
+      return Slots[Mask + 1].Key != 0 ? Slots + Mask + 1 : nullptr;
+    const Slot *S = probe(Slots, Mask, Key);
+    return S && S->Key == Key ? S : nullptr;
+  }
+};
+
+/// Lays \p Entries (distinct keys, any order) out as a FrozenTable's
+/// slots: the keys go in ascending order into the smallest power-of-two
+/// table at most 3/4 full. The bytes are thus a function of the entry set
+/// alone, whatever order it was gathered in.
+template <typename Slot>
+std::vector<Slot> freezeTable(std::vector<Slot> Entries) {
+  std::sort(Entries.begin(), Entries.end(),
+            [](const Slot &A, const Slot &B) { return A.Key < B.Key; });
+  bool HasZero = !Entries.empty() && Entries.front().Key == 0;
+  size_t Probed = Entries.size() - (HasZero ? 1 : 0);
+  size_t Cap = 1;
+  while (Probed * 4 > Cap * 3)
+    Cap *= 2;
+  std::vector<Slot> Slots(Cap + 1);
+  for (const Slot &E : Entries) {
+    if (E.Key == 0) {
+      Slots[Cap] = E;
+      Slots[Cap].Key = 1; // Key 0 is stored.
+      continue;
+    }
+    *probe(Slots.data(), Cap - 1, E.Key) = E;
+  }
+  return Slots;
+}
+
+/// Flat, position-independent image of a model's learned state: the
+/// hashed weight and candidate tables, each context's (label, count)
+/// pairs, and the sorted pruned paths and global labels. It is the
+/// model's only representation. train() builds one into an owned
+/// FlatCrf, and bundle format v4 lays the same arrays into the file, so a
+/// mapped bundle hands the section pointers to CrfModel::adoptFrozen()
+/// and serves without deserializing anything.
 struct FrozenCrf {
-  const uint64_t *WeightKeys = nullptr; ///< Feature keys, sorted ascending.
-  const double *WeightVals = nullptr;   ///< WeightVals[I] pairs WeightKeys[I].
-  uint64_t NumWeights = 0;
-  const uint64_t *CandKeys = nullptr;    ///< Context keys, sorted ascending.
-  const uint64_t *CandOffsets = nullptr; ///< NumCands+1 entry offsets into
-                                         ///< CandPairs, [0] == 0.
-  const uint32_t *CandPairs = nullptr;   ///< (label index, count) uint32
-                                         ///< pairs, per-context order as
-                                         ///< trained (vote order matters).
-  uint64_t NumCands = 0;
-  const uint64_t *PrunedKeys = nullptr;  ///< Pruned path ids, sorted.
+  FrozenTable<WeightSlot> Weights;
+  uint64_t NumWeights = 0; ///< Stored weights, key 0 included.
+  FrozenTable<CandSlot> Cands;
+  uint64_t NumCands = 0;                ///< Stored contexts.
+  const uint32_t *CandPairs = nullptr;  ///< (label index, count) uint32
+                                        ///< pairs: lists in ascending
+                                        ///< context-key order, each in
+                                        ///< trained rank order (vote order
+                                        ///< matters).
+  uint64_t NumCandPairs = 0;            ///< Pairs, not uint32s.
+  const uint64_t *PrunedKeys = nullptr; ///< Pruned path ids, sorted.
   uint64_t NumPruned = 0;
-  const uint32_t *GlobalTop = nullptr;   ///< Label indices, rank order.
+  const uint32_t *GlobalTop = nullptr;  ///< Label indices, rank order.
   uint32_t NumGlobal = 0;
 };
 
 /// Owning storage for a FrozenCrf: the arrays train() fills. An empty
-/// image still holds the leading CandOffsets entry.
+/// image still holds two empty one-slot tables (plus their key-0 slots).
 struct FlatCrf {
-  std::vector<uint64_t> WeightKeys;
-  std::vector<double> WeightVals;
-  std::vector<uint64_t> CandKeys;
-  std::vector<uint64_t> CandOffsets = {0};
+  std::vector<WeightSlot> Weights = freezeTable<WeightSlot>({});
+  uint64_t NumWeights = 0;
+  std::vector<CandSlot> Cands = freezeTable<CandSlot>({});
+  uint64_t NumCands = 0;
   std::vector<uint32_t> CandPairs;
   std::vector<uint64_t> PrunedKeys;
   std::vector<uint32_t> GlobalTop;
@@ -217,11 +304,11 @@ struct FlatCrf {
 };
 
 /// The feature weights the perceptron updates while train() runs: an
-/// open-addressed linear-probe table keyed by the (already finalized,
-/// well-mixed) feature hash, each slot carrying the weight and the
-/// perceptron's averaging total. Capacity is a power of two kept at most
-/// 3/4 full; key 0 marks an empty slot, so a real key 0 lives in a slot
-/// of its own.
+/// open-addressed table keyed by the (already finalized, well-mixed)
+/// feature hash and read through the same probe() as the frozen tables,
+/// each slot carrying the weight and the perceptron's averaging total.
+/// Capacity is a power of two kept at most 3/4 full; key 0 marks an
+/// empty slot, so a real key 0 lives in a slot of its own.
 class WeightTable {
 public:
   struct Entry {
@@ -238,12 +325,8 @@ public:
       return HasZero ? Zero.Weight : 0.0;
     if (Slots.empty())
       return 0.0;
-    for (size_t I = Key & Mask;; I = (I + 1) & Mask) {
-      if (Slots[I].Key == Key)
-        return Slots[I].Weight;
-      if (Slots[I].Key == 0)
-        return 0.0;
-    }
+    const Entry *E = probe(Slots.data(), Mask, Key);
+    return E && E->Key == Key ? E->Weight : 0.0;
   }
 
   /// \returns the entry of \p Key, inserting a zeroed one when absent
@@ -318,11 +401,11 @@ public:
                           int K) const;
 
   /// Serves the model in place from \p View (typically sections of an
-  /// mmap'ed v3 bundle), whose memory the caller keeps alive for the
+  /// mmap'ed bundle), whose memory the caller keeps alive for the
   /// model's lifetime; a later train() replaces it with an owned image.
   void adoptFrozen(const FrozenCrf &View);
 
-  /// The image every read goes through; the v3 writer serializes it.
+  /// The image every read goes through; the bundle writer serializes it.
   /// Feature keys are hashes over PathIds and Symbol indices, so it is
   /// only meaningful together with the StringInterner and PathTable the
   /// model was trained against.
@@ -332,10 +415,10 @@ public:
   /// as a mapped bundle's model does.
   bool frozen() const { return !Owned; }
 
-  /// Number of nonzero feature weights (model size).
+  /// Number of stored feature weights (model size).
   size_t numFeatures() const { return FC.NumWeights; }
 
-  /// Sum of training-time candidate-table entries (diagnostics).
+  /// Number of stored candidate contexts (diagnostics).
   size_t candidateTableSize() const { return FC.NumCands; }
 
 private:

@@ -699,7 +699,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
     std::unique_ptr<StringInterner> LocalSI;
     std::unique_ptr<paths::PathTable> LocalTable;
     lang::ParseResult R;
-    crf::CrfGraph G;
+    crf::CrfGraph G; ///< Moved into the batch's graph list once built.
     size_t GraphIndex = ~size_t(0);
   };
   std::vector<Item> Items(Batch.size());
@@ -794,7 +794,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
       if (It.Failed)
         continue;
       It.GraphIndex = Graphs.size();
-      Graphs.push_back(It.G);
+      Graphs.push_back(std::move(It.G));
     }
   }
   const auto TRemap = std::chrono::steady_clock::now(); // t_remap_done.
@@ -837,11 +837,12 @@ void Service::processBatch(std::vector<Pending> Batch) {
       // symbols delegate to the shared base, provisional ones to the
       // overlay's private storage.
       const StringInterner &SI = *It.LocalSI;
+      const crf::CrfGraph &G = Graphs[It.GraphIndex];
       const std::vector<Symbol> &Pred = Preds[It.GraphIndex];
       Out = renderHead(It.P.Seq, It.D.IdJson) + "\"ok\":true,\"predictions\":[";
       bool FirstNode = true;
-      for (uint32_t N : It.G.Unknowns) {
-        const crf::GraphNode &Node = It.G.Nodes[N];
+      for (uint32_t N : G.Unknowns) {
+        const crf::GraphNode &Node = G.Nodes[N];
         if (!FirstNode)
           Out += ",";
         FirstNode = false;
@@ -853,7 +854,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
                       It.R.Tree->element(Node.Element).Kind)
                 : "?");
         Out += ",\"candidates\":[";
-        auto Top = Bundle->Model.topK(It.G, N, Pred, It.D.K);
+        auto Top = Bundle->Model.topK(G, N, Pred, It.D.K);
         bool FirstCand = true;
         for (const auto &[Label, Score] : Top) {
           if (!FirstCand)
@@ -865,7 +866,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
         Out += "]";
         if (It.D.Explain && Pred[N].isValid()) {
           crf::NodeExplanation E = Bundle->Model.explain(
-              It.G, N, Pred[N], Pred, Config.ExplainPaths);
+              G, N, Pred[N], Pred, Config.ExplainPaths);
           Out += ",\"explain\":{\"total\":" +
                  telemetry::jsonNumber(E.Total) +
                  ",\"bias\":" + telemetry::jsonNumber(E.Bias) +

@@ -29,7 +29,7 @@ inline uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
 
 /// FNV-1a over raw bytes. Unlike std::hash this is *stable*: the value is
 /// pinned by the algorithm, not the standard library build, so it is safe
-/// to persist — the stored open-addressed indexes of bundle format v3
+/// to persist — the stored open-addressed indexes of the mmap bundle format
 /// (frozen interner / path table) are probed with exactly this hash by
 /// whatever binary maps them later.
 inline uint64_t stableHashBytes(const void *Data, size_t Len) {

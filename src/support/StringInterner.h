@@ -28,7 +28,7 @@
 /// remapping — the merge cost is proportional to the number of *novel*
 /// strings, not to the corpus (see DESIGN.md §Parallelism).
 ///
-/// A third mode serves mmap'ed model bundles (format v3): a *frozen view*
+/// A third mode serves mmap'ed model bundles: a *frozen view*
 /// interner resolves ids below FrozenStrings::Count against an external
 /// arena — an offset table plus concatenated bytes, typically pages of a
 /// mapped file the interner does not own — through a stored
@@ -36,7 +36,7 @@
 /// (stableHashBytes). No strings are copied or re-hashed at load; novel
 /// strings still intern normally and take ids after the frozen range, so
 /// a mapped bundle keeps the exact "new ids follow saved ids" contract of
-/// a stream-loaded one (see DESIGN.md §Bundle format v3).
+/// a stream-loaded one (see DESIGN.md §11).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- TempBundle.h - Bundles round-tripped through a v3 file ---*- C++ -*-===//
+//===- TempBundle.h - Bundles round-tripped through a file -----*- C++ -*-===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
@@ -48,8 +48,8 @@ private:
   std::string PathStr;
 };
 
-/// The v3 image of \p Bundle.
-inline std::string v3Bytes(const core::ModelBundle &Bundle) {
+/// The bundle image saveModelV3 writes for \p Bundle.
+inline std::string bundleBytes(const core::ModelBundle &Bundle) {
   std::ostringstream OS;
   core::saveModelV3(OS, Bundle);
   return OS.str();
@@ -64,10 +64,10 @@ mapBytes(const std::string &Bytes, core::LoadDiag *Diag = nullptr) {
   return core::openMappedBundle(File.path(), Diag, /*VerifyChecksum=*/true);
 }
 
-/// Writes \p Bundle as v3 and maps it back.
+/// Writes \p Bundle to a file and maps it back.
 inline std::unique_ptr<core::ModelBundle>
 remap(const core::ModelBundle &Bundle, core::LoadDiag *Diag = nullptr) {
-  return mapBytes(v3Bytes(Bundle), Diag);
+  return mapBytes(bundleBytes(Bundle), Diag);
 }
 
 } // namespace test

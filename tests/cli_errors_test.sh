@@ -65,29 +65,38 @@ grep -q "accuracy n/a (n=0)" "$TMP/out4" \
 grep -q "no elements to evaluate" "$TMP/err4" \
   || fail "empty eval stderr lacks the explanation: $(cat "$TMP/err4")"
 
-# 5. a bundle of the retired v2 stream format: predict and serve name the
-#    version and exit 1, never crash. The file is a v2 header: the
-#    little-endian magic 0x50494742 ("BGIP" on disk), version 2, then
-#    lang/task/extraction bytes.
+# 5. bundles of the retired formats: predict and serve name the version,
+#    hint at retraining and exit 1, never crash. Each file is a header:
+#    the little-endian magic 0x50494742 ("BGIP" on disk), the version,
+#    then v2's lang/task/extraction bytes or v3's file size and settings.
 printf 'BGIP\002\000\000\000\000\000\004\000\000\000\003\000\000\000\000\001' \
   > "$TMP/v2.bin"
-"$PIGEON" predict --model "$TMP/v2.bin" "$TMP/a.js" > /dev/null 2> "$TMP/err5"
-RC=$?
-[ "$RC" = 1 ] || fail "predict on a v2 bundle exited $RC, not 1"
-grep -q "expected 3, found 2" "$TMP/err5" \
-  || fail "predict on a v2 bundle lacks the version mismatch: $(cat "$TMP/err5")"
-"$PIGEON" serve --model "$TMP/v2.bin" --stdio < /dev/null > /dev/null \
-  2> "$TMP/err5s"
-RC=$?
-[ "$RC" = 1 ] || fail "serve on a v2 bundle exited $RC, not 1"
-grep -q "expected 3, found 2" "$TMP/err5s" \
-  || fail "serve on a v2 bundle lacks the version mismatch: $(cat "$TMP/err5s")"
+printf 'BGIP\003\000\000\000\000\020\000\000\000\000\000\000\000\000\000\001\004\000\000\000\003\000\000\000\015\000\000\000' \
+  > "$TMP/v3.bin"
+for V in 2 3; do
+  "$PIGEON" predict --model "$TMP/v$V.bin" "$TMP/a.js" > /dev/null \
+    2> "$TMP/err5"
+  RC=$?
+  [ "$RC" = 1 ] || fail "predict on a v$V bundle exited $RC, not 1"
+  grep -q "expected 4, found $V" "$TMP/err5" \
+    || fail "predict on a v$V bundle lacks the version mismatch: $(cat "$TMP/err5")"
+  grep -q "retrain" "$TMP/err5" \
+    || fail "predict on a v$V bundle lacks the retrain hint: $(cat "$TMP/err5")"
+  "$PIGEON" serve --model "$TMP/v$V.bin" --stdio < /dev/null > /dev/null \
+    2> "$TMP/err5s"
+  RC=$?
+  [ "$RC" = 1 ] || fail "serve on a v$V bundle exited $RC, not 1"
+  grep -q "expected 4, found $V" "$TMP/err5s" \
+    || fail "serve on a v$V bundle lacks the version mismatch: $(cat "$TMP/err5s")"
+  grep -q "retrain" "$TMP/err5s" \
+    || fail "serve on a v$V bundle lacks the retrain hint: $(cat "$TMP/err5s")"
+done
 
-# 6. a bundle whose string arena (the first section, at byte 360) was
+# 6. a bundle whose string arena (the first section, at byte 312) was
 #    damaged in place: still well-formed, so predict serves it, but eval
 #    verifies the trailer checksum and refuses it.
 cp "$TMP/model.bin" "$TMP/damaged.bin"
-printf '\001' | dd of="$TMP/damaged.bin" bs=1 seek=363 conv=notrunc 2> /dev/null
+printf '\001' | dd of="$TMP/damaged.bin" bs=1 seek=315 conv=notrunc 2> /dev/null
 "$PIGEON" predict --model "$TMP/damaged.bin" "$TMP/a.js" > /dev/null 2>&1 \
   || fail "predict refused a structurally valid bundle"
 if "$PIGEON" eval --model "$TMP/damaged.bin" --lang js "$TMP/corpus" \

@@ -9,6 +9,7 @@
 #include "datagen/Sketch.h"
 #include "lang/js/JsParser.h"
 #include "support/Hashing.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -441,6 +442,129 @@ TEST(WeightTable, IterationVisitsEachKeyOnce) {
 }
 
 //===----------------------------------------------------------------------===//
+// Frozen tables: the shared probe
+//===----------------------------------------------------------------------===//
+
+/// The entries stored in \p T (key 0's restored to key 0), by key.
+template <typename Slot>
+std::vector<Slot> storedEntries(const FrozenTable<Slot> &T) {
+  std::vector<Slot> Out;
+  for (uint64_t I = 0; I <= T.Mask; ++I)
+    if (T.Slots[I].Key != 0)
+      Out.push_back(T.Slots[I]);
+  if (T.Slots[T.Mask + 1].Key != 0) {
+    Out.push_back(T.Slots[T.Mask + 1]);
+    Out.back().Key = 0;
+  }
+  std::sort(Out.begin(), Out.end(),
+            [](const Slot &A, const Slot &B) { return A.Key < B.Key; });
+  return Out;
+}
+
+/// Distinct random keys: about half share their low 16 bits with one
+/// another so probe chains run long, and key 0 joins when \p WithZero.
+std::vector<uint64_t> tableKeys(Rng &R, size_t Count, bool WithZero) {
+  std::set<uint64_t> Keys;
+  if (WithZero && Count > 0)
+    Keys.insert(0);
+  while (Keys.size() < Count) {
+    uint64_t Key = R.next();
+    if (R.nextBelow(2) == 0)
+      Key = (Key << 16) | 0x2a5c;
+    if (Key != 0)
+      Keys.insert(Key);
+  }
+  return {Keys.begin(), Keys.end()};
+}
+
+TEST(FrozenTable, ProbeMatchesSortedReferenceAndWeightTable) {
+  Rng R = Rng::forStream(17, "frozen-table-test");
+  for (size_t Count : {0, 1, 2, 3, 4, 7, 48, 49, 1000, 6000}) {
+    for (bool WithZero : {false, true}) {
+      SCOPED_TRACE(testing::Message() << Count << " keys, zero " << WithZero);
+      std::vector<uint64_t> Keys = tableKeys(R, Count, WithZero);
+      std::vector<WeightSlot> Entries;
+      WeightTable Live;
+      for (uint64_t Key : Keys) {
+        Entries.push_back({Key, R.nextDouble() - 0.5});
+        Live.findOrInsert(Key).Weight = Entries.back().Weight;
+      }
+      // Keys arrive sorted: the sorted-array reference the tables replace.
+      auto Reference = [&](uint64_t Key) -> const WeightSlot * {
+        auto It = std::lower_bound(
+            Entries.begin(), Entries.end(), Key,
+            [](const WeightSlot &S, uint64_t K) { return S.Key < K; });
+        return It != Entries.end() && It->Key == Key ? &*It : nullptr;
+      };
+
+      std::vector<WeightSlot> Shuffled = Entries;
+      R.shuffle(Shuffled);
+      std::vector<WeightSlot> Slots = freezeTable(Shuffled);
+      // The smallest power-of-two table at most 3/4 full, plus key 0's.
+      bool HasZero = !Keys.empty() && Keys.front() == 0;
+      size_t Cap = Slots.size() - 1, Probed = Count - (HasZero ? 1 : 0);
+      ASSERT_EQ(Cap & (Cap - 1), 0u);
+      EXPECT_LE(Probed * 4, Cap * 3);
+      EXPECT_TRUE(Cap == 1 || Probed * 4 > Cap / 2 * 3);
+      // The layout depends on the key set, not on the insertion order.
+      std::vector<WeightSlot> Again = freezeTable(Entries);
+      ASSERT_EQ(Again.size(), Slots.size());
+      EXPECT_EQ(std::memcmp(Again.data(), Slots.data(),
+                            Slots.size() * sizeof(WeightSlot)),
+                0);
+
+      FrozenTable<WeightSlot> T{Slots.data(), Cap - 1};
+      auto Check = [&](uint64_t Key) {
+        const WeightSlot *Want = Reference(Key);
+        const WeightSlot *Got = T.find(Key);
+        ASSERT_EQ(Got != nullptr, Want != nullptr) << Key;
+        double Expect = Want ? Want->Weight : 0.0;
+        if (Got) {
+          EXPECT_EQ(Got->Weight, Expect) << Key;
+        }
+        EXPECT_EQ(Live.weight(Key), Expect) << Key;
+      };
+      for (uint64_t Key : Keys)
+        Check(Key);
+      for (uint64_t Key : tableKeys(R, 200, /*WithZero=*/!WithZero))
+        Check(Key);
+      EXPECT_EQ(storedEntries(T).size(), Count);
+    }
+  }
+}
+
+TEST(FrozenTable, CandidateSlotsKeepTheirRanges) {
+  Rng R = Rng::forStream(18, "frozen-table-test");
+  std::vector<uint64_t> Keys = tableKeys(R, 300, /*WithZero=*/true);
+  std::vector<CandSlot> Entries;
+  for (uint32_t I = 0; I < Keys.size(); ++I)
+    Entries.push_back({Keys[I], 3 * I, I % 5});
+  std::vector<CandSlot> Slots = freezeTable(Entries);
+  FrozenTable<CandSlot> T{Slots.data(), Slots.size() - 2};
+  for (const CandSlot &E : Entries) {
+    const CandSlot *S = T.find(E.Key);
+    ASSERT_NE(S, nullptr) << E.Key;
+    EXPECT_EQ(S->First, E.First);
+    EXPECT_EQ(S->Count, E.Count);
+  }
+  EXPECT_EQ(T.find(0x2a5c), nullptr);
+}
+
+TEST(FrozenTable, FullTableTerminatesOnAbsentKeys) {
+  // A table with no empty slot never comes out of freezeTable, but a
+  // hostile mapped file can hold one: the probe gives up after one lap.
+  for (uint64_t Cap : {1u, 2u, 64u}) {
+    std::vector<WeightSlot> Slots(Cap + 1);
+    for (uint64_t I = 0; I < Cap; ++I)
+      Slots[I] = {I + 1, 1.0};
+    FrozenTable<WeightSlot> T{Slots.data(), Cap - 1};
+    EXPECT_EQ(T.find(Cap + 1), nullptr);
+    EXPECT_EQ(T.find(0), nullptr);
+    EXPECT_NE(T.find(Cap), nullptr);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Golden digests: trained state and predictions pinned across builds
 //===----------------------------------------------------------------------===//
 
@@ -469,14 +593,33 @@ private:
   std::string Bytes;
 };
 
+/// Digests the model's state in the key-sorted layout the constants were
+/// first pinned over (weight keys and values, context keys with entry
+/// offsets and pairs, pruned paths, global labels), rebuilt from the
+/// hashed tables so the digest does not depend on the table layout.
 uint64_t modelDigest(const CrfModel &Model) {
   const FrozenCrf &F = Model.image();
+  std::vector<uint64_t> WeightKeys, CandKeys, CandOffsets = {0};
+  std::vector<double> WeightVals;
+  std::vector<uint32_t> CandPairs;
+  for (const WeightSlot &S : storedEntries(F.Weights)) {
+    WeightKeys.push_back(S.Key);
+    WeightVals.push_back(S.Weight);
+  }
+  for (const CandSlot &S : storedEntries(F.Cands)) {
+    CandKeys.push_back(S.Key);
+    CandPairs.insert(CandPairs.end(), F.CandPairs + 2 * size_t(S.First),
+                     F.CandPairs + 2 * (size_t(S.First) + S.Count));
+    CandOffsets.push_back(CandOffsets.back() + S.Count);
+  }
+  EXPECT_EQ(WeightKeys.size(), F.NumWeights);
+  EXPECT_EQ(CandKeys.size(), F.NumCands);
   DigestBuffer D;
-  D.array(F.WeightKeys, F.NumWeights);
-  D.array(F.WeightVals, F.NumWeights); // Raw IEEE bits, not rounded.
-  D.array(F.CandKeys, F.NumCands);
-  D.array(F.CandOffsets, F.NumCands + 1);
-  D.array(F.CandPairs, 2 * F.CandOffsets[F.NumCands]);
+  D.array(WeightKeys.data(), WeightKeys.size());
+  D.array(WeightVals.data(), WeightVals.size()); // Raw IEEE bits.
+  D.array(CandKeys.data(), CandKeys.size());
+  D.array(CandOffsets.data(), CandOffsets.size());
+  D.array(CandPairs.data(), CandPairs.size());
   D.array(F.PrunedKeys, F.NumPruned);
   D.array(F.GlobalTop, F.NumGlobal);
   return D.digest();
@@ -485,12 +628,11 @@ uint64_t modelDigest(const CrfModel &Model) {
 /// An owned copy of \p V's arrays, independent of the model it came from.
 FlatCrf copyOf(const FrozenCrf &V) {
   FlatCrf F;
-  F.WeightKeys.assign(V.WeightKeys, V.WeightKeys + V.NumWeights);
-  F.WeightVals.assign(V.WeightVals, V.WeightVals + V.NumWeights);
-  F.CandKeys.assign(V.CandKeys, V.CandKeys + V.NumCands);
-  F.CandOffsets.assign(V.CandOffsets, V.CandOffsets + V.NumCands + 1);
-  F.CandPairs.assign(V.CandPairs,
-                     V.CandPairs + 2 * V.CandOffsets[V.NumCands]);
+  F.Weights.assign(V.Weights.Slots, V.Weights.Slots + V.Weights.numSlots());
+  F.NumWeights = V.NumWeights;
+  F.Cands.assign(V.Cands.Slots, V.Cands.Slots + V.Cands.numSlots());
+  F.NumCands = V.NumCands;
+  F.CandPairs.assign(V.CandPairs, V.CandPairs + 2 * V.NumCandPairs);
   F.PrunedKeys.assign(V.PrunedKeys, V.PrunedKeys + V.NumPruned);
   F.GlobalTop.assign(V.GlobalTop, V.GlobalTop + V.NumGlobal);
   return F;
@@ -612,7 +754,7 @@ TEST(CrfKernel, GoldenDigests) {
     EXPECT_EQ(Pred.Assignments, Case.Assignments) << hex(Pred.Assignments);
     EXPECT_EQ(Pred.Scores, Case.Scores) << hex(Pred.Scores);
 
-    // A separately owned copy of the image, adopted the way a mapped v3
+    // A separately owned copy of the image, adopted the way a mapped
     // bundle's sections are, must reproduce the same state and the same
     // predictions.
     FlatCrf Copy = copyOf(Model.image());

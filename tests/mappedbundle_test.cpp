@@ -1,4 +1,4 @@
-//===- mappedbundle_test.cpp - Unit tests for v3 mmap bundles --------------===//
+//===- mappedbundle_test.cpp - Unit tests for mmap bundles ----------------===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
@@ -8,9 +8,11 @@
 /// (round trips, determinism, trained-vs-mapped prediction identity
 /// across languages and tasks, live extension over frozen arenas) and
 /// the hostile side (truncation, misalignment, overlap, checksum damage,
-/// crafted overflowing section bounds, retired-version reads). Every
-/// hostile case must fail closed — nullptr plus a diagnostic naming the
-/// byte offset — and never read out of bounds.
+/// crafted overflowing section bounds, malformed hashed tables,
+/// retired-version reads). Every hostile case must fail closed — nullptr
+/// plus a diagnostic naming the byte offset — or, where validation
+/// deliberately does not look (the weight table's slots), load and still
+/// answer; none may read out of bounds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 
 #include "lang/java/JavaParser.h"
 #include "lang/js/JsParser.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
@@ -33,7 +36,7 @@ using namespace pigeon::ast;
 using namespace pigeon::core;
 using pigeon::lang::Language;
 using pigeon::test::TempFile;
-using pigeon::test::v3Bytes;
+using pigeon::test::bundleBytes;
 
 namespace {
 
@@ -97,6 +100,44 @@ std::string signatureOf(ModelBundle &Bundle, const std::string &Source) {
   return Sig;
 }
 
+/// The fixed image layout: a 48-byte header, then one 24-byte entry per
+/// section (kind, reserved, offset, length). The section count is read
+/// from the header, so these follow the format.
+constexpr size_t HeaderBytes = 48, SectionEntryBytes = 24;
+constexpr uint32_t SecWeights = 6, SecCands = 7, SecCandPairs = 8; // 0-based.
+
+uint32_t sectionCount(const std::string &Img) {
+  uint32_t Count;
+  std::memcpy(&Count, Img.data() + 28, 4);
+  return Count;
+}
+
+/// The end of the header plus section table.
+size_t sectionTableEnd(const std::string &Img) {
+  return HeaderBytes + sectionCount(Img) * SectionEntryBytes;
+}
+
+/// Byte position of section \p Index's offset (+8) or length (+16) field.
+size_t entryField(uint32_t Index, size_t Field) {
+  return HeaderBytes + Index * SectionEntryBytes + Field;
+}
+
+uint64_t u64At(const std::string &Img, size_t Pos) {
+  uint64_t V;
+  std::memcpy(&V, Img.data() + Pos, 8);
+  return V;
+}
+
+void putU64(std::string &Img, size_t Pos, uint64_t V) {
+  std::memcpy(Img.data() + Pos, &V, 8);
+}
+
+/// Recomputes the trailer checksum, so a crafted image fails (or passes)
+/// on its structure alone.
+void reseal(std::string &Img) {
+  putU64(Img, Img.size() - 16, stableHashBytes(Img.data(), Img.size() - 16));
+}
+
 /// Maps a (possibly corrupted) byte image and expects rejection; returns
 /// the diagnostic for content checks.
 LoadDiag expectRejected(const std::string &Bytes) {
@@ -122,7 +163,7 @@ TEST(MappedBundle, V3RoundTripPredictsIdentically) {
   std::string Before = signatureOf(Original, MinifiedJs);
   ASSERT_FALSE(Before.empty());
 
-  TempFile File(v3Bytes(Original));
+  TempFile File(bundleBytes(Original));
   LoadDiag Diag;
   auto Mapped = openMappedBundle(File.path(), &Diag, /*VerifyChecksum=*/true);
   ASSERT_NE(Mapped, nullptr) << Diag.Error;
@@ -167,23 +208,23 @@ TEST(MappedBundle, TrainedAndMappedPredictIdenticallyAcrossLangsAndTasks) {
 
 TEST(MappedBundle, SaveIsDeterministic) {
   ModelBundle Original = trainBundle();
-  EXPECT_EQ(v3Bytes(Original), v3Bytes(Original));
+  EXPECT_EQ(bundleBytes(Original), bundleBytes(Original));
 }
 
 TEST(MappedBundle, FrozenRoundTripResavesIdentically) {
   // map -> saveModelV3 must reproduce the file byte for byte: a mapped
   // model's image is the trained model's image.
   ModelBundle Original = trainBundle();
-  std::string First = v3Bytes(Original);
+  std::string First = bundleBytes(Original);
   TempFile File(First);
   auto Mapped = openMappedBundle(File.path());
   ASSERT_NE(Mapped, nullptr);
-  EXPECT_EQ(v3Bytes(*Mapped), First);
+  EXPECT_EQ(bundleBytes(*Mapped), First);
 }
 
 TEST(MappedBundle, NewStringsAndPathsExtendFrozenArenas) {
   ModelBundle Original = trainBundle();
-  TempFile File(v3Bytes(Original));
+  TempFile File(bundleBytes(Original));
   auto Mapped = openMappedBundle(File.path());
   ASSERT_NE(Mapped, nullptr);
 
@@ -206,35 +247,49 @@ TEST(MappedBundle, NewStringsAndPathsExtendFrozenArenas) {
 // Retired versions (expected-vs-found diagnostics)
 //===----------------------------------------------------------------------===//
 
-TEST(MappedBundle, V2FedToV3ReaderFailsWithHint) {
-  // The head of a v2 stream bundle: the same magic, version 2, then the
-  // language, task and extraction settings. Varint-coded tables follow.
-  std::string V2;
-  auto Pod = [&V2](const auto &Value) {
-    V2.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
-  };
-  Pod(uint32_t{0x50494742}); // "PIGB"
-  Pod(uint32_t{2});
-  Pod(uint8_t{0}); // JavaScript.
-  Pod(uint8_t{0}); // Variable names.
-  Pod(int32_t{4}); // max_length.
-  Pod(int32_t{3}); // max_width.
-  Pod(uint8_t{0}); // Abstraction.
-  Pod(uint8_t{1}); // Semi-paths.
-  // Short or long, the file is named by its version.
-  for (const std::string &Img : {V2, V2 + std::string(4096, '\1')}) {
-    LoadDiag Diag = expectRejected(Img);
-    EXPECT_EQ(Diag.Offset, 4u);
-    EXPECT_NE(Diag.Error.find("bundle version mismatch: expected 3, found 2"),
-              std::string::npos)
-        << Diag.Error;
-    EXPECT_NE(Diag.Error.find("retrain"), std::string::npos) << Diag.Error;
+TEST(MappedBundle, RetiredVersionsFailWithHint) {
+  // The heads of retired bundles: the same magic, then version 2 (the
+  // stream format, followed by language, task and extraction settings)
+  // or version 3 (the sorted-array mmap format, followed by its file
+  // size and a 48-byte header of the same shape).
+  for (uint32_t Version : {2u, 3u}) {
+    std::string Head;
+    auto Pod = [&Head](const auto &Value) {
+      Head.append(reinterpret_cast<const char *>(&Value), sizeof(Value));
+    };
+    Pod(uint32_t{0x50494742}); // "PIGB"
+    Pod(Version);
+    if (Version == 2) {
+      Pod(uint8_t{0}); // JavaScript.
+      Pod(uint8_t{0}); // Variable names.
+      Pod(int32_t{4}); // max_length.
+      Pod(int32_t{3}); // max_width.
+      Pod(uint8_t{0}); // Abstraction.
+      Pod(uint8_t{1}); // Semi-paths.
+    } else {
+      Pod(uint64_t{4096}); // File size.
+      Pod(uint32_t{0x01000000}); // Lang, task, abstraction, semi-paths.
+      Pod(int32_t{4});           // max_length.
+      Pod(int32_t{3});           // max_width.
+      Pod(uint32_t{13});         // Section count.
+    }
+    // Short or long, the file is named by its version.
+    for (const std::string &Img :
+         {Head, Head + std::string(4096 - Head.size(), '\1')}) {
+      LoadDiag Diag = expectRejected(Img);
+      EXPECT_EQ(Diag.Offset, 4u);
+      EXPECT_NE(Diag.Error.find("bundle version mismatch: expected 4, found " +
+                                std::to_string(Version)),
+                std::string::npos)
+          << Diag.Error;
+      EXPECT_NE(Diag.Error.find("retrain"), std::string::npos) << Diag.Error;
+    }
   }
 }
 
 TEST(MappedBundle, BadMagicReportsExpectedAndFound) {
   ModelBundle Original = trainBundle();
-  std::string Img = v3Bytes(Original);
+  std::string Img = bundleBytes(Original);
   Img[0] = 'X';
   LoadDiag Diag = expectRejected(Img);
   EXPECT_EQ(Diag.Offset, 0u);
@@ -248,26 +303,25 @@ TEST(MappedBundle, BadMagicReportsExpectedAndFound) {
 
 TEST(MappedBundle, TruncationAnywhereIsRejected) {
   ModelBundle Original = trainBundle();
-  std::string Img = v3Bytes(Original);
+  std::string Img = bundleBytes(Original);
   for (size_t Keep :
-       {size_t(0), size_t(7), size_t(47), size_t(359), Img.size() / 4,
-        Img.size() / 2, Img.size() - 16, Img.size() - 1})
+       {size_t(0), size_t(7), size_t(47), sectionTableEnd(Img) - 1,
+        Img.size() / 4, Img.size() / 2, Img.size() - 16, Img.size() - 1})
     expectRejected(Img.substr(0, Keep));
 }
 
 TEST(MappedBundle, TrailingGarbageIsRejected) {
   ModelBundle Original = trainBundle();
-  expectRejected(v3Bytes(Original) + std::string(64, '\0'));
+  expectRejected(bundleBytes(Original) + std::string(64, '\0'));
 }
 
 TEST(MappedBundle, MisalignedSectionIsRejected) {
   ModelBundle Original = trainBundle();
-  for (uint32_t Sec = 0; Sec < 13; ++Sec) {
-    std::string Img = v3Bytes(Original);
-    uint64_t Off;
-    std::memcpy(&Off, Img.data() + 48 + Sec * 24 + 8, 8);
-    Off += 4; // Break 8-byte alignment but stay in bounds.
-    std::memcpy(Img.data() + 48 + Sec * 24 + 8, &Off, 8);
+  std::string Pristine = bundleBytes(Original);
+  for (uint32_t Sec = 0; Sec < sectionCount(Pristine); ++Sec) {
+    std::string Img = Pristine;
+    // Break 8-byte alignment but stay in bounds.
+    putU64(Img, entryField(Sec, 8), u64At(Img, entryField(Sec, 8)) + 4);
     LoadDiag Diag = expectRejected(Img);
     EXPECT_NE(Diag.Error.find("align"), std::string::npos)
         << "section " << Sec << ": " << Diag.Error;
@@ -276,7 +330,7 @@ TEST(MappedBundle, MisalignedSectionIsRejected) {
 
 TEST(MappedBundle, OverlappingSectionsAreRejected) {
   ModelBundle Original = trainBundle();
-  std::string Img = v3Bytes(Original);
+  std::string Img = bundleBytes(Original);
   // Point the string-offsets section back into the string arena.
   uint64_t ArenaOff;
   std::memcpy(&ArenaOff, Img.data() + 48 + 8, 8);
@@ -289,12 +343,12 @@ TEST(MappedBundle, CraftedOverflowingSectionBoundsAreRejected) {
   // arithmetic, not slip under the `end <= size` bound. One crafted
   // header per section.
   ModelBundle Original = trainBundle();
-  for (uint32_t Sec = 0; Sec < 13; ++Sec) {
-    std::string Img = v3Bytes(Original);
+  std::string Pristine = bundleBytes(Original);
+  for (uint32_t Sec = 0; Sec < sectionCount(Pristine); ++Sec) {
+    std::string Img = Pristine;
     // 2^64 - 8: 8-byte aligned, so only the checked add can reject it.
-    uint64_t Off = UINT64_MAX - 7, Len = 64;
-    std::memcpy(Img.data() + 48 + Sec * 24 + 8, &Off, 8);
-    std::memcpy(Img.data() + 48 + Sec * 24 + 16, &Len, 8);
+    putU64(Img, entryField(Sec, 8), UINT64_MAX - 7);
+    putU64(Img, entryField(Sec, 16), 64);
     LoadDiag Diag = expectRejected(Img);
     EXPECT_NE(Diag.Error.find("overflows"), std::string::npos)
         << "section " << Sec << ": " << Diag.Error;
@@ -303,7 +357,7 @@ TEST(MappedBundle, CraftedOverflowingSectionBoundsAreRejected) {
 
 TEST(MappedBundle, ChecksumDamageIsRejectedWhenVerifying) {
   ModelBundle Original = trainBundle();
-  std::string Img = v3Bytes(Original);
+  std::string Img = bundleBytes(Original);
   // Flip one bit inside the string arena: structure stays valid, bytes
   // do not.
   uint64_t ArenaOff;
@@ -320,7 +374,7 @@ TEST(MappedBundle, ChecksumDamageIsRejectedWhenVerifying) {
 
 TEST(MappedBundle, BadTrailerMagicIsRejected) {
   ModelBundle Original = trainBundle();
-  std::string Img = v3Bytes(Original);
+  std::string Img = bundleBytes(Original);
   Img[Img.size() - 8] ^= 0xFF;
   LoadDiag Diag = expectRejected(Img);
   EXPECT_NE(Diag.Error.find("trailer"), std::string::npos) << Diag.Error;
@@ -330,7 +384,7 @@ TEST(MappedBundle, CorruptOffsetArraysAreRejected) {
   ModelBundle Original = trainBundle();
   // Non-monotonic string offsets.
   {
-    std::string Img = v3Bytes(Original);
+    std::string Img = bundleBytes(Original);
     uint64_t OffsetsOff;
     std::memcpy(&OffsetsOff, Img.data() + 48 + 24 + 8, 8);
     uint64_t Huge = UINT64_MAX / 2;
@@ -339,7 +393,7 @@ TEST(MappedBundle, CorruptOffsetArraysAreRejected) {
   }
   // Stored string-index slot out of range.
   {
-    std::string Img = v3Bytes(Original);
+    std::string Img = bundleBytes(Original);
     uint64_t IndexOff, IndexLen;
     std::memcpy(&IndexOff, Img.data() + 48 + 2 * 24 + 8, 8);
     std::memcpy(&IndexLen, Img.data() + 48 + 2 * 24 + 16, 8);
@@ -361,7 +415,7 @@ TEST(MappedBundle, ZeroLengthArenasLoad) {
                                      Task::VariableNames);
   Empty.TaskKind = Task::VariableNames;
 
-  TempFile File(v3Bytes(Empty));
+  TempFile File(bundleBytes(Empty));
   LoadDiag Diag;
   auto Mapped = openMappedBundle(File.path(), &Diag, /*VerifyChecksum=*/true);
   ASSERT_NE(Mapped, nullptr) << Diag.Error;
@@ -372,13 +426,137 @@ TEST(MappedBundle, ZeroLengthArenasLoad) {
   EXPECT_EQ(Mapped->Interner->intern("fresh").index(), 1u);
 }
 
+TEST(MappedBundle, TableSlotCountMustBeTwoToTheKPlusOne) {
+  ModelBundle Original = trainBundle();
+  std::string Pristine = bundleBytes(Original);
+  for (uint32_t Sec : {SecWeights, SecCands}) {
+    // One slot short is 2^k slots: no room for the key-0 slot.
+    std::string Img = Pristine;
+    putU64(Img, entryField(Sec, 16), u64At(Img, entryField(Sec, 16)) - 16);
+    reseal(Img);
+    LoadDiag Diag = expectRejected(Img);
+    EXPECT_EQ(Diag.Offset, entryField(Sec, 16));
+    EXPECT_NE(Diag.Error.find("expected 2^k + 1"), std::string::npos)
+        << Diag.Error;
+    // A length that is not a whole number of 16-byte slots.
+    Img = Pristine;
+    putU64(Img, entryField(Sec, 16), u64At(Img, entryField(Sec, 16)) - 8);
+    reseal(Img);
+    Diag = expectRejected(Img);
+    EXPECT_NE(Diag.Error.find("not a multiple of 16"), std::string::npos)
+        << Diag.Error;
+  }
+  // A lone key-0 slot, with no probed slot, is not a table either.
+  std::string Img = Pristine;
+  putU64(Img, entryField(SecWeights, 16), 16);
+  reseal(Img);
+  EXPECT_NE(expectRejected(Img).Error.find("expected 2^k + 1"),
+            std::string::npos);
+}
+
+TEST(MappedBundle, WeightCountPastTheLoadLimitIsRejected) {
+  ModelBundle Original = trainBundle();
+  std::string Img = bundleBytes(Original);
+  uint64_t Slots = u64At(Img, entryField(SecWeights, 16)) / 16;
+  EXPECT_EQ(u64At(Img, 40), Original.Model.numFeatures());
+  putU64(Img, 40, 3 * (Slots - 1) / 4 + 2);
+  reseal(Img);
+  LoadDiag Diag = expectRejected(Img);
+  EXPECT_EQ(Diag.Offset, 40u);
+  EXPECT_NE(Diag.Error.find("weight count"), std::string::npos) << Diag.Error;
+}
+
+TEST(MappedBundle, CandidateRangesPastThePairSectionAreRejected) {
+  ModelBundle Original = trainBundle();
+  std::string Pristine = bundleBytes(Original);
+  uint64_t TableOff = u64At(Pristine, entryField(SecCands, 8));
+  uint64_t Slots = u64At(Pristine, entryField(SecCands, 16)) / 16;
+  uint64_t Pairs = u64At(Pristine, entryField(SecCandPairs, 16)) / 8;
+  ASSERT_LT(Pairs, uint64_t(UINT32_MAX) - 8);
+  // The first occupied probed slot, and the key-0 slot (flagged present).
+  size_t Occupied = 0;
+  while (u64At(Pristine, TableOff + Occupied * 16) == 0)
+    ++Occupied;
+  ASSERT_LT(Occupied, Slots - 1);
+  for (size_t Slot : {Occupied, size_t(Slots - 1)}) {
+    auto Crafted = [&](uint32_t First, uint32_t Count) {
+      std::string Img = Pristine;
+      size_t At = TableOff + Slot * 16;
+      if (Slot == Slots - 1)
+        putU64(Img, At, 1); // Key 0 is stored.
+      std::memcpy(Img.data() + At + 8, &First, 4);
+      std::memcpy(Img.data() + At + 12, &Count, 4);
+      reseal(Img);
+      return Img;
+    };
+    // Ends exactly at the section's end: fine.
+    EXPECT_NE(test::mapBytes(Crafted(uint32_t(Pairs - 2), 2)), nullptr);
+    // One pair past it.
+    LoadDiag Diag = expectRejected(Crafted(uint32_t(Pairs - 1), 2));
+    EXPECT_EQ(Diag.Offset, TableOff + Slot * 16 + 8);
+    EXPECT_NE(Diag.Error.find("pass the"), std::string::npos) << Diag.Error;
+    // First + Count wraps to 2 in 32 bits, well inside the section.
+    Diag = expectRejected(Crafted(UINT32_MAX - 1, 4));
+    EXPECT_EQ(Diag.Offset, TableOff + Slot * 16 + 8);
+  }
+  // A key-0 flag other than 0 or 1.
+  std::string Img = Pristine;
+  putU64(Img, TableOff + (Slots - 1) * 16, 2);
+  reseal(Img);
+  EXPECT_NE(expectRejected(Img).Error.find("key-0 slot flag"),
+            std::string::npos);
+}
+
+TEST(MappedBundle, FullTablesLoadOrFailClosed) {
+  // No table the writer emits is more than 3/4 full, but a hostile one
+  // can have every slot occupied. The walked candidate table fails
+  // closed; the weight table, never walked, loads, and every probe still
+  // ends: absent keys read as absent.
+  ModelBundle Original = trainBundle();
+  std::string Pristine = bundleBytes(Original);
+  auto Fill = [&](uint32_t Sec) {
+    std::string Img = Pristine;
+    uint64_t Off = u64At(Img, entryField(Sec, 8));
+    uint64_t Slots = u64At(Img, entryField(Sec, 16)) / 16;
+    for (uint64_t I = 0; I + 1 < Slots; ++I)
+      if (u64At(Img, Off + I * 16) == 0) {
+        putU64(Img, Off + I * 16, (I << 20) | 0xfffff); // Probes from I.
+        putU64(Img, Off + I * 16 + 8, 0); // Weight 0.0, or pairs [0, 0).
+      }
+    reseal(Img);
+    return Img;
+  };
+
+  LoadDiag Diag = expectRejected(Fill(SecCands));
+  EXPECT_NE(Diag.Error.find("3/4 load limit"), std::string::npos)
+      << Diag.Error;
+
+  auto Mapped = test::mapBytes(Fill(SecWeights), &Diag);
+  ASSERT_NE(Mapped, nullptr) << Diag.Error;
+  const crf::FrozenCrf &F = Mapped->Model.image();
+  EXPECT_EQ(F.Weights.find(0x5eed5eed5eed5eedULL), nullptr);
+  EXPECT_EQ(F.Weights.find(0), nullptr);
+  // Predictions run to completion over the full table.
+  EXPECT_FALSE(signatureOf(*Mapped, MinifiedJs).empty());
+
+  // The candidate lookup shares the probe: an absent context in a full
+  // table finds no slot, hence an empty candidate list.
+  std::vector<crf::CandSlot> Full(65);
+  for (uint64_t I = 0; I < 64; ++I)
+    Full[I].Key = I + 1;
+  crf::FrozenTable<crf::CandSlot> T{Full.data(), 63};
+  EXPECT_EQ(T.find(65), nullptr);
+  EXPECT_NE(T.find(64), nullptr);
+}
+
 TEST(MappedBundle, EveryHeaderByteFlipFailsClosed) {
   // Fuzz-lite: flipping any single byte of the header + section table
   // either still loads (reserved bytes) or fails with a diagnostic —
   // never crashes. Under ASan/UBSan this doubles as an OOB probe.
   ModelBundle Original = trainBundle();
-  std::string Pristine = v3Bytes(Original);
-  for (size_t I = 0; I < 360; ++I) {
+  std::string Pristine = bundleBytes(Original);
+  ASSERT_EQ(sectionTableEnd(Pristine), 312u); // 48 + 11 x 24.
+  for (size_t I = 0; I < sectionTableEnd(Pristine); ++I) {
     std::string Img = Pristine;
     Img[I] ^= 0xFF;
     TempFile File(Img);

@@ -19,7 +19,7 @@ using namespace pigeon::core;
 using pigeon::lang::Language;
 using pigeon::test::mapBytes;
 using pigeon::test::remap;
-using pigeon::test::v3Bytes;
+using pigeon::test::bundleBytes;
 
 namespace {
 
@@ -115,21 +115,21 @@ TEST(ModelIO, RejectsGarbage) {
 
 TEST(ModelIO, RejectsTruncation) {
   ModelBundle Original = trainBundle();
-  std::string Bytes = v3Bytes(Original);
+  std::string Bytes = bundleBytes(Original);
   // Chop in the middle of the string arena.
   EXPECT_EQ(mapBytes(Bytes.substr(0, Bytes.size() / 3)), nullptr);
 }
 
 TEST(ModelIO, RejectsWrongMagic) {
   ModelBundle Original = trainBundle();
-  std::string Bytes = v3Bytes(Original);
+  std::string Bytes = bundleBytes(Original);
   Bytes[0] ^= 0x5a;
   EXPECT_EQ(mapBytes(Bytes), nullptr);
 }
 
 TEST(ModelIO, RejectsVersionMismatch) {
   ModelBundle Original = trainBundle();
-  std::string Bytes = v3Bytes(Original);
+  std::string Bytes = bundleBytes(Original);
   // A bundle from a future (or past) format version must not load.
   Bytes[4] ^= 0x01; // Low byte of the little-endian version field.
   EXPECT_EQ(mapBytes(Bytes), nullptr);
@@ -137,7 +137,7 @@ TEST(ModelIO, RejectsVersionMismatch) {
 
 TEST(ModelIO, RejectsTruncationAtEveryQuarter) {
   ModelBundle Original = trainBundle();
-  std::string Bytes = v3Bytes(Original);
+  std::string Bytes = bundleBytes(Original);
   for (size_t Num = 1; Num <= 3; ++Num)
     EXPECT_EQ(mapBytes(Bytes.substr(0, Bytes.size() * Num / 4)), nullptr)
         << "quarter " << Num;

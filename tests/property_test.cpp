@@ -305,7 +305,7 @@ TEST(CrfSerialization, RejectsGarbage) {
 TEST(CrfSerialization, RejectsTruncatedStream) {
   // Even an empty model's image carries a header, a section table and a
   // trailer; any cut through it must be rejected.
-  std::string Bytes = test::v3Bytes(emptyBundle());
+  std::string Bytes = test::bundleBytes(emptyBundle());
   LoadDiag Diag;
   EXPECT_EQ(test::mapBytes(Bytes.substr(0, Bytes.size() / 2), &Diag),
             nullptr);

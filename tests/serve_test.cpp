@@ -53,8 +53,8 @@ using pigeon::lang::Language;
 
 namespace {
 
-/// Trains a small JS variable-name bundle once and writes it as v3 to a
-/// temp file that lives as long as the process, so every test serves
+/// Trains a small JS variable-name bundle once and writes it to a temp
+/// file that lives as long as the process, so every test serves
 /// exactly what `pigeon serve` would: a bundle mapped from that file.
 const test::TempFile &trainedBundleFile() {
   static const test::TempFile File([] {
@@ -80,7 +80,7 @@ const test::TempFile &trainedBundleFile() {
       Graphs.push_back(crf::buildGraph(*Keep.back(), Contexts, Selector));
     }
     Bundle.Model.train(Graphs);
-    return test::v3Bytes(Bundle);
+    return test::bundleBytes(Bundle);
   }());
   return File;
 }

@@ -376,7 +376,7 @@ loadContextsFile(const std::string &Path) {
 // model loading (shared by eval / predict / serve)
 //===----------------------------------------------------------------------===//
 
-/// Maps the v3 bundle at \p ModelPath in place, printing the loader's
+/// Maps the bundle at \p ModelPath in place, printing the loader's
 /// diagnostic (with its byte offset) on failure.
 std::unique_ptr<ModelBundle> loadBundleFile(const std::string &ModelPath,
                                             bool VerifyChecksum = false) {
