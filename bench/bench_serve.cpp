@@ -96,23 +96,9 @@ private:
 
 BundleFile::BundleFile() {
   Corpus C = bench::benchCorpus(Language::JavaScript, /*Projects=*/24);
-  ContextsArtifact Art = buildContextsArtifact(
+  ModelBundle Bundle = trainBundle(buildContextsArtifact(
       C, Task::VariableNames,
-      bench::tunedOptions(Language::JavaScript, Task::VariableNames));
-  ModelBundle Bundle;
-  Bundle.Lang = Art.Lang;
-  Bundle.TaskKind = Art.TaskKind;
-  Bundle.Extraction = Art.Extraction;
-  Bundle.Interner = std::move(Art.Interner);
-  Bundle.Table = std::move(Art.Table);
-  crf::ElementSelector Selector = selectorFor(Art.TaskKind);
-  std::vector<crf::CrfGraph> Graphs;
-  for (const FileRecord &Rec : Art.Files)
-    Graphs.push_back(buildGraphFromRecord(Rec, Selector));
-  {
-    telemetry::TraceScope Phase("train");
-    Bundle.Model.train(Graphs);
-  }
+      bench::tunedOptions(Language::JavaScript, Task::VariableNames)));
   char Template[] = "/tmp/pigeon_bench_serve_XXXXXX";
   int Fd = ::mkstemp(Template);
   Path = Template;

@@ -14,7 +14,8 @@
 
 #include "BenchCommon.h"
 
-#include "lang/js/JsParser.h"
+#include "core/ContextsIO.h"
+#include "core/Predict.h"
 #include "ml/word2vec/Sgns.h"
 
 #include <iostream>
@@ -27,32 +28,32 @@ using namespace pigeon::core;
 using pigeon::lang::Language;
 
 int main() {
-  Corpus C = benchCorpus(Language::JavaScript);
-
   // Table 4a -----------------------------------------------------------------
   {
-    TrainedNameModel Model(
-        C, Task::VariableNames,
-        tunedOptions(Language::JavaScript, Task::VariableNames));
-    lang::ParseResult R = js::parse(
+    // Training takes over the corpus' interner, so Table 4b parses a
+    // corpus of its own.
+    Corpus Train = benchCorpus(Language::JavaScript);
+    ModelBundle Model = trainBundle(buildContextsArtifact(
+        Train, Task::VariableNames,
+        tunedOptions(Language::JavaScript, Task::VariableNames)));
+    Prediction P = predictSource(
+        Model,
         "function waitUntilReady() { trace('start'); var d = false; while "
         "(!d) { if (check()) { d = true; } } return d; }",
-        *C.Interner);
-    if (!R.Tree) {
+        /*K=*/8);
+    if (!P.parsed()) {
       std::cerr << "failed to parse the Fig. 1a snippet\n";
       return 1;
     }
     TablePrinter Table(
         "Table 4a: top candidates for `d` in the Fig. 1a loop");
     Table.setHeader({"Rank", "Candidate", "Score"});
-    for (ElementId E = 0; E < R.Tree->elements().size(); ++E) {
-      if (C.Interner->str(R.Tree->element(E).Name) != "d")
+    for (const ElementPrediction &E : P.Elements) {
+      if (P.str(E.Name) != "d")
         continue;
-      auto Top = Model.topKFor(*R.Tree, E, 8);
       int Rank = 1;
-      for (const auto &[Label, Score] : Top)
-        Table.addRow({std::to_string(Rank++),
-                      std::string(C.Interner->str(Label)),
+      for (const auto &[Label, Score] : E.Candidates)
+        Table.addRow({std::to_string(Rank++), std::string(P.str(Label)),
                       TablePrinter::num(Score, 2)});
     }
     Table.print(std::cout);
@@ -62,6 +63,7 @@ int main() {
 
   // Table 4b -----------------------------------------------------------------
   {
+    Corpus C = benchCorpus(Language::JavaScript);
     // Train SGNS over (name, abstract path-context) pairs from the whole
     // corpus, then read nearest neighbours in the embedding space.
     paths::PathTable Table;

@@ -13,11 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Experiments.h"
-
-#include "lang/java/JavaParser.h"
-#include "lang/js/JsParser.h"
-#include "lang/python/PyParser.h"
+#include "core/ContextsIO.h"
+#include "core/Predict.h"
 
 #include <cctype>
 #include <iostream>
@@ -29,21 +26,6 @@ using namespace pigeon::core;
 using pigeon::lang::Language;
 
 namespace {
-
-lang::ParseResult parseAs(Language Lang, const std::string &Text,
-                          StringInterner &SI) {
-  switch (Lang) {
-  case Language::JavaScript:
-    return js::parse(Text, SI);
-  case Language::Java:
-    return java::parse(Text, SI);
-  case Language::Python:
-    return py::parse(Text, SI);
-  case Language::CSharp:
-    break;
-  }
-  return {};
-}
 
 /// Replaces whole-word occurrences of single-letter placeholders with
 /// their predicted names.
@@ -76,13 +58,10 @@ void demo(Language Lang) {
   auto Sources = datagen::generateCorpus(Spec);
   Corpus C = parseCorpus(Sources, Lang);
 
-  TrainedNameModel Model(C, Task::VariableNames,
-                         [&] {
-                           CrfExperimentOptions Options;
-                           Options.Extraction = tunedExtraction(
-                               Lang, Task::VariableNames);
-                           return Options;
-                         }());
+  CrfExperimentOptions Options;
+  Options.Extraction = tunedExtraction(Lang, Task::VariableNames);
+  ModelBundle Model =
+      trainBundle(buildContextsArtifact(C, Task::VariableNames, Options));
 
   // Strip a file the model has never seen (fresh project seed).
   datagen::CorpusSpec Fresh = datagen::defaultSpec(Lang, /*Seed=*/777);
@@ -93,19 +72,15 @@ void demo(Language Lang) {
   std::string Stripped =
       datagen::render(Sample.Sketch, Lang, /*StripNames=*/true);
 
-  lang::ParseResult R = parseAs(Lang, Stripped, *C.Interner);
-  if (!R.Tree) {
+  Prediction P = predictSource(Model, Stripped, /*K=*/1);
+  if (!P.parsed()) {
     std::cerr << "stripped sample failed to parse\n";
     return;
   }
-  auto Predictions = Model.predict(*R.Tree);
   std::map<std::string, std::string> Renames;
-  for (const auto &[E, Name] : Predictions) {
-    if (!Name.isValid())
-      continue;
-    Renames[std::string(C.Interner->str(R.Tree->element(E).Name))] =
-        std::string(C.Interner->str(Name));
-  }
+  for (const ElementPrediction &E : P.Elements)
+    if (E.Label.isValid())
+      Renames[std::string(P.str(E.Name))] = std::string(P.str(E.Label));
 
   std::cout << "== " << lang::languageName(Lang)
             << ": stripped names ==\n"

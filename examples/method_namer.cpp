@@ -11,11 +11,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Experiments.h"
+#include "core/ContextsIO.h"
+#include "core/Predict.h"
 #include "support/SubToken.h"
 #include "support/TablePrinter.h"
 
 #include <iostream>
+#include <map>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -25,7 +27,11 @@ using pigeon::lang::Language;
 int main() {
   datagen::CorpusSpec Spec = datagen::defaultSpec(Language::Python, 2018);
   Spec.NumProjects = 40;
-  Corpus C = parseCorpus(datagen::generateCorpus(Spec), Language::Python);
+  std::vector<datagen::SourceFile> Sources = datagen::generateCorpus(Spec);
+  std::map<std::string, const std::string *> TextOf;
+  for (const datagen::SourceFile &File : Sources)
+    TextOf[File.FileName] = &File.Text;
+  Corpus C = parseCorpus(Sources, Language::Python);
   Split S = splitByProject(C, 0.25, 2018);
 
   // Train on the training projects only.
@@ -37,7 +43,8 @@ int main() {
 
   CrfExperimentOptions Options;
   Options.Extraction = tunedExtraction(Language::Python, Task::MethodNames);
-  TrainedNameModel Model(TrainOnly, Task::MethodNames, Options);
+  ModelBundle Model =
+      trainBundle(buildContextsArtifact(TrainOnly, Task::MethodNames, Options));
 
   std::cout << "method-name suggestions for held-out functions "
                "(Python):\n\n";
@@ -47,22 +54,26 @@ int main() {
   for (size_t I : S.Test) {
     if (Shown >= 12)
       break;
-    const Tree &T = C.Files[I].Tree;
+    Prediction P =
+        predictSource(Model, *TextOf.at(C.Files[I].FileName), /*K=*/3);
+    const Tree &T = *P.Parse.Tree;
     for (ElementId E = 0; E < T.elements().size(); ++E) {
       const ElementInfo &Info = T.element(E);
       if (!Info.Predictable || Info.Kind != ElementKind::Method ||
           T.occurrences(E).empty())
         continue;
-      auto Top = Model.topKFor(T, E, 3);
+      std::vector<std::pair<Symbol, double>> Top;
+      for (const ElementPrediction &Ranked : P.Elements)
+        if (Ranked.Element == E)
+          Top = Ranked.Candidates;
       std::string Suggestions;
       for (const auto &[Name, Score] : Top) {
         if (!Suggestions.empty())
           Suggestions += ", ";
-        Suggestions += TrainOnly.Interner->str(Name);
+        Suggestions += P.str(Name);
       }
-      std::string Actual(TrainOnly.Interner->str(Info.Name));
-      bool Hit = !Top.empty() &&
-                 namesMatch(TrainOnly.Interner->str(Top[0].first), Actual);
+      std::string Actual(P.str(Info.Name));
+      bool Hit = !Top.empty() && namesMatch(P.str(Top[0].first), Actual);
       Out.addRow({Actual, Suggestions, Hit ? "ok" : ""});
       ++Shown;
       break; // One method per file is enough for the demo.

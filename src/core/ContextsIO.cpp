@@ -6,15 +6,12 @@
 
 #include "core/ContextsIO.h"
 
-#include "core/ModelIO.h"
-
 #include "support/BinaryIO.h"
 #include "support/Telemetry.h"
 
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <unordered_map>
 
 using namespace pigeon;
 using namespace pigeon::ast;
@@ -97,40 +94,12 @@ core::buildContextsArtifact(Corpus &Corpus, Task TaskKind,
   Art.Files.resize(Corpus.Files.size());
   for (size_t F = 0; F < Corpus.Files.size(); ++F) {
     const ParsedFile &PF = Corpus.Files[F];
-    const Tree &T = PF.Tree;
     FileRecord &Rec = Art.Files[F];
     Rec.Project = PF.Project;
     Rec.FileName = PF.FileName;
-    Rec.Elements.assign(T.elements().begin(), T.elements().end());
-    Rec.Contexts.reserve(Extracted[F].Contexts.size());
-    for (const PathContext &Ctx : Extracted[F].Contexts) {
-      ContextRecord R;
-      R.Path = Ctx.Path;
-      const Node &Start = T.node(Ctx.Start);
-      R.StartElem = Start.Element;
-      R.StartValue = Start.Value;
-      const Node &End = T.node(Ctx.End);
-      R.Semi = Ctx.Semi;
-      if (Ctx.Semi) {
-        // The graph labels a semi-path's ancestor end by its kind.
-        R.EndValue = End.Kind;
-      } else {
-        R.EndElem = End.Element;
-        R.EndValue = End.Value;
-      }
-      Rec.Contexts.push_back(R);
-    }
-    Rec.Tris.reserve(Extracted[F].Tris.size());
-    for (const TriContext &Tri : Extracted[F].Tris) {
-      TriRecord R;
-      R.Path = Tri.Path;
-      NodeId Ends[3] = {Tri.A, Tri.B, Tri.C};
-      for (int I = 0; I < 3; ++I) {
-        R.Elem[I] = T.node(Ends[I]).Element;
-        R.Value[I] = T.node(Ends[I]).Value;
-      }
-      Rec.Tris.push_back(R);
-    }
+    Rec.Elements = PF.Tree.elements();
+    Rec.Contexts = contextRecords(PF.Tree, Extracted[F].Contexts);
+    Rec.Tris = triRecords(PF.Tree, Extracted[F].Tris);
   }
   // The artifact owns the symbol space its records and paths refer to.
   Art.Interner = std::move(Corpus.Interner);
@@ -286,119 +255,40 @@ std::unique_ptr<ContextsArtifact> core::loadContexts(std::istream &IS) {
 }
 
 //===----------------------------------------------------------------------===//
-// Record-based graph assembly
+// Graph assembly and training
 //===----------------------------------------------------------------------===//
 
 CrfGraph core::buildGraphFromRecord(const FileRecord &File,
                                     const ElementSelector &Selector) {
-  // Mirrors crf::buildGraph / GraphAssembler exactly: same node-creation
-  // order, same merging keys, same factor rules — so a record round-trip
-  // yields a graph identical to tree-based assembly.
-  CrfGraph G;
-  std::unordered_map<ElementId, uint32_t> ElementNodes;
-  std::unordered_map<Symbol, uint32_t> ValueNodes;
-  auto ElementNode = [&](ElementId E) {
-    auto It = ElementNodes.find(E);
-    if (It != ElementNodes.end())
-      return It->second;
-    const ElementInfo &Info = File.Elements[E];
-    uint32_t Id = static_cast<uint32_t>(G.Nodes.size());
-    bool Unknown = Selector(Info);
-    G.Nodes.push_back({Info.Name, /*Known=*/!Unknown, E});
-    if (Unknown)
-      G.Unknowns.push_back(Id);
-    ElementNodes.emplace(E, Id);
-    return Id;
-  };
-  auto KnownNode = [&](Symbol Value) {
-    auto It = ValueNodes.find(Value);
-    if (It != ValueNodes.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(G.Nodes.size());
-    G.Nodes.push_back({Value, /*Known=*/true, InvalidElement});
-    ValueNodes.emplace(Value, Id);
-    return Id;
-  };
-
-  for (const ContextRecord &Ctx : File.Contexts) {
-    uint32_t A = Ctx.StartElem != InvalidElement ? ElementNode(Ctx.StartElem)
-                                                 : KnownNode(Ctx.StartValue);
-    uint32_t B;
-    if (Ctx.Semi || Ctx.EndElem == InvalidElement)
-      B = KnownNode(Ctx.EndValue);
-    else
-      B = ElementNode(Ctx.EndElem);
-    bool AKnown = G.Nodes[A].Known;
-    bool BKnown = G.Nodes[B].Known;
-    if (AKnown && BKnown)
-      continue; // Constant factor: no influence on any prediction.
-    if (A == B) {
-      G.Factors.push_back({A, A, Ctx.Path, /*Unary=*/true});
-      continue;
-    }
-    G.Factors.push_back({A, B, Ctx.Path, /*Unary=*/false});
-  }
-  return G;
+  return buildGraph(File.Elements, File.Contexts, Selector);
 }
 
-void core::addTriFactorsFromRecord(CrfGraph &Graph, const FileRecord &File,
-                                   const ElementSelector &Selector,
-                                   StringInterner &Interner) {
-  // Mirrors crf::addTriFactors: reuse the graph's existing node set.
-  std::unordered_map<ElementId, uint32_t> ElementNodes;
-  std::unordered_map<Symbol, uint32_t> ValueNodes;
-  for (uint32_t N = 0; N < Graph.Nodes.size(); ++N) {
-    const GraphNode &Node = Graph.Nodes[N];
-    if (Node.Element != InvalidElement)
-      ElementNodes.emplace(Node.Element, N);
-    else
-      ValueNodes.emplace(Node.Gold, N);
+std::vector<CrfGraph> core::assembleGraphs(const ContextsArtifact &Art,
+                                           StringInterner &Interner) {
+  telemetry::TraceScope Phase("assemble");
+  ElementSelector Selector = selectorFor(Art.TaskKind);
+  std::vector<CrfGraph> Graphs;
+  Graphs.reserve(Art.Files.size());
+  for (const FileRecord &Rec : Art.Files) {
+    CrfGraph G = buildGraphFromRecord(Rec, Selector);
+    if (Art.TriContexts)
+      addTriFactors(G, Rec.Elements, Rec.Tris, Selector, Interner);
+    Graphs.push_back(std::move(G));
   }
-  auto KnownNode = [&](Symbol Value) {
-    auto It = ValueNodes.find(Value);
-    if (It != ValueNodes.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(Graph.Nodes.size());
-    Graph.Nodes.push_back({Value, /*Known=*/true, InvalidElement});
-    ValueNodes.emplace(Value, Id);
-    return Id;
-  };
-  auto UnknownOf = [&](ElementId Elem) -> uint32_t {
-    if (Elem == InvalidElement || !Selector(File.Elements[Elem]))
-      return UINT32_MAX;
-    auto It = ElementNodes.find(Elem);
-    return It == ElementNodes.end() ? UINT32_MAX : It->second;
-  };
+  return Graphs;
+}
 
-  for (const TriRecord &Ctx : File.Tris) {
-    uint32_t Unknown = UINT32_MAX;
-    int UnknownCount = 0;
-    for (int I = 0; I < 3; ++I) {
-      uint32_t U = UnknownOf(Ctx.Elem[I]);
-      if (U != UINT32_MAX) {
-        Unknown = U;
-        ++UnknownCount;
-      }
-    }
-    if (UnknownCount != 1)
-      continue;
-    // Composite label of the two known ends, in source order.
-    std::string Composite;
-    for (int I = 0; I < 3; ++I) {
-      if (UnknownOf(Ctx.Elem[I]) != UINT32_MAX)
-        continue;
-      if (!Composite.empty())
-        Composite += '+';
-      Composite += Interner.str(Ctx.Value[I]);
-    }
-    uint32_t Known = KnownNode(Interner.intern(Composite));
-    // Order: unknown on the A side if it is the triple's first end.
-    bool UnknownFirst = UnknownOf(Ctx.Elem[0]) != UINT32_MAX;
-    if (UnknownFirst)
-      Graph.Factors.push_back({Unknown, Known, Ctx.Path, /*Unary=*/false});
-    else
-      Graph.Factors.push_back({Known, Unknown, Ctx.Path, /*Unary=*/false});
-  }
+ModelBundle core::trainBundle(ContextsArtifact &&Art) {
+  ModelBundle Bundle;
+  Bundle.Lang = Art.Lang;
+  Bundle.TaskKind = Art.TaskKind;
+  Bundle.Extraction = Art.Extraction;
+  Bundle.Interner = std::move(Art.Interner);
+  Bundle.Table = std::move(Art.Table);
+  std::vector<CrfGraph> Graphs = assembleGraphs(Art, *Bundle.Interner);
+  telemetry::TraceScope Phase("train");
+  Bundle.Model.train(Graphs);
+  return Bundle;
 }
 
 bool core::rebaseArtifact(ContextsArtifact &Art, StringInterner &TargetSI,
@@ -459,19 +349,7 @@ double EvalStats::accuracy() const {
 
 EvalStats core::evalArtifact(ModelBundle &Bundle,
                              const ContextsArtifact &Artifact) {
-  ElementSelector Selector = selectorFor(Artifact.TaskKind);
-  std::vector<CrfGraph> Graphs;
-  Graphs.reserve(Artifact.Files.size());
-  {
-    telemetry::TraceScope Phase("assemble");
-    for (const FileRecord &Rec : Artifact.Files) {
-      CrfGraph G = buildGraphFromRecord(Rec, Selector);
-      if (Artifact.TriContexts)
-        addTriFactorsFromRecord(G, Rec, Selector, *Bundle.Interner);
-      Graphs.push_back(std::move(G));
-    }
-  }
-
+  std::vector<CrfGraph> Graphs = assembleGraphs(Artifact, *Bundle.Interner);
   telemetry::TraceScope Phase("eval");
   std::vector<std::vector<Symbol>> Preds = Bundle.Model.predictBatch(Graphs);
   EvalStats Stats;

@@ -13,13 +13,18 @@
 /// parse+extract front half of the pipeline runs once per corpus instead
 /// of once per training run.
 ///
-/// A context record resolves each path-context end to exactly what CRF
-/// graph assembly reads off the tree — the element id (if any), the end's
-/// value symbol, and for semi-paths the ancestor kind — so
-/// buildGraphFromRecord() reproduces crf::buildGraph() node for node and
-/// factor for factor without an AST. The same corpus therefore yields
-/// bit-identical models through either route, at any thread count (the
-/// determinism contract extended to disk).
+/// A context record (crf::ContextRecord) resolves each path-context end
+/// to exactly what CRF graph assembly reads off the tree — the element
+/// id (if any), the end's value symbol, and for semi-paths the ancestor
+/// kind. crf::buildGraph() takes records as its input, whether they come
+/// from an artifact or were just resolved from a tree, so the same corpus
+/// yields bit-identical models through either route, at any thread count
+/// (the determinism contract extended to disk).
+///
+/// trainBundle() is `pigeon train` without its file I/O: the artifact's
+/// graphs assembled (assembleGraphs(), shared with evalArtifact()) and a
+/// CRF trained into a ModelBundle that takes over the artifact's symbol
+/// and path space.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +32,7 @@
 #define PIGEON_CORE_CONTEXTSIO_H
 
 #include "core/Experiments.h"
+#include "core/ModelIO.h"
 #include "core/Pipeline.h"
 #include "ml/crf/Crf.h"
 #include "paths/Paths.h"
@@ -39,37 +45,14 @@
 namespace pigeon {
 namespace core {
 
-struct ModelBundle;
-
-/// One path-context with its ends resolved to graph-assembly inputs.
-/// For semi-paths EndElem is invalid and EndValue is the ancestor's
-/// *kind* symbol (the known pseudo-node label); otherwise EndValue is the
-/// terminal's value symbol, used only when the end has no element.
-struct ContextRecord {
-  paths::PathId Path = paths::InvalidPath;
-  ast::ElementId StartElem = ast::InvalidElement;
-  Symbol StartValue;
-  ast::ElementId EndElem = ast::InvalidElement;
-  Symbol EndValue;
-  bool Semi = false;
-};
-
-/// One 3-wise context: the path plus each end's element and value.
-struct TriRecord {
-  paths::PathId Path = paths::InvalidPath;
-  ast::ElementId Elem[3] = {ast::InvalidElement, ast::InvalidElement,
-                            ast::InvalidElement};
-  Symbol Value[3];
-};
-
 /// All contexts of one corpus file, with the element table graph
 /// assembly selects unknowns from.
 struct FileRecord {
   std::string Project;
   std::string FileName;
   std::vector<ast::ElementInfo> Elements;
-  std::vector<ContextRecord> Contexts;
-  std::vector<TriRecord> Tris;
+  std::vector<crf::ContextRecord> Contexts;
+  std::vector<crf::TriRecord> Tris;
 };
 
 /// A complete extracted corpus: the `pigeon.contexts.v1` artifact.
@@ -99,18 +82,24 @@ void saveContexts(std::ostream &OS, const ContextsArtifact &Artifact);
 /// malformed or version-mismatched stream.
 std::unique_ptr<ContextsArtifact> loadContexts(std::istream &IS);
 
-/// crf::buildGraph() over a record instead of a tree: same node merging
-/// (one unknown per selected element, known nodes by value / ancestor
-/// kind), same known-known skip, same unary-factor rule, same order.
+/// crf::buildGraph() over one file's records.
 crf::CrfGraph buildGraphFromRecord(const FileRecord &File,
                                    const crf::ElementSelector &Selector);
 
-/// crf::addTriFactors() over a record: exactly-one-unknown triples become
-/// factors against a composite known node, whose '+'-joined label is
-/// interned into \p Interner (the record's symbol space).
-void addTriFactorsFromRecord(crf::CrfGraph &Graph, const FileRecord &File,
-                             const crf::ElementSelector &Selector,
-                             StringInterner &Interner);
+/// The CRF graph of every file of \p Artifact, in file order, with 3-wise
+/// factors when the artifact carries them. Their composite labels intern
+/// into \p Interner, which must be the symbol space of the artifact's
+/// records (its own interner, or a bundle's after rebaseArtifact).
+std::vector<crf::CrfGraph> assembleGraphs(const ContextsArtifact &Artifact,
+                                          StringInterner &Interner);
+
+/// Trains a bundle on every file of \p Artifact: the bundle takes over
+/// the artifact's interner, path table, language, task and extraction
+/// configuration, and its CRF (default configuration, as a saved bundle
+/// serves it) learns from assembleGraphs(). `pigeon train` saves the
+/// result; both of its routes converge here, which is what makes them
+/// produce byte-identical bundles for the same corpus.
+ModelBundle trainBundle(ContextsArtifact &&Artifact);
 
 /// Accuracy tally of one evaluation run. Total == 0 means the corpus had
 /// nothing to evaluate (no predictable elements) — callers must surface
@@ -128,10 +117,10 @@ struct EvalStats {
 
 /// Scores \p Bundle on \p Artifact, which must already be rebased onto
 /// the bundle's interner and path table (see rebaseArtifact): assembles
-/// the CRF graphs — tri factors included when the artifact carries them —
-/// batch-predicts sharded over the process-default workers, and tallies
-/// unknown-element accuracy. Takes the bundle mutably because composite
-/// tri-factor labels intern into its symbol space.
+/// the CRF graphs (assembleGraphs), batch-predicts sharded over the
+/// process-default workers, and tallies unknown-element accuracy. Takes
+/// the bundle mutably because composite tri-factor labels intern into
+/// its symbol space.
 EvalStats evalArtifact(ModelBundle &Bundle, const ContextsArtifact &Artifact);
 
 /// Rebases \p Artifact onto an existing symbol/path space (a loaded model

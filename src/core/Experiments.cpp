@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <unordered_map>
 
 using namespace pigeon;
@@ -89,20 +88,6 @@ void downsample(std::vector<PathContext> &Contexts, double KeepP, Rng &R) {
     if (R.nextBool(KeepP))
       Kept.push_back(Ctx);
   Contexts = std::move(Kept);
-}
-
-/// Short task tag for metric/event names (`eval.<tag>.accuracy`,
-/// provenance records).
-const char *metricTaskTag(Task T) {
-  switch (T) {
-  case Task::VariableNames:
-    return "vars";
-  case Task::MethodNames:
-    return "methods";
-  case Task::FullTypes:
-    return "types";
-  }
-  return "task";
 }
 
 /// Bare variable reads and arithmetic are trivially typed by a nearby
@@ -247,7 +232,7 @@ core::runCrfNameExperiment(const Corpus &Corpus, Task Task,
 
   telemetry::TraceScope EvalPhase("eval");
   telemetry::EventLog &Log = telemetry::EventLog::global();
-  const char *Tag = metricTaskTag(Task);
+  const char *Tag = taskToken(Task);
   ml::AccuracyMeter Meter;
   ml::SubTokenMeter SubMeter;
   const StringInterner &SI = *Corpus.Interner;
@@ -764,7 +749,7 @@ core::explainCrfPredictions(const Corpus &Corpus, Task Task,
 
   telemetry::TraceScope ExplainPhase("explain");
   const StringInterner &SI = *Corpus.Interner;
-  const char *Tag = metricTaskTag(Task);
+  const char *Tag = taskToken(Task);
   std::vector<ExplainedPrediction> Out;
   std::vector<std::vector<Symbol>> Preds =
       Model.predictBatch(TestGraphs, Options.Threads);
@@ -799,53 +784,4 @@ core::explainCrfPredictions(const Corpus &Corpus, Task Task,
     }
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// TrainedNameModel
-//===----------------------------------------------------------------------===//
-
-TrainedNameModel::TrainedNameModel(const Corpus &Corpus, Task Task,
-                                   const CrfExperimentOptions &Options)
-    : TaskKind(Task), Options(Options), Model(Options.Crf) {
-  telemetry::TraceScope TrainPhase("train");
-  ElementSelector Selector = selectorFor(Task);
-  std::vector<size_t> All(Corpus.Files.size());
-  std::iota(All.begin(), All.end(), size_t(0));
-  std::vector<CrfGraph> Graphs;
-  Graphs.reserve(Corpus.Files.size());
-  {
-    telemetry::TraceScope ExtractPhase("extract");
-    auto Extracted = extractCorpusContexts(Corpus, All, Options, Table);
-    for (size_t I = 0; I < All.size(); ++I)
-      Graphs.push_back(
-          buildGraph(Corpus.Files[I].Tree, Extracted[I].Contexts, Selector));
-  }
-  Model.train(Graphs);
-}
-
-CrfGraph TrainedNameModel::buildFor(const Tree &Tree) const {
-  auto Contexts = contextsFor(Tree, Options, Table);
-  return buildGraph(Tree, Contexts, selectorFor(TaskKind));
-}
-
-std::map<ElementId, Symbol>
-TrainedNameModel::predict(const Tree &Tree) const {
-  CrfGraph G = buildFor(Tree);
-  std::vector<Symbol> Pred = Model.predict(G);
-  std::map<ElementId, Symbol> Out;
-  for (uint32_t N : G.Unknowns)
-    if (G.Nodes[N].Element != InvalidElement)
-      Out[G.Nodes[N].Element] = Pred[N];
-  return Out;
-}
-
-std::vector<std::pair<Symbol, double>>
-TrainedNameModel::topKFor(const Tree &Tree, ElementId Element, int K) const {
-  CrfGraph G = buildFor(Tree);
-  std::vector<Symbol> Pred = Model.predict(G);
-  for (uint32_t N : G.Unknowns)
-    if (G.Nodes[N].Element == Element)
-      return Model.topK(G, N, Pred, K);
-  return {};
 }

@@ -22,7 +22,6 @@
 #include "ml/word2vec/Sgns.h"
 #include "paths/Paths.h"
 
-#include <map>
 #include <string>
 
 namespace pigeon {
@@ -189,36 +188,6 @@ struct W2vExperimentOptions {
 /// encoding.
 ExperimentResult runW2vNameExperiment(const Corpus &Corpus,
                                       const W2vExperimentOptions &Options);
-
-//===----------------------------------------------------------------------===//
-// Qualitative API (Table 4, Figs. 7-9, examples)
-//===----------------------------------------------------------------------===//
-
-/// A name-prediction model trained on a whole corpus, usable on newly
-/// parsed snippets (they must share the corpus interner).
-class TrainedNameModel {
-public:
-  /// Trains on every file of \p Corpus.
-  TrainedNameModel(const Corpus &Corpus, Task Task,
-                   const CrfExperimentOptions &Options);
-
-  /// Predicts names for the selected elements of \p Tree.
-  std::map<ast::ElementId, Symbol> predict(const ast::Tree &Tree) const;
-
-  /// Top-k candidates for one element of \p Tree (Table 4a).
-  std::vector<std::pair<Symbol, double>>
-  topKFor(const ast::Tree &Tree, ast::ElementId Element, int K) const;
-
-  const crf::CrfModel &model() const { return Model; }
-
-private:
-  Task TaskKind;
-  CrfExperimentOptions Options;
-  crf::CrfModel Model;
-  mutable paths::PathTable Table;
-
-  crf::CrfGraph buildFor(const ast::Tree &Tree) const;
-};
 
 } // namespace core
 } // namespace pigeon

@@ -36,19 +36,42 @@ size_t Corpus::numProjects() const {
 
 namespace {
 
-/// Short metric-name key per language ("parse.js.files.ok" etc.).
-const char *langKey(Language Lang) {
-  switch (Lang) {
-  case Language::JavaScript:
-    return "js";
-  case Language::Java:
-    return "java";
-  case Language::Python:
-    return "py";
-  case Language::CSharp:
-    return "cs";
-  }
+/// The one token table per concept. The canonical token of each value
+/// comes first; aliases follow.
+constexpr std::pair<std::string_view, Language> LanguageTokens[] = {
+    {"js", Language::JavaScript},
+    {"java", Language::Java},
+    {"py", Language::Python},
+    {"cs", Language::CSharp},
+    {"javascript", Language::JavaScript},
+    {"python", Language::Python},
+    {"csharp", Language::CSharp},
+};
+
+constexpr std::pair<std::string_view, Task> TaskTokens[] = {
+    {"vars", Task::VariableNames},
+    {"methods", Task::MethodNames},
+    {"types", Task::FullTypes},
+};
+
+/// The first token of \p Value in \p Table (its canonical one).
+template <typename T, size_t N>
+const char *tokenOf(const std::pair<std::string_view, T> (&Table)[N],
+                    T Value) {
+  for (const auto &[Token, V] : Table)
+    if (V == Value)
+      return Token.data();
   return "unknown";
+}
+
+/// The value \p Token names in \p Table, if any.
+template <typename T, size_t N>
+std::optional<T> valueOf(const std::pair<std::string_view, T> (&Table)[N],
+                         std::string_view Token) {
+  for (const auto &[Name, V] : Table)
+    if (Name == Token)
+      return V;
+  return std::nullopt;
 }
 
 /// One dropped file as a shard worker saw it: the record for the corpus
@@ -82,21 +105,7 @@ ParseShard parseShard(std::span<const datagen::SourceFile> Sources,
   ParseShard Shard;
   for (const datagen::SourceFile &Src : Sources) {
     Shard.SourceBytes += Src.Text.size();
-    lang::ParseResult R;
-    switch (Lang) {
-    case Language::JavaScript:
-      R = js::parse(Src.Text, SI);
-      break;
-    case Language::Java:
-      R = java::parse(Src.Text, SI);
-      break;
-    case Language::Python:
-      R = py::parse(Src.Text, SI);
-      break;
-    case Language::CSharp:
-      R = cs::parse(Src.Text, SI);
-      break;
-    }
+    lang::ParseResult R = parseSource(Lang, Src.Text, SI);
     if (!R.Tree || !R.Diags.empty()) {
       std::string Reason =
           R.Diags.empty() ? "no tree" : R.Diags.front().Message;
@@ -126,6 +135,35 @@ ReasonBudget &reasonBudget() {
 }
 
 } // namespace
+
+const char *core::languageToken(Language Lang) {
+  return tokenOf(LanguageTokens, Lang);
+}
+
+std::optional<Language> core::languageFromToken(std::string_view Token) {
+  return valueOf(LanguageTokens, Token);
+}
+
+const char *core::taskToken(Task T) { return tokenOf(TaskTokens, T); }
+
+std::optional<Task> core::taskFromToken(std::string_view Token) {
+  return valueOf(TaskTokens, Token);
+}
+
+lang::ParseResult core::parseSource(Language Lang, std::string_view Source,
+                                    StringInterner &SI) {
+  switch (Lang) {
+  case Language::JavaScript:
+    return js::parse(Source, SI);
+  case Language::Java:
+    return java::parse(Source, SI);
+  case Language::Python:
+    return py::parse(Source, SI);
+  case Language::CSharp:
+    return cs::parse(Source, SI);
+  }
+  return {};
+}
 
 std::string core::metricSafeReason(std::string_view Raw) {
   constexpr size_t MaxLen = 48;
@@ -169,7 +207,7 @@ Corpus core::parseCorpus(const std::vector<datagen::SourceFile> &Sources,
   telemetry::TraceScope Phase("parse");
   parallel::StageTimer Stage("parse");
   auto &Reg = telemetry::MetricsRegistry::global();
-  const std::string Prefix = std::string("parse.") + langKey(Lang);
+  const std::string Prefix = std::string("parse.") + languageToken(Lang);
 
   size_t T = parallel::resolveThreads(Threads);
 

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// PIGEON's plumbing: parse generated corpora with the right frontend,
-/// split by project (no train/test leakage, as in the paper's per-project
-/// GitHub splits), and define which program elements each prediction task
-/// targets.
+/// PIGEON's plumbing: parse sources with the right frontend, split
+/// corpora by project (no train/test leakage, as in the paper's
+/// per-project GitHub splits), define which program elements each
+/// prediction task targets, and name languages and tasks with the short
+/// tokens every surface shares (CLI flags, serve requests, metric names).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +23,9 @@
 #include "paths/Paths.h"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pigeon {
@@ -58,6 +61,10 @@ struct Corpus {
 
   size_t numProjects() const;
 };
+
+/// Parses \p Source with the frontend for \p Lang, interning into \p SI.
+lang::ParseResult parseSource(lang::Language Lang, std::string_view Source,
+                              StringInterner &SI);
 
 /// Parses every file of \p Sources with the frontend for \p Lang. Files
 /// with diagnostics are dropped (and counted), like unparsable GitHub
@@ -103,6 +110,23 @@ enum class Task {
 };
 
 const char *taskName(Task T);
+
+/// The short token of \p Lang: "js", "java", "py" or "cs". It is what
+/// `--lang` and a serve request's "lang" accept, and what metric names
+/// (`parse.<lang>.*`) carry.
+const char *languageToken(lang::Language Lang);
+
+/// Inverse of languageToken(); also accepts "javascript", "python" and
+/// "csharp". \returns std::nullopt for any other token.
+std::optional<lang::Language> languageFromToken(std::string_view Token);
+
+/// The short token of \p T: "vars", "methods" or "types". It is what
+/// `--task` and a serve request's "task" accept, and what metric names
+/// (`eval.<task>.accuracy`) carry.
+const char *taskToken(Task T);
+
+/// Inverse of taskToken(). \returns std::nullopt for any other token.
+std::optional<Task> taskFromToken(std::string_view Token);
 
 /// The unknown-element selector the CRF uses for \p T (FullTypes builds
 /// per-expression graphs instead and has no selector).

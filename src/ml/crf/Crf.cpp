@@ -77,27 +77,79 @@ Incidence CrfGraph::incidence() const {
   return Inc;
 }
 
+std::vector<ContextRecord>
+crf::contextRecords(const Tree &Tree,
+                    const std::vector<PathContext> &Contexts) {
+  std::vector<ContextRecord> Out;
+  Out.reserve(Contexts.size());
+  for (const PathContext &Ctx : Contexts) {
+    ContextRecord R;
+    R.Path = Ctx.Path;
+    const Node &Start = Tree.node(Ctx.Start);
+    R.StartElem = Start.Element;
+    R.StartValue = Start.Value;
+    const Node &End = Tree.node(Ctx.End);
+    R.Semi = Ctx.Semi;
+    if (Ctx.Semi) {
+      // The graph labels a semi-path's ancestor end by its kind.
+      R.EndValue = End.Kind;
+    } else {
+      R.EndElem = End.Element;
+      R.EndValue = End.Value;
+    }
+    Out.push_back(R);
+  }
+  return Out;
+}
+
+std::vector<TriRecord>
+crf::triRecords(const Tree &Tree, const std::vector<TriContext> &Contexts) {
+  std::vector<TriRecord> Out;
+  Out.reserve(Contexts.size());
+  for (const TriContext &Tri : Contexts) {
+    TriRecord R;
+    R.Path = Tri.Path;
+    NodeId Ends[3] = {Tri.A, Tri.B, Tri.C};
+    for (int I = 0; I < 3; ++I) {
+      R.Elem[I] = Tree.node(Ends[I]).Element;
+      R.Value[I] = Tree.node(Ends[I]).Value;
+    }
+    Out.push_back(R);
+  }
+  return Out;
+}
+
 namespace {
 
-/// Shared node-mapping logic for graph building.
-class GraphAssembler {
+/// Node merging for graph assembly: one node per element (unknown when
+/// the selector picks it), one known node per value otherwise. Node ids
+/// follow first request order.
+class NodeMerger {
 public:
-  GraphAssembler(const Tree &T, CrfGraph &G) : T(T), G(G) {}
-
-  /// Node for a terminal: element node if it has one, else a known node
-  /// merged by value.
-  uint32_t terminalNode(NodeId Leaf, const ElementSelector &Selector) {
-    const Node &N = T.node(Leaf);
-    if (N.Element != InvalidElement)
-      return elementNode(N.Element, Selector);
-    return knownNode(N.Value);
+  NodeMerger(std::span<const ElementInfo> Elements,
+             const ElementSelector &Selector, CrfGraph &G)
+      : Elements(Elements), Selector(Selector), G(G) {
+    // Adopt the nodes already in the graph (addTriFactors extends one).
+    for (uint32_t N = 0; N < G.Nodes.size(); ++N) {
+      const GraphNode &Node = G.Nodes[N];
+      if (Node.Element != InvalidElement)
+        ElementNodes.emplace(Node.Element, N);
+      else
+        ValueNodes.emplace(Node.Gold, N);
+    }
   }
 
-  uint32_t elementNode(ElementId E, const ElementSelector &Selector) {
+  /// The node of a context end: its element's, else the known node of
+  /// its value.
+  uint32_t end(ElementId E, Symbol Value) {
+    return E != InvalidElement ? elementNode(E) : knownNode(Value);
+  }
+
+  uint32_t elementNode(ElementId E) {
     auto It = ElementNodes.find(E);
     if (It != ElementNodes.end())
       return It->second;
-    const ElementInfo &Info = T.element(E);
+    const ElementInfo &Info = Elements[E];
     uint32_t Id = static_cast<uint32_t>(G.Nodes.size());
     bool Unknown = Selector(Info);
     G.Nodes.push_back({Info.Name, /*Known=*/!Unknown, E});
@@ -117,8 +169,18 @@ public:
     return Id;
   }
 
+  /// The unknown node of \p E, or UINT32_MAX when \p E is not a selected
+  /// element already in the graph.
+  uint32_t unknownOf(ElementId E) const {
+    if (E == InvalidElement || !Selector(Elements[E]))
+      return UINT32_MAX;
+    auto It = ElementNodes.find(E);
+    return It == ElementNodes.end() ? UINT32_MAX : It->second;
+  }
+
 private:
-  const Tree &T;
+  std::span<const ElementInfo> Elements;
+  const ElementSelector &Selector;
   CrfGraph &G;
   std::unordered_map<ElementId, uint32_t> ElementNodes;
   std::unordered_map<Symbol, uint32_t> ValueNodes;
@@ -126,21 +188,15 @@ private:
 
 } // namespace
 
-CrfGraph crf::buildGraph(const Tree &Tree,
-                         const std::vector<PathContext> &Contexts,
+CrfGraph crf::buildGraph(std::span<const ElementInfo> Elements,
+                         std::span<const ContextRecord> Contexts,
                          const ElementSelector &Selector) {
   CrfGraph G;
-  GraphAssembler Asm(Tree, G);
-  for (const PathContext &Ctx : Contexts) {
-    uint32_t A = Asm.terminalNode(Ctx.Start, Selector);
-    uint32_t B;
-    if (Ctx.Semi) {
-      // Semi-path: the ancestor end is a known pseudo-node labelled by
-      // its kind.
-      B = Asm.knownNode(Tree.node(Ctx.End).Kind);
-    } else {
-      B = Asm.terminalNode(Ctx.End, Selector);
-    }
+  NodeMerger Nodes(Elements, Selector, G);
+  for (const ContextRecord &Ctx : Contexts) {
+    uint32_t A = Nodes.end(Ctx.StartElem, Ctx.StartValue);
+    uint32_t B = Ctx.Semi ? Nodes.knownNode(Ctx.EndValue)
+                          : Nodes.end(Ctx.EndElem, Ctx.EndValue);
     bool AKnown = G.Nodes[A].Known;
     bool BKnown = G.Nodes[B].Known;
     if (AKnown && BKnown)
@@ -155,63 +211,46 @@ CrfGraph crf::buildGraph(const Tree &Tree,
   return G;
 }
 
+CrfGraph crf::buildGraph(const Tree &Tree,
+                         const std::vector<PathContext> &Contexts,
+                         const ElementSelector &Selector) {
+  return buildGraph(Tree.elements(), contextRecords(Tree, Contexts),
+                    Selector);
+}
+
 CrfGraph crf::buildTypeGraph(const Tree &Tree, NodeId Target,
                              const std::vector<PathContext> &Contexts) {
   CrfGraph G;
-  GraphAssembler Asm(Tree, G);
+  ElementSelector NeverUnknown = [](const ElementInfo &) { return false; };
+  NodeMerger Nodes(Tree.elements(), NeverUnknown, G);
   Symbol Type = Tree.typeOf(Target);
   assert(Type.isValid() && "type target must be annotated");
-  // The single unknown node: the expression whose type we predict.
+  // The single unknown node: the expression whose type we predict. It is
+  // no value node, so a leaf spelling the type gets a known node of its
+  // own.
   uint32_t TargetNode = static_cast<uint32_t>(G.Nodes.size());
   G.Nodes.push_back({Type, /*Known=*/false, InvalidElement});
   G.Unknowns.push_back(TargetNode);
-  auto NeverUnknown = [](const ElementInfo &) { return false; };
   for (const PathContext &Ctx : Contexts) {
     if (Ctx.End != Target)
       continue;
-    uint32_t A = Asm.terminalNode(Ctx.Start, NeverUnknown);
+    const Node &Start = Tree.node(Ctx.Start);
+    uint32_t A = Nodes.end(Start.Element, Start.Value);
     G.Factors.push_back({A, TargetNode, Ctx.Path, /*Unary=*/false});
   }
   return G;
 }
 
-void crf::addTriFactors(CrfGraph &Graph, const Tree &Tree,
-                        const std::vector<paths::TriContext> &Contexts,
+void crf::addTriFactors(CrfGraph &Graph, std::span<const ElementInfo> Elements,
+                        std::span<const TriRecord> Contexts,
                         const ElementSelector &Selector,
                         StringInterner &Interner) {
-  // Reuse the graph's existing node set: rebuild the terminal→node maps.
-  std::unordered_map<ElementId, uint32_t> ElementNodes;
-  std::unordered_map<Symbol, uint32_t> ValueNodes;
-  for (uint32_t N = 0; N < Graph.Nodes.size(); ++N) {
-    const GraphNode &Node = Graph.Nodes[N];
-    if (Node.Element != InvalidElement)
-      ElementNodes.emplace(Node.Element, N);
-    else
-      ValueNodes.emplace(Node.Gold, N);
-  }
-  auto KnownNode = [&](Symbol Value) {
-    auto It = ValueNodes.find(Value);
-    if (It != ValueNodes.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(Graph.Nodes.size());
-    Graph.Nodes.push_back({Value, /*Known=*/true, InvalidElement});
-    ValueNodes.emplace(Value, Id);
-    return Id;
-  };
-  auto UnknownOf = [&](NodeId Leaf) -> uint32_t {
-    const Node &N = Tree.node(Leaf);
-    if (N.Element == InvalidElement || !Selector(Tree.element(N.Element)))
-      return UINT32_MAX;
-    auto It = ElementNodes.find(N.Element);
-    return It == ElementNodes.end() ? UINT32_MAX : It->second;
-  };
-
-  for (const paths::TriContext &Ctx : Contexts) {
-    NodeId Ends[3] = {Ctx.A, Ctx.B, Ctx.C};
+  NodeMerger Nodes(Elements, Selector, Graph);
+  for (const TriRecord &Ctx : Contexts) {
     uint32_t Unknown = UINT32_MAX;
     int UnknownCount = 0;
-    for (NodeId End : Ends) {
-      uint32_t U = UnknownOf(End);
+    for (int I = 0; I < 3; ++I) {
+      uint32_t U = Nodes.unknownOf(Ctx.Elem[I]);
       if (U != UINT32_MAX) {
         Unknown = U;
         ++UnknownCount;
@@ -221,21 +260,28 @@ void crf::addTriFactors(CrfGraph &Graph, const Tree &Tree,
       continue;
     // Composite label of the two known ends, in source order.
     std::string Composite;
-    for (NodeId End : Ends) {
-      if (UnknownOf(End) != UINT32_MAX)
+    for (int I = 0; I < 3; ++I) {
+      if (Nodes.unknownOf(Ctx.Elem[I]) != UINT32_MAX)
         continue;
       if (!Composite.empty())
         Composite += '+';
-      Composite += Tree.interner().str(Tree.node(End).Value);
+      Composite += Interner.str(Ctx.Value[I]);
     }
-    uint32_t Known = KnownNode(Interner.intern(Composite));
+    uint32_t Known = Nodes.knownNode(Interner.intern(Composite));
     // Order: unknown on the A side if it is the triple's first end.
-    bool UnknownFirst = UnknownOf(Ctx.A) != UINT32_MAX;
-    if (UnknownFirst)
+    if (Nodes.unknownOf(Ctx.Elem[0]) != UINT32_MAX)
       Graph.Factors.push_back({Unknown, Known, Ctx.Path, /*Unary=*/false});
     else
       Graph.Factors.push_back({Known, Unknown, Ctx.Path, /*Unary=*/false});
   }
+}
+
+void crf::addTriFactors(CrfGraph &Graph, const Tree &Tree,
+                        const std::vector<TriContext> &Contexts,
+                        const ElementSelector &Selector,
+                        StringInterner &Interner) {
+  addTriFactors(Graph, Tree.elements(), triRecords(Tree, Contexts), Selector,
+                Interner);
 }
 
 //===----------------------------------------------------------------------===//

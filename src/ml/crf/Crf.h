@@ -97,10 +97,50 @@ struct Incidence {
 /// else becomes known context.
 using ElementSelector = std::function<bool(const ast::ElementInfo &)>;
 
-/// Builds a CRF from a tree and its extracted path-contexts. Terminals of
-/// selected elements merge into one unknown node per element; other
-/// terminals merge into known nodes by value; semi-path ancestor ends
-/// merge into known nodes by kind.
+/// One path-context with its ends resolved to what graph assembly reads:
+/// an end's element id (if any) and its value symbol. For semi-paths
+/// EndElem is invalid and EndValue is the ancestor's *kind* symbol (the
+/// known pseudo-node label); otherwise EndValue is the terminal's value,
+/// used only when the end has no element. Records need no tree, so the
+/// contexts artifact stores them and graphs assemble without an AST.
+struct ContextRecord {
+  paths::PathId Path = paths::InvalidPath;
+  ast::ElementId StartElem = ast::InvalidElement;
+  Symbol StartValue;
+  ast::ElementId EndElem = ast::InvalidElement;
+  Symbol EndValue;
+  bool Semi = false;
+};
+
+/// One 3-wise context: the path plus each end's element and value.
+struct TriRecord {
+  paths::PathId Path = paths::InvalidPath;
+  ast::ElementId Elem[3] = {ast::InvalidElement, ast::InvalidElement,
+                            ast::InvalidElement};
+  Symbol Value[3];
+};
+
+/// Resolves \p Contexts, extracted from \p Tree, into records.
+std::vector<ContextRecord>
+contextRecords(const ast::Tree &Tree,
+               const std::vector<paths::PathContext> &Contexts);
+
+/// Resolves \p Contexts, extracted from \p Tree, into records.
+std::vector<TriRecord>
+triRecords(const ast::Tree &Tree,
+           const std::vector<paths::TriContext> &Contexts);
+
+/// Builds the CRF of one program from its element table and its context
+/// records: the one graph builder. Ends of selected elements merge into
+/// one unknown node per element; other ends merge into known nodes by
+/// element or by value (a semi-path's ancestor end by its kind). Factors
+/// between two known nodes are dropped; a context between two
+/// occurrences of one element becomes a unary factor.
+CrfGraph buildGraph(std::span<const ast::ElementInfo> Elements,
+                    std::span<const ContextRecord> Contexts,
+                    const ElementSelector &Selector);
+
+/// buildGraph() over a tree and its extracted path-contexts.
 CrfGraph buildGraph(const ast::Tree &Tree,
                     const std::vector<paths::PathContext> &Contexts,
                     const ElementSelector &Selector);
@@ -112,10 +152,16 @@ CrfGraph buildTypeGraph(const ast::Tree &Tree, ast::NodeId Target,
                         const std::vector<paths::PathContext> &Contexts);
 
 /// Appends factors for 3-wise path-contexts (§4's n-wise generalization)
-/// to \p Graph. A triple with exactly one unknown end becomes a factor
-/// between the unknown and a composite known node labelled by the two
-/// known end values joined with "+" (interned into \p Interner); other
+/// to \p Graph, built by buildGraph() over the same \p Elements. A triple
+/// with exactly one unknown end becomes a factor between the unknown and
+/// a composite known node labelled by the two known end values joined
+/// with "+" (interned into \p Interner, the records' symbol space); other
 /// triples carry no usable signal for the pairwise CRF and are skipped.
+void addTriFactors(CrfGraph &Graph, std::span<const ast::ElementInfo> Elements,
+                   std::span<const TriRecord> Contexts,
+                   const ElementSelector &Selector, StringInterner &Interner);
+
+/// addTriFactors() over a tree whose symbols live in \p Interner.
 void addTriFactors(CrfGraph &Graph, const ast::Tree &Tree,
                    const std::vector<paths::TriContext> &Contexts,
                    const ElementSelector &Selector,

@@ -6,12 +6,8 @@
 
 #include "serve/Serve.h"
 
-#include "core/Experiments.h"
+#include "core/Predict.h"
 #include "serve/SlowLog.h"
-#include "lang/csharp/CsParser.h"
-#include "lang/java/JavaParser.h"
-#include "lang/js/JsParser.h"
-#include "lang/python/PyParser.h"
 #include "support/EventLog.h"
 #include "support/Json.h"
 #include "support/Parallel.h"
@@ -67,7 +63,6 @@ namespace {
 /// One request after JSON decoding, before pipeline work.
 struct Decoded {
   std::string IdJson = "null"; ///< Pre-rendered echo of the request id.
-  Language Lang = Language::JavaScript;
   std::string Source;
   int K = 3;
   bool Explain = false;
@@ -112,72 +107,6 @@ std::string renderIdEcho(const json::Value &Id) {
   }
 }
 
-std::optional<Language> languageFromRequest(const std::string &Name) {
-  if (Name == "js" || Name == "javascript")
-    return Language::JavaScript;
-  if (Name == "java")
-    return Language::Java;
-  if (Name == "py" || Name == "python")
-    return Language::Python;
-  if (Name == "cs" || Name == "csharp")
-    return Language::CSharp;
-  return std::nullopt;
-}
-
-std::optional<core::Task> taskFromRequest(const std::string &Name) {
-  if (Name == "vars")
-    return core::Task::VariableNames;
-  if (Name == "methods")
-    return core::Task::MethodNames;
-  if (Name == "types")
-    return core::Task::FullTypes;
-  return std::nullopt;
-}
-
-/// Inverse of languageFromRequest / taskFromRequest: the canonical
-/// protocol token, so admin:"health" reports values a client can feed
-/// straight back into a request's "lang"/"task" fields.
-const char *languageToken(Language Lang) {
-  switch (Lang) {
-  case Language::JavaScript:
-    return "js";
-  case Language::Java:
-    return "java";
-  case Language::Python:
-    return "py";
-  case Language::CSharp:
-    return "cs";
-  }
-  return "js";
-}
-
-const char *taskToken(core::Task T) {
-  switch (T) {
-  case core::Task::VariableNames:
-    return "vars";
-  case core::Task::MethodNames:
-    return "methods";
-  case core::Task::FullTypes:
-    return "types";
-  }
-  return "vars";
-}
-
-lang::ParseResult parseAs(Language Lang, const std::string &Text,
-                          StringInterner &SI) {
-  switch (Lang) {
-  case Language::JavaScript:
-    return js::parse(Text, SI);
-  case Language::Java:
-    return java::parse(Text, SI);
-  case Language::Python:
-    return py::parse(Text, SI);
-  case Language::CSharp:
-    return cs::parse(Text, SI);
-  }
-  return {};
-}
-
 /// Decodes and validates one request line against \p Bundle and
 /// \p Config. On failure returns the rendered error response (and leaves
 /// \p Out partially filled — only IdJson is meaningful then).
@@ -208,7 +137,7 @@ std::optional<std::string> decodeRequest(const std::string &Line,
   if (!Lang || !Lang->isString())
     return Err(ErrorCode::BadRequest,
                "missing string field \"lang\"");
-  std::optional<Language> L = languageFromRequest(Lang->str());
+  std::optional<Language> L = core::languageFromToken(Lang->str());
   if (!L)
     return Err(ErrorCode::UnknownLang,
                "unknown language \"" + Lang->str() + "\"");
@@ -217,13 +146,12 @@ std::optional<std::string> decodeRequest(const std::string &Line,
                std::string("model serves ") +
                lang::languageName(Bundle.Lang) + ", not " +
                lang::languageName(*L));
-  Out.Lang = *L;
 
   if (const json::Value *Task = Doc->find("task")) {
     if (!Task->isString())
       return Err(ErrorCode::BadRequest,
                  "task must be a string");
-    std::optional<core::Task> T = taskFromRequest(Task->str());
+    std::optional<core::Task> T = core::taskFromToken(Task->str());
     if (!T)
       return Err(ErrorCode::UnknownTask,
                  "unknown task \"" + Task->str() + "\"");
@@ -484,8 +412,9 @@ bool Service::tryHandleAdmin(const std::string &Line, const Callback &Done) {
     std::string Out = Head() + "\"health\":{\"status\":\"";
     Out += Draining ? "draining" : "ok";
     Out += "\",\"lang\":" +
-           telemetry::jsonString(languageToken(Bundle->Lang)) +
-           ",\"task\":" + telemetry::jsonString(taskToken(Bundle->TaskKind)) +
+           telemetry::jsonString(core::languageToken(Bundle->Lang)) +
+           ",\"task\":" +
+           telemetry::jsonString(core::taskToken(Bundle->TaskKind)) +
            ",\"features\":" + std::to_string(Bundle->Model.numFeatures()) +
            ",\"symbols\":" + std::to_string(Bundle->Interner->size()) +
            ",\"uptime_seconds\":" + telemetry::jsonNumber(uptimeSeconds()) +
@@ -696,11 +625,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
     std::string Response; ///< Non-empty once the item failed (or finished).
     ErrorCode Code = ErrorCode::BadRequest; ///< Meaningful when failed.
     bool Failed = false;
-    std::unique_ptr<StringInterner> LocalSI;
-    std::unique_ptr<paths::PathTable> LocalTable;
-    lang::ParseResult R;
-    crf::CrfGraph G; ///< Moved into the batch's graph list once built.
-    size_t GraphIndex = ~size_t(0);
+    core::Prediction Pred;
   };
   std::vector<Item> Items(Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I)
@@ -748,16 +673,14 @@ void Service::processBatch(std::vector<Pending> Batch) {
     parallel::StageTimer Timer("serve.parse");
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
       Item &It = Items[I];
-      if (It.Failed)
-        return;
-      It.LocalSI = std::make_unique<StringInterner>(StringInterner::Delta,
-                                                    *Bundle->Interner);
-      It.R = parseAs(It.D.Lang, It.D.Source, *It.LocalSI);
+      if (!It.Failed)
+        It.Pred = core::parsePrediction(*Bundle, It.D.Source);
     });
     for (Item &It : Items)
-      if (!It.Failed && !It.R.Tree) {
+      if (!It.Failed && !It.Pred.parsed()) {
+        const auto &Diags = It.Pred.Parse.Diags;
         std::string Reason =
-            It.R.Diags.empty() ? "no tree produced" : It.R.Diags[0].str();
+            Diags.empty() ? "no tree produced" : Diags[0].str();
         fail(It, ErrorCode::ParseFailed, "parse failed: " + Reason);
       }
   }
@@ -766,44 +689,25 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // Extract + assemble against per-request delta overlays of the
   // bundle's path table — nothing here (or anywhere in the pipeline)
   // writes the resident bundle, which is what lets N batcher workers
-  // process batches concurrently over one shared bundle. Known paths
-  // resolve to their final table ids; novel paths (and the novel
-  // symbols inside them) stay provisional in the overlay, assigned in
-  // the same first-encounter order a fresh bundle would use. Their
-  // hash-keyed features carry no trained weight either way, provisional
-  // ids sort after every trained id exactly like freshly-committed ones
-  // do, and rendering resolves ids back through strings — so responses
-  // stay byte-identical to one-shot `pigeon predict` without the serial
-  // commit the single-batcher design needed. Share-nothing items also
-  // make the stage safe to run on the pool.
-  std::vector<crf::CrfGraph> Graphs;
+  // process batches concurrently over one shared bundle. Share-nothing
+  // items also make the stage safe to run on the pool.
   {
     parallel::StageTimer Timer("serve.extract");
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
-      Item &It = Items[I];
-      if (It.Failed)
-        return;
-      It.LocalTable = std::make_unique<paths::PathTable>(
-          paths::PathTable::Delta, Bundle->Table);
-      auto Contexts = paths::extractPathContexts(
-          *It.R.Tree, Bundle->Extraction, *It.LocalTable);
-      It.G = crf::buildGraph(*It.R.Tree, Contexts,
-                             core::selectorFor(Bundle->TaskKind));
+      if (!Items[I].Failed)
+        core::assemblePrediction(*Bundle, Items[I].Pred);
     });
-    for (Item &It : Items) {
-      if (It.Failed)
-        continue;
-      It.GraphIndex = Graphs.size();
-      Graphs.push_back(std::move(It.G));
-    }
   }
   const auto TRemap = std::chrono::steady_clock::now(); // t_remap_done.
 
-  // Inference, sharded inside predictBatch.
-  std::vector<std::vector<Symbol>> Preds;
+  // Inference over the batch, sharded inside predictBatch.
   {
     parallel::StageTimer Timer("serve.predict");
-    Preds = Bundle->Model.predictBatch(Graphs);
+    std::vector<core::Prediction *> Live;
+    for (Item &It : Items)
+      if (!It.Failed)
+        Live.push_back(&It.Pred);
+    core::inferPredictions(*Bundle, Live);
   }
   const auto TPredict = std::chrono::steady_clock::now(); // t_predict_done.
 
@@ -836,51 +740,46 @@ void Service::processBatch(std::vector<Pending> Batch) {
       // Strings resolve through the request's own overlay: bundle
       // symbols delegate to the shared base, provisional ones to the
       // overlay's private storage.
-      const StringInterner &SI = *It.LocalSI;
-      const crf::CrfGraph &G = Graphs[It.GraphIndex];
-      const std::vector<Symbol> &Pred = Preds[It.GraphIndex];
+      core::Prediction &Pred = It.Pred;
+      core::rankPrediction(*Bundle, Pred, It.D.K,
+                           It.D.Explain ? std::optional(Config.ExplainPaths)
+                                        : std::nullopt);
       Out = renderHead(It.P.Seq, It.D.IdJson) + "\"ok\":true,\"predictions\":[";
       bool FirstNode = true;
-      for (uint32_t N : G.Unknowns) {
-        const crf::GraphNode &Node = G.Nodes[N];
+      for (const core::ElementPrediction &E : Pred.Elements) {
         if (!FirstNode)
           Out += ",";
         FirstNode = false;
-        Out += "{\"element\":" + telemetry::jsonString(SI.str(Node.Gold));
+        Out += "{\"element\":" + telemetry::jsonString(Pred.str(E.Name));
         Out += ",\"kind\":";
-        Out += telemetry::jsonString(
-            Node.Element != ast::InvalidElement
-                ? ast::elementKindName(
-                      It.R.Tree->element(Node.Element).Kind)
-                : "?");
+        Out += telemetry::jsonString(E.Kind);
         Out += ",\"candidates\":[";
-        auto Top = Bundle->Model.topK(G, N, Pred, It.D.K);
         bool FirstCand = true;
-        for (const auto &[Label, Score] : Top) {
+        for (const auto &[Label, Score] : E.Candidates) {
           if (!FirstCand)
             Out += ",";
           FirstCand = false;
-          Out += "{\"label\":" + telemetry::jsonString(SI.str(Label)) +
+          Out += "{\"label\":" + telemetry::jsonString(Pred.str(Label)) +
                  ",\"score\":" + telemetry::jsonNumber(Score) + "}";
         }
         Out += "]";
-        if (It.D.Explain && Pred[N].isValid()) {
-          crf::NodeExplanation E = Bundle->Model.explain(
-              G, N, Pred[N], Pred, Config.ExplainPaths);
+        if (E.Explanation) {
+          const crf::NodeExplanation &X = *E.Explanation;
           Out += ",\"explain\":{\"total\":" +
-                 telemetry::jsonNumber(E.Total) +
-                 ",\"bias\":" + telemetry::jsonNumber(E.Bias) +
+                 telemetry::jsonNumber(X.Total) +
+                 ",\"bias\":" + telemetry::jsonNumber(X.Bias) +
                  ",\"paths\":[";
           bool FirstPath = true;
-          for (const crf::Attribution &A : E.Paths) {
+          for (const crf::Attribution &A : X.Paths) {
             if (!FirstPath)
               Out += ",";
             FirstPath = false;
             Out += "{\"path\":" +
-                   telemetry::jsonString(It.LocalTable->render(A.Path, SI)) +
+                   telemetry::jsonString(
+                       Pred.Table->render(A.Path, *Pred.Interner)) +
                    ",\"neighbor\":" +
                    (A.Neighbor.isValid()
-                        ? telemetry::jsonString(SI.str(A.Neighbor))
+                        ? telemetry::jsonString(Pred.str(A.Neighbor))
                         : "null") +
                    ",\"unary\":" + (A.Unary ? "true" : "false") +
                    ",\"score\":" + telemetry::jsonNumber(A.Score) + "}";

@@ -10,8 +10,7 @@
 /// process lives — the serving shape of the paper's pitch (JSNice-style
 /// interactive queries over real codebases) and of the ROADMAP's
 /// heavy-traffic north star. One-shot `pigeon predict` pays process
-/// startup plus full bundle deserialization per prediction; the service
-/// pays them once.
+/// startup and a bundle open per prediction; the service pays them once.
 ///
 /// Protocol (schema `pigeon.serve.v1`), one JSON object per line:
 ///
@@ -44,27 +43,27 @@
 /// picks the shallowest shard). Each worker accumulates its shard into
 /// micro-batches — flushed when MaxBatch requests are pending or
 /// FlushMicros elapsed since the batch opened — then runs the pipeline
-/// per batch:
+/// per batch, one step of the shared prediction path (core/Predict.h)
+/// per stage and request:
 ///
-///   decode (serial) → parse (support/Parallel pool, one private
-///   interner per request) → extract+assemble (per-request delta
-///   overlays of the bundle's path table) → predict
-///   (CrfModel::predictBatch, sharded) → render + deliver in admission
-///   order within the batch.
+///   decode (serial) → parse (core::parsePrediction on the
+///   support/Parallel pool) → extract+assemble
+///   (core::assemblePrediction, on the pool) → predict
+///   (core::inferPredictions: one sharded CrfModel::predictBatch) →
+///   rank (core::rankPrediction) + render + deliver in admission order
+///   within the batch.
 ///
-/// Nothing in this pipeline writes the resident bundle: parsing and
-/// extraction intern novel strings/paths into *per-request* delta
-/// overlays that are dropped with the request, so N workers share the
-/// bundle read-only (share-nothing scaling, and a hostile stream of
-/// novel identifiers cannot grow the resident tables). The overlay
-/// assigns provisional ids in the same first-encounter order a fresh
-/// bundle would, novel features carry no trained weight either way, and
-/// rendering resolves ids back through strings — so a served response
-/// is byte-identical to a one-shot `pigeon predict` at any worker count
-/// and for any batch composition (pinned by serve_test). Per-request
-/// deadlines are enforced at decode time; a request whose deadline
-/// passed while queued answers `deadline_exceeded` without paying for
-/// parse or inference.
+/// Nothing in this pipeline writes the resident bundle: a Prediction
+/// interns novel strings/paths into its own delta overlays, dropped with
+/// the request, so N workers share the bundle read-only (share-nothing
+/// scaling, and a hostile stream of novel identifiers cannot grow the
+/// resident tables). `pigeon predict` runs the same steps on the same
+/// overlays, so a served response is byte-identical to it by
+/// construction, at any worker count and for any batch composition
+/// (pinned by serve_test and serve_cli_test). Per-request deadlines are
+/// enforced at decode time; a request whose deadline passed while
+/// queued answers `deadline_exceeded` without paying for parse or
+/// inference.
 ///
 /// Everything is wired into Telemetry/EventLog: `serve.requests`,
 /// `serve.batch.size`, per-phase `serve.<phase>.wall.seconds`

@@ -125,4 +125,37 @@ RC=$?
 grep -q "nesting deeper than" "$TMP/err7e" \
   || fail "extract on deep nesting lacks the reason: $(cat "$TMP/err7e")"
 
+# 8. eval takes its language from the bundle: --lang may be omitted, and
+#    a --lang of another language exits 1 with the mismatch message the
+#    artifact route prints, instead of scoring the model on sources of
+#    another language.
+"$PIGEON" eval --model "$TMP/model.bin" "$TMP/corpus" > "$TMP/out8" \
+  2> "$TMP/err8" || fail "eval without --lang failed: $(cat "$TMP/err8")"
+grep -q "^accuracy " "$TMP/out8" \
+  || fail "eval without --lang printed no accuracy: $(cat "$TMP/out8")"
+"$PIGEON" synth --lang java --out "$TMP/jcorpus" --projects 2 --seed 7 \
+  > /dev/null 2>&1 || fail "java synth failed"
+"$PIGEON" eval --model "$TMP/model.bin" --lang java "$TMP/jcorpus" \
+  > "$TMP/out8j" 2> "$TMP/err8j"
+RC=$?
+[ "$RC" = 1 ] || fail "eval of a js model with --lang java exited $RC, not 1"
+grep -q "language/task does not match the model" "$TMP/err8j" \
+  || fail "eval with a foreign --lang lacks the mismatch: $(cat "$TMP/err8j")"
+[ -s "$TMP/out8j" ] && fail "refused eval printed: $(cat "$TMP/out8j")"
+
+# 9. a source the parser recovers from: predict still prints its table
+#    and exits 0, and reports every diagnostic on stderr as extract does.
+echo 'function f(x) { var total = x + ; return total; }' > "$TMP/bad.js"
+"$PIGEON" predict --model "$TMP/model.bin" "$TMP/bad.js" > "$TMP/out9" \
+  2> "$TMP/err9" || fail "predict on a recoverable parse exited nonzero"
+grep -q "predictions for $TMP/bad.js" "$TMP/out9" \
+  || fail "predict on a recoverable parse printed no table: $(cat "$TMP/out9")"
+grep -q "bad.js:1:33: unexpected token ';' in expression" "$TMP/err9" \
+  || fail "predict kept the parse diagnostic quiet: $(cat "$TMP/err9")"
+"$PIGEON" extract --lang js "$TMP/bad.js" > /dev/null 2> "$TMP/err9e"
+grep "unexpected token" "$TMP/err9e" > "$TMP/diag9e"
+grep "unexpected token" "$TMP/err9" > "$TMP/diag9"
+cmp -s "$TMP/diag9" "$TMP/diag9e" \
+  || fail "predict and extract report different diagnostics"
+
 echo "PASS"

@@ -82,8 +82,8 @@ void expectArtifactsEqual(const ContextsArtifact &A,
     }
     ASSERT_EQ(FA.Contexts.size(), FB.Contexts.size());
     for (size_t I = 0; I < FA.Contexts.size(); ++I) {
-      const ContextRecord &CA = FA.Contexts[I];
-      const ContextRecord &CB = FB.Contexts[I];
+      const crf::ContextRecord &CA = FA.Contexts[I];
+      const crf::ContextRecord &CB = FB.Contexts[I];
       EXPECT_EQ(CA.Path, CB.Path);
       EXPECT_EQ(CA.StartElem, CB.StartElem);
       EXPECT_EQ(CA.StartValue, CB.StartValue);
@@ -173,8 +173,8 @@ TEST(ContextsArtifact, RecordTriFactorsMatchTreeTriFactors) {
     crf::addTriFactors(FromTree, C.Files[F].Tree, Tris, Selector,
                        *Art.Interner);
     crf::CrfGraph FromRecord = buildGraphFromRecord(Art.Files[F], Selector);
-    addTriFactorsFromRecord(FromRecord, Art.Files[F], Selector,
-                            *Art.Interner);
+    crf::addTriFactors(FromRecord, Art.Files[F].Elements, Art.Files[F].Tris,
+                       Selector, *Art.Interner);
     expectGraphsEqual(FromTree, FromRecord);
     TriFactors += FromTree.Factors.size();
   }

@@ -12,6 +12,8 @@
 
 #include "core/Experiments.h"
 
+#include "core/ContextsIO.h"
+#include "core/Predict.h"
 #include "lang/js/JsParser.h"
 #include "support/Telemetry.h"
 
@@ -26,17 +28,19 @@ using pigeon::lang::Language;
 
 namespace {
 
-/// Small-but-meaningful corpus, cached per language across tests.
+/// Small-but-meaningful corpus.
+Corpus makeCorpus(Language Lang) {
+  datagen::CorpusSpec Spec = datagen::defaultSpec(Lang, /*Seed=*/11);
+  Spec.NumProjects = 40;
+  return parseCorpus(datagen::generateCorpus(Spec), Lang);
+}
+
+/// makeCorpus(), cached per language across tests.
 const Corpus &corpusFor(Language Lang) {
   static std::map<Language, Corpus> Cache;
   auto It = Cache.find(Lang);
-  if (It == Cache.end()) {
-    datagen::CorpusSpec Spec = datagen::defaultSpec(Lang, /*Seed=*/11);
-    Spec.NumProjects = 40;
-    It = Cache.emplace(Lang,
-                       parseCorpus(datagen::generateCorpus(Spec), Lang))
-             .first;
-  }
+  if (It == Cache.end())
+    It = Cache.emplace(Lang, makeCorpus(Lang)).first;
   return It->second;
 }
 
@@ -285,26 +289,29 @@ TEST(PipelineTest, ParseFailureReasonCounterBudgetIsGlobal) {
 }
 
 TEST(Qualitative, Fig1aTopCandidatesAreFlagNames) {
-  const Corpus &C = corpusFor(Language::JavaScript);
-  TrainedNameModel Model(C, Task::VariableNames, defaultOptions());
-  // Parse Fig. 1a with the corpus interner.
-  lang::ParseResult R = js::parse(
+  // Training takes over the corpus' interner: use a corpus of its own.
+  Corpus C = makeCorpus(Language::JavaScript);
+  ModelBundle Model = trainBundle(
+      buildContextsArtifact(C, Task::VariableNames, defaultOptions()));
+  Prediction P = predictSource(
+      Model,
       "function waitUntilReady() { var d = false; while (!d) { if "
       "(someCondition()) { d = true; } } return d; }",
-      *C.Interner);
-  ASSERT_TRUE(R.ok());
-  auto Pred = Model.predict(*R.Tree);
-  ASSERT_FALSE(Pred.empty());
+      /*K=*/5);
+  ASSERT_TRUE(P.Parse.ok());
+  ASSERT_FALSE(P.Elements.empty());
   // Find element `d` and check the prediction is a flag-style name.
-  for (const auto &[E, Name] : Pred) {
-    if (C.Interner->str(R.Tree->element(E).Name) != "d")
+  size_t Seen = 0;
+  for (const ElementPrediction &E : P.Elements) {
+    if (P.str(E.Name) != "d")
       continue;
-    ASSERT_TRUE(Name.isValid());
-    EXPECT_EQ(C.Interner->str(Name), "done");
-    auto Top = Model.topKFor(*R.Tree, E, 5);
-    ASSERT_GE(Top.size(), 2u);
-    EXPECT_EQ(C.Interner->str(Top[0].first), "done");
+    ++Seen;
+    ASSERT_TRUE(E.Label.isValid());
+    EXPECT_EQ(P.str(E.Label), "done");
+    ASSERT_GE(E.Candidates.size(), 2u);
+    EXPECT_EQ(P.str(E.Candidates[0].first), "done");
   }
+  EXPECT_EQ(Seen, 1u);
 }
 
 } // namespace

@@ -645,13 +645,7 @@ std::string modelBytesAt(size_t Threads) {
   crf::CrfConfig Config;
   Config.Epochs = 2;
   Bundle.Model = crf::CrfModel(Config);
-  crf::ElementSelector Selector = selectorFor(Bundle.TaskKind);
-  std::vector<crf::CrfGraph> Graphs;
-  for (const FileRecord &Rec : Art.Files) {
-    crf::CrfGraph G = buildGraphFromRecord(Rec, Selector);
-    addTriFactorsFromRecord(G, Rec, Selector, *Bundle.Interner);
-    Graphs.push_back(std::move(G));
-  }
+  std::vector<crf::CrfGraph> Graphs = assembleGraphs(Art, *Bundle.Interner);
   Bundle.Table = std::move(Art.Table);
   Bundle.Model.train(Graphs);
   std::ostringstream OS;

@@ -5,7 +5,8 @@
 # structured errors), keep running across the bad inputs, and exit 0 on
 # EOF. Also smokes the request-tracing surface: rid echo, the "timing"
 # request flag, --trace/--slow-log/--flightrec capture files, the
-# admin:"flightrec" verb, and the trace_report folding tool.
+# admin:"flightrec" verb, and the trace_report folding tool. And pins
+# that `pigeon serve` answers what `pigeon predict` prints.
 # Run as: serve_cli_test.sh <path-to-pigeon-binary> <path-to-trace_report>.
 set -u
 
@@ -52,6 +53,62 @@ grep -q '"schema":"pigeon.serve.v1","rid":1,"id":1,"ok":true' \
   "$TMP/responses" || fail "first response does not echo rid 1"
 grep -q '"rid":3,"id":3,"ok":false' "$TMP/responses" \
   || fail "error response does not echo its rid"
+
+# --- pigeon predict == pigeon serve, binary against binary -------------
+# Held-out sources from another seed carry strings and paths the model
+# never saw. Served with k 3, each must get the elements, kinds and
+# candidate labels `pigeon predict` prints for the same file, row by row.
+TAB=$(printf '\t')
+json_escape() {
+  sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e "s/$TAB/\\\\t/g" "$1" \
+    | awk 'BEGIN { ORS = "" } { print $0 "\\n" }'
+}
+"$PIGEON" synth --lang js --out "$TMP/heldout" --projects 1 --seed 8 \
+  > /dev/null 2>&1 || fail "held-out synth failed"
+: > "$TMP/same_requests"
+: > "$TMP/predict_rows"
+N=0
+for F in "$TMP"/heldout/*_file1*.js; do
+  N=$((N + 1))
+  "$PIGEON" predict --model "$TMP/model.bin" "$F" > "$TMP/predict.out" \
+    2> /dev/null || fail "predict failed on $F"
+  # Table rows after title, header and rule: element, kind, prediction,
+  # then the candidates as "a, b, c".
+  tail -n +4 "$TMP/predict.out" | awk -v id="$N" '{
+    c = ""
+    for (i = 4; i <= NF; i++) {
+      w = $i; sub(/,$/, "", w); c = c (c == "" ? "" : ",") w
+    }
+    print id, $1, $2, c
+  }' >> "$TMP/predict_rows"
+  printf '{"id":%d,"lang":"js","k":3,"source":"%s"}\n' "$N" \
+    "$(json_escape "$F")" >> "$TMP/same_requests"
+done
+[ "$N" -ge 5 ] || fail "expected at least 5 held-out files, got $N"
+[ -s "$TMP/predict_rows" ] || fail "predict printed no rows"
+
+"$PIGEON" serve --model "$TMP/model.bin" --stdio \
+  < "$TMP/same_requests" > "$TMP/same_responses" 2> "$TMP/same.err" \
+  || fail "serve exited nonzero: $(cat "$TMP/same.err")"
+[ "$(grep -c '"ok":true' "$TMP/same_responses")" = "$N" ] \
+  || fail "not every held-out request was answered ok: $(cat "$TMP/same_responses")"
+awk '{
+  match($0, /"id":[0-9]+/); id = substr($0, RSTART + 5, RLENGTH - 5)
+  n = split($0, parts, /\{"element":"/)
+  for (i = 2; i <= n; i++) {
+    p = parts[i]
+    el = substr(p, 1, index(p, "\"") - 1)
+    match(p, /"kind":"[^"]*"/); kind = substr(p, RSTART + 8, RLENGTH - 9)
+    c = ""
+    while (match(p, /"label":"[^"]*"/)) {
+      c = c (c == "" ? "" : ",") substr(p, RSTART + 9, RLENGTH - 10)
+      p = substr(p, RSTART + RLENGTH)
+    }
+    print id, el, kind, c
+  }
+}' "$TMP/same_responses" > "$TMP/serve_rows"
+cmp -s "$TMP/predict_rows" "$TMP/serve_rows" \
+  || fail "serve and predict disagree: $(diff "$TMP/predict_rows" "$TMP/serve_rows")"
 
 # --- Request-scoped tracing over --stdio -------------------------------
 # A "timing": true request echoes its per-stage decomposition inline;

@@ -23,13 +23,16 @@
 ///       resulting bundle is byte-identical to direct training on the
 ///       same corpus.
 ///
-///   pigeon eval --model MODEL (--from-contexts CTX | --lang js PATH...)
+///   pigeon eval --model MODEL (--from-contexts CTX | [--lang js] PATH...)
 ///       Measure a trained bundle's accuracy on a labelled corpus, given
-///       either sources or a contexts artifact.
+///       either sources or a contexts artifact. The language defaults to
+///       the bundle's; a --lang or an artifact of another language or
+///       task is refused.
 ///
 ///   pigeon predict --model MODEL FILE
 ///       Predict names for a (possibly minified) file with a trained
-///       bundle; prints top-3 candidates per element.
+///       bundle; prints top-3 candidates per element, and every parse
+///       diagnostic to stderr.
 ///
 ///   pigeon demo --lang js
 ///       Self-contained showcase: synthesize a corpus, train, strip a
@@ -51,10 +54,7 @@
 #include "core/Experiments.h"
 #include "core/MappedBundle.h"
 #include "core/ModelIO.h"
-#include "lang/csharp/CsParser.h"
-#include "lang/java/JavaParser.h"
-#include "lang/js/JsParser.h"
-#include "lang/python/PyParser.h"
+#include "core/Predict.h"
 #include "serve/Serve.h"
 #include "serve/SlowLog.h"
 #include "support/EventLog.h"
@@ -74,6 +74,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -97,7 +98,7 @@ int usage() {
          " --out MODEL PATH...\n"
          "  pigeon train   --from-contexts CTX --out MODEL\n"
          "  pigeon eval    --model MODEL"
-         " (--from-contexts CTX | --lang <js|java|py|cs> PATH...)\n"
+         " (--from-contexts CTX | [--lang <js|java|py|cs>] PATH...)\n"
          "  pigeon predict --model MODEL FILE\n"
          "  pigeon serve   --model MODEL"
          " (--socket PATH | --tcp HOST:PORT | --stdio)\n"
@@ -146,18 +147,6 @@ int usage() {
   return 2;
 }
 
-std::optional<Language> parseLanguage(const std::string &Name) {
-  if (Name == "js" || Name == "javascript")
-    return Language::JavaScript;
-  if (Name == "java")
-    return Language::Java;
-  if (Name == "py" || Name == "python")
-    return Language::Python;
-  if (Name == "cs" || Name == "csharp")
-    return Language::CSharp;
-  return std::nullopt;
-}
-
 const char *extensionFor(Language Lang) {
   switch (Lang) {
   case Language::JavaScript:
@@ -179,21 +168,6 @@ std::optional<paths::Abstraction> parseAbstraction(const std::string &Name) {
   return std::nullopt;
 }
 
-lang::ParseResult parseAs(Language Lang, const std::string &Text,
-                          StringInterner &SI) {
-  switch (Lang) {
-  case Language::JavaScript:
-    return js::parse(Text, SI);
-  case Language::Java:
-    return java::parse(Text, SI);
-  case Language::Python:
-    return py::parse(Text, SI);
-  case Language::CSharp:
-    return cs::parse(Text, SI);
-  }
-  return {};
-}
-
 /// "error: cannot <verb> <path>: <strerror>" — every file the CLI fails
 /// to open reports the OS reason. A missing model path must read as an IO
 /// error here, not surface three layers later as a bundle decode error.
@@ -211,6 +185,17 @@ std::optional<std::string> readFile(const std::string &Path) {
   if (In.bad())
     return std::nullopt;
   return Buffer.str();
+}
+
+/// Prints every diagnostic of \p R to stderr as "PATH:LINE:COL: message".
+/// \returns false, after saying so, when the frontend built no tree.
+bool reportParse(const std::string &Path, const lang::ParseResult &R) {
+  for (const lang::Diagnostic &D : R.Diags)
+    std::cerr << Path << ":" << D.str() << "\n";
+  if (R.Tree)
+    return true;
+  std::cerr << "error: parse failed\n";
+  return false;
 }
 
 /// Collects source files (by extension) under the given paths.
@@ -250,14 +235,10 @@ int cmdExtract(Language Lang, const paths::ExtractionConfig &Config,
   std::optional<lang::ParseResult> R;
   {
     telemetry::TraceScope Phase("parse");
-    R = parseAs(Lang, *Text, Interner);
+    R = parseSource(Lang, *Text, Interner);
   }
-  for (const lang::Diagnostic &D : R->Diags)
-    std::cerr << Path << ":" << D.str() << "\n";
-  if (!R->Tree) {
-    std::cerr << "error: parse failed\n";
+  if (!reportParse(Path, *R))
     return 1;
-  }
 
   paths::PathTable Table;
   std::vector<paths::PathContext> Contexts;
@@ -394,32 +375,9 @@ std::unique_ptr<ModelBundle> loadBundleFile(const std::string &ModelPath,
 //===----------------------------------------------------------------------===//
 
 /// Trains and saves a bundle from an artifact (loaded or just built).
-/// Both `train` routes converge here, which is what makes them produce
-/// byte-identical bundles for the same corpus.
+/// Both `train` routes converge here, on core::trainBundle.
 int trainFromArtifact(ContextsArtifact &&Art, const std::string &OutPath) {
-  ModelBundle Bundle;
-  Bundle.Lang = Art.Lang;
-  Bundle.TaskKind = Art.TaskKind;
-  Bundle.Extraction = Art.Extraction;
-  Bundle.Interner = std::move(Art.Interner);
-  Bundle.Table = std::move(Art.Table);
-
-  crf::ElementSelector Selector = selectorFor(Bundle.TaskKind);
-  std::vector<crf::CrfGraph> Graphs;
-  Graphs.reserve(Art.Files.size());
-  {
-    telemetry::TraceScope Phase("assemble");
-    for (const FileRecord &Rec : Art.Files) {
-      crf::CrfGraph G = buildGraphFromRecord(Rec, Selector);
-      if (Art.TriContexts)
-        addTriFactorsFromRecord(G, Rec, Selector, *Bundle.Interner);
-      Graphs.push_back(std::move(G));
-    }
-  }
-  {
-    telemetry::TraceScope Phase("train");
-    Bundle.Model.train(Graphs);
-  }
+  ModelBundle Bundle = trainBundle(std::move(Art));
   std::cerr << "trained: " << Bundle.Model.numFeatures() << " features, "
             << Bundle.Table.size() << " distinct paths\n";
 
@@ -466,6 +424,14 @@ int cmdTrainFromContexts(const std::string &ContextsPath,
 // eval
 //===----------------------------------------------------------------------===//
 
+/// The refusal of an eval input whose language or task is not the
+/// model's; both eval routes print it.
+int refuseMismatch(const char *Input) {
+  std::cerr << "error: " << Input
+            << " language/task does not match the model\n";
+  return 1;
+}
+
 int cmdEval(const std::string &ModelPath, const std::string &ContextsPath,
             const std::optional<Language> &Lang,
             const std::vector<std::string> &Roots) {
@@ -485,15 +451,14 @@ int cmdEval(const std::string &ModelPath, const std::string &ContextsPath,
     Art = loadContextsFile(ContextsPath);
     if (!Art)
       return 1;
-    if (Art->Lang != Bundle->Lang || Art->TaskKind != Bundle->TaskKind) {
-      std::cerr << "error: contexts artifact language/task does not match "
-                   "the model\n";
-      return 1;
-    }
+    if (Art->Lang != Bundle->Lang || Art->TaskKind != Bundle->TaskKind)
+      return refuseMismatch("contexts artifact");
   } else {
-    // Direct route: extract with the model's own configuration so the
-    // contexts match what it was trained on.
-    auto Built = buildArtifactFromRoots(*Lang, Bundle->TaskKind,
+    // Direct route: parse as the model's language and extract with its
+    // own configuration, so the contexts match what it was trained on.
+    if (Lang && *Lang != Bundle->Lang)
+      return refuseMismatch("source");
+    auto Built = buildArtifactFromRoots(Bundle->Lang, Bundle->TaskKind,
                                         Bundle->Extraction, Roots);
     if (!Built)
       return 1;
@@ -545,41 +510,29 @@ int cmdPredict(const std::string &ModelPath, const std::string &Path) {
     std::cerr << openError("read", Path) << "\n";
     return 1;
   }
-  std::optional<lang::ParseResult> R;
+  Prediction P;
   {
     telemetry::TraceScope Phase("parse");
-    R = parseAs(Bundle->Lang, *Text, *Bundle->Interner);
+    P = parsePrediction(*Bundle, *Text);
   }
-  if (!R->Tree) {
-    for (const lang::Diagnostic &D : R->Diags)
-      std::cerr << Path << ":" << D.str() << "\n";
-    std::cerr << "error: parse failed\n";
+  if (!reportParse(Path, P.Parse))
     return 1;
+  {
+    telemetry::TraceScope Phase("predict");
+    completePrediction(*Bundle, P, /*K=*/3);
   }
-  telemetry::TraceScope Phase("predict");
-  auto Contexts = paths::extractPathContexts(*R->Tree, Bundle->Extraction,
-                                             Bundle->Table);
-  crf::CrfGraph G =
-      crf::buildGraph(*R->Tree, Contexts, selectorFor(Bundle->TaskKind));
-  std::vector<Symbol> Pred = Bundle->Model.predict(G);
 
   TablePrinter Out("predictions for " + Path);
   Out.setHeader({"Element", "Kind", "Prediction", "Top candidates"});
-  for (uint32_t N : G.Unknowns) {
-    const crf::GraphNode &Node = G.Nodes[N];
-    auto Top = Bundle->Model.topK(G, N, Pred, 3);
+  for (const ElementPrediction &E : P.Elements) {
     std::string Candidates;
-    for (const auto &[Label, Score] : Top) {
+    for (const auto &[Label, Score] : E.Candidates) {
       if (!Candidates.empty())
         Candidates += ", ";
-      Candidates += Bundle->Interner->str(Label);
+      Candidates += P.str(Label);
     }
-    std::string Kind =
-        Node.Element != InvalidElement
-            ? elementKindName(R->Tree->element(Node.Element).Kind)
-            : "?";
-    Out.addRow({std::string(Bundle->Interner->str(Node.Gold)), Kind,
-                std::string(Pred[N].isValid() ? Bundle->Interner->str(Pred[N])
+    Out.addRow({std::string(P.str(E.Name)), E.Kind,
+                std::string(E.Label.isValid() ? P.str(E.Label)
                                               : std::string_view("?")),
                 Candidates});
   }
@@ -763,7 +716,8 @@ int cmdDemo(Language Lang) {
   Corpus C = parseCorpus(Sources, Lang); // Opens its own "parse" phase.
   CrfExperimentOptions Options;
   Options.Extraction = tunedExtraction(Lang, Task::VariableNames);
-  TrainedNameModel Model(C, Task::VariableNames, Options);
+  ModelBundle Bundle =
+      trainBundle(buildContextsArtifact(C, Task::VariableNames, Options));
 
   datagen::CorpusSpec Fresh = datagen::defaultSpec(Lang, 4242);
   Fresh.NumProjects = 1;
@@ -772,20 +726,23 @@ int cmdDemo(Language Lang) {
   std::string Stripped =
       datagen::render(FreshSources.front().Sketch, Lang, /*Strip=*/true);
   std::cout << "== stripped ==\n" << Stripped;
-  lang::ParseResult R = parseAs(Lang, Stripped, *C.Interner);
-  if (!R.Tree) {
+  Prediction P;
+  {
+    telemetry::TraceScope Phase("eval");
+    P = predictSource(Bundle, Stripped, /*K=*/1);
+  }
+  if (!P.parsed()) {
     std::cerr << "demo parse failed\n";
     return 1;
   }
-  std::map<ast::ElementId, Symbol> Pred;
-  {
-    telemetry::TraceScope Phase("eval");
-    Pred = Model.predict(*R.Tree);
-  }
+  // Listed by element id.
+  std::map<ast::ElementId, const ElementPrediction *> ByElement;
+  for (const ElementPrediction &E : P.Elements)
+    ByElement.emplace(E.Element, &E);
   std::cout << "== predicted names ==\n";
-  for (const auto &[E, Name] : Pred)
-    std::cout << "  " << C.Interner->str(R.Tree->element(E).Name) << " -> "
-              << (Name.isValid() ? C.Interner->str(Name) : "?") << "\n";
+  for (const auto &[Id, E] : ByElement)
+    std::cout << "  " << P.str(E->Name) << " -> "
+              << (E->Label.isValid() ? P.str(E->Label) : "?") << "\n";
   std::cout << "== original ==\n" << FreshSources.front().Text;
   std::cout << "\n";
   telemetry::MetricsRegistry::global().printTraceTable(std::cout);
@@ -804,14 +761,8 @@ std::string fixed4(double X) {
 
 int cmdExplain(Language Lang, const std::string &TaskName, int TopK,
                int Projects, uint64_t Seed) {
-  Task TaskKind;
-  if (TaskName == "vars")
-    TaskKind = Task::VariableNames;
-  else if (TaskName == "methods")
-    TaskKind = Task::MethodNames;
-  else if (TaskName == "types")
-    TaskKind = Task::FullTypes;
-  else
+  std::optional<Task> TaskKind = taskFromToken(TaskName);
+  if (!TaskKind)
     return usage();
 
   datagen::CorpusSpec Spec = datagen::defaultSpec(Lang, Seed);
@@ -824,10 +775,10 @@ int cmdExplain(Language Lang, const std::string &TaskName, int TopK,
   Corpus C = parseCorpus(Sources, Lang);
 
   CrfExperimentOptions Options;
-  Options.Extraction = tunedExtraction(Lang, TaskKind);
+  Options.Extraction = tunedExtraction(Lang, *TaskKind);
   Options.Seed = Seed;
   std::vector<ExplainedPrediction> Rows =
-      explainCrfPredictions(C, TaskKind, Options, TopK, /*MaxNodes=*/8);
+      explainCrfPredictions(C, *TaskKind, Options, TopK, /*MaxNodes=*/8);
   if (Rows.empty()) {
     std::cerr << "error: nothing to explain (no test-split predictions)\n";
     return 1;
@@ -934,7 +885,7 @@ int main(int argc, char **argv) {
       return ++I < Args.size() ? Args[I] : "";
     };
     if (Arg == "--lang") {
-      Lang = parseLanguage(Value());
+      Lang = languageFromToken(Value());
       if (!Lang)
         return usage();
     } else if (Arg == "--model") {
@@ -1123,12 +1074,10 @@ int main(int argc, char **argv) {
 
   std::optional<int> RC;
   try {
+    // Only `explain` runs the types task; extract and train name tasks.
     auto ParseTask = [&]() -> std::optional<Task> {
-      if (TaskName == "vars")
-        return Task::VariableNames;
-      if (TaskName == "methods")
-        return Task::MethodNames;
-      return std::nullopt;
+      std::optional<Task> T = taskFromToken(TaskName);
+      return T == Task::FullTypes ? std::nullopt : T;
     };
     if (Command == "extract") {
       if (!OutPath.empty()) {
@@ -1167,7 +1116,7 @@ int main(int argc, char **argv) {
     } else if (Command == "eval") {
       if (ModelPath.empty())
         return usage();
-      if (ContextsPath.empty() && (!Lang || Positional.empty()))
+      if (ContextsPath.empty() && Positional.empty())
         return usage();
       if (!ContextsPath.empty() && !Positional.empty())
         return usage();
