@@ -107,7 +107,8 @@ core::extractCorpusContexts(const Corpus &Corpus,
                             const std::vector<size_t> &Indices,
                             const CrfExperimentOptions &Options,
                             PathTable &Table) {
-  parallel::StageTimer Stage("extract");
+  static const parallel::StageHandles ExtractStage("extract");
+  parallel::StageTimer Stage(ExtractStage);
   std::vector<FileContexts> Out(Indices.size());
 
   // Per file, the intern order into the table is pairwise contexts first,

@@ -204,8 +204,9 @@ void core::recordParseFailureReason(std::string_view RawReason) {
 
 Corpus core::parseCorpus(const std::vector<datagen::SourceFile> &Sources,
                          Language Lang, size_t Threads) {
+  static const parallel::StageHandles ParseStage("parse");
   telemetry::TraceScope Phase("parse");
-  parallel::StageTimer Stage("parse");
+  parallel::StageTimer Stage(ParseStage);
   auto &Reg = telemetry::MetricsRegistry::global();
   const std::string Prefix = std::string("parse.") + languageToken(Lang);
 

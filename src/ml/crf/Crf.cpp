@@ -861,8 +861,9 @@ std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
 std::vector<std::vector<Symbol>>
 CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs,
                        size_t Threads) const {
+  static const parallel::StageHandles PredictStage("crf.predict");
   telemetry::TraceScope Phase("crf.predict");
-  parallel::StageTimer Stage("crf.predict");
+  parallel::StageTimer Stage(PredictStage);
   telemetry::MetricsRegistry::global()
       .counter("crf.predict.graphs")
       .add(Graphs.size());

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <future>
 #include <map>
-#include <sstream>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -88,23 +87,6 @@ std::string renderError(const std::string &IdJson, ErrorCode Code,
   Out += telemetry::jsonString(Message);
   Out += "}}";
   return Out;
-}
-
-/// Renders the scalar request id back out; non-scalar kinds are the
-/// caller's problem (rejected as bad_request before this runs).
-std::string renderIdEcho(const json::Value &Id) {
-  switch (Id.kind()) {
-  case json::Value::Kind::Null:
-    return "null";
-  case json::Value::Kind::Bool:
-    return Id.boolean() ? "true" : "false";
-  case json::Value::Kind::Number:
-    return telemetry::jsonNumber(Id.number());
-  case json::Value::Kind::String:
-    return telemetry::jsonString(Id.str());
-  default:
-    return "null";
-  }
 }
 
 /// Decodes and validates one request line against \p Bundle and
@@ -211,13 +193,111 @@ std::vector<double> depthBounds() {
   return {0, 1, 2, 4, 8, 16, 32, 64, 128, 256};
 }
 
-/// The windowed error series only needs counts and rates, not a shape:
-/// one bucket.
-std::vector<double> errorBounds() { return {1}; }
-
 /// Metric name of one pipeline stage's latency series.
 std::string stageMetricName(size_t Stage) {
   return std::string("serve.stage.") + StageNames[Stage] + ".seconds";
+}
+
+constexpr size_t NumErrorCodes =
+    static_cast<size_t>(ErrorCode::ShuttingDown) + 1;
+
+/// A counter registered on its first update. The series an outcome
+/// feeds (ok, error, one error code, an overload, a slow capture) thus
+/// appear in a snapshot only once a request had that outcome; after the
+/// first update an increment costs a pointer load.
+class LazyCounter {
+public:
+  void setName(std::string Series) { Name = std::move(Series); }
+
+  void inc() {
+    telemetry::Counter *C = Handle.load();
+    if (!C) {
+      C = &telemetry::MetricsRegistry::global().counter(Name);
+      Handle.store(C);
+    }
+    C->inc();
+  }
+
+private:
+  std::string Name;
+  std::atomic<telemetry::Counter *> Handle{nullptr};
+};
+
+} // namespace
+
+/// Every metric the request path updates, resolved once: admission, the
+/// batcher and the pipeline update them through these handles and never
+/// look a series up by name. The series are process-wide, so the first
+/// Service builds the one set (serveMetrics()) and every later one shares
+/// it. The sliding windows take the registry's 6 × 10 s shape (the last
+/// minute), and exist, empty, before the first request, so
+/// admin:"metrics" shows them.
+struct serve::ServeMetrics {
+  explicit ServeMetrics(telemetry::MetricsRegistry &Reg)
+      : Requests(Reg.counter("serve.requests")),
+        QueueDepth(Reg.gauge("serve.queue.depth")),
+        QueueDepthMax(Reg.gauge("serve.queue.depth.max")),
+        QueueDepthFlush(Reg.histogram("serve.queue.depth.flush",
+                                      depthBounds())),
+        BatchSize(Reg.histogram("serve.batch.size",
+                                telemetry::linearBounds(1, 32))),
+        RequestSeconds(Reg.histogram("serve.request.seconds",
+                                     telemetry::timeBounds())),
+        QueueDepthWindow(Reg.windowed("serve.queue.depth", depthBounds())),
+        BatchSizeWindow(Reg.windowed("serve.batch.size",
+                                     telemetry::linearBounds(1, 32))),
+        RequestSecondsWindow(Reg.windowed("serve.request.seconds",
+                                          telemetry::timeBounds())),
+        // Errors/sec for admin:"health": every error response observes 1
+        // here; one bucket, since only the count and rate matter.
+        ErrorWindow(Reg.windowed("serve.responses.error", {1})) {
+    for (size_t S = 0; S < NumStages; ++S) {
+      Stage[S] = &Reg.histogram(stageMetricName(S), telemetry::timeBounds());
+      StageWindow[S] =
+          &Reg.windowed(stageMetricName(S), telemetry::timeBounds());
+    }
+    Ok.setName("serve.responses.ok");
+    Errors.setName("serve.responses.error");
+    Overloaded.setName("serve.overloaded");
+    Slow.setName("serve.slow.requests");
+    for (size_t C = 0; C < NumErrorCodes; ++C)
+      ErrorsByCode[C].setName(std::string("serve.responses.error.") +
+                              errorCodeName(static_cast<ErrorCode>(C)));
+  }
+
+  /// One error response: the total and the windowed error rate.
+  void countError() {
+    Errors.inc();
+    ErrorWindow.observe(1);
+  }
+
+  telemetry::Counter &Requests;
+  telemetry::Gauge &QueueDepth;
+  telemetry::Gauge &QueueDepthMax;
+  telemetry::Histogram &QueueDepthFlush;
+  telemetry::Histogram &BatchSize;
+  telemetry::Histogram &RequestSeconds;
+  telemetry::WindowedHistogram &QueueDepthWindow;
+  telemetry::WindowedHistogram &BatchSizeWindow;
+  telemetry::WindowedHistogram &RequestSecondsWindow;
+  telemetry::WindowedHistogram &ErrorWindow;
+  std::array<telemetry::Histogram *, NumStages> Stage;
+  std::array<telemetry::WindowedHistogram *, NumStages> StageWindow;
+  // The pipeline's StageTimers: `serve.<stage>.{wall,cpu}.seconds`.
+  parallel::StageHandles DecodeTimer{"serve.decode"};
+  parallel::StageHandles ParseTimer{"serve.parse"};
+  parallel::StageHandles ExtractTimer{"serve.extract"};
+  parallel::StageHandles PredictTimer{"serve.predict"};
+  parallel::StageHandles RenderTimer{"serve.render"};
+  LazyCounter Ok, Errors, Overloaded, Slow;
+  std::array<LazyCounter, NumErrorCodes> ErrorsByCode;
+};
+
+namespace {
+
+ServeMetrics &serveMetrics() {
+  static ServeMetrics Metrics(telemetry::MetricsRegistry::global());
+  return Metrics;
 }
 
 } // namespace
@@ -228,23 +308,8 @@ std::string stageMetricName(size_t Stage) {
 
 Service::Service(std::unique_ptr<core::ModelBundle> Bundle,
                  ServeConfig Config)
-    : Bundle(std::move(Bundle)), Config(Config),
+    : Bundle(std::move(Bundle)), Config(Config), Metrics(serveMetrics()),
       Started(std::chrono::steady_clock::now()) {
-  // Register the sliding windows up front so admin:"metrics" shows them
-  // (empty) before the first request arrives.
-  auto &Reg = telemetry::MetricsRegistry::global();
-  Reg.windowed("serve.request.seconds", telemetry::timeBounds(),
-               Config.WindowSlices, Config.WindowSliceSeconds);
-  Reg.windowed("serve.batch.size", telemetry::linearBounds(1, 32),
-               Config.WindowSlices, Config.WindowSliceSeconds);
-  Reg.windowed("serve.queue.depth", depthBounds(), Config.WindowSlices,
-               Config.WindowSliceSeconds);
-  for (size_t I = 0; I < NumStages; ++I)
-    Reg.windowed(stageMetricName(I), telemetry::timeBounds(),
-                 Config.WindowSlices, Config.WindowSliceSeconds);
-  // Errors/sec for admin:"health": every error response observes 1 here.
-  Reg.windowed("serve.responses.error", errorBounds(), Config.WindowSlices,
-               Config.WindowSliceSeconds);
   // Flight recorder: keep the last N event records in memory even when
   // --trace is off, for admin:"flightrec" and fatal-path dumps.
   if (Config.FlightRecorder > 0)
@@ -252,7 +317,8 @@ Service::Service(std::unique_ptr<core::ModelBundle> Bundle,
   size_t Workers =
       this->Config.Workers ? this->Config.Workers
                            : parallel::hardwareConcurrency();
-  Reg.gauge("serve.workers").set(static_cast<double>(Workers));
+  telemetry::MetricsRegistry::global().gauge("serve.workers").set(
+      static_cast<double>(Workers));
   for (size_t W = 0; W < Workers; ++W)
     Shards.push_back(std::make_unique<Shard>());
   for (size_t W = 0; W < Workers; ++W)
@@ -288,18 +354,12 @@ void Service::submit(std::string Line, Callback Done) {
       tryHandleAdmin(Line, Done))
     return;
 
-  auto &Reg = telemetry::MetricsRegistry::global();
-  auto CountError = [&] {
-    Reg.counter("serve.responses.error").inc();
-    Reg.windowed("serve.responses.error", errorBounds(), Config.WindowSlices,
-                 Config.WindowSliceSeconds)
-        .observe(1);
-  };
-  Reg.counter("serve.requests").inc();
+  ServeMetrics &M = Metrics;
+  M.Requests.inc();
   std::unique_lock<std::mutex> L(Mutex);
   if (Stopping) {
     L.unlock();
-    CountError();
+    M.countError();
     Done(renderError("null", ErrorCode::ShuttingDown,
                      "service is shutting down"));
     return;
@@ -309,8 +369,8 @@ void Service::submit(std::string Line, Callback Done) {
     L.unlock();
     // Admission-time rejection: the id is inside the line we refuse to
     // parse under load, so overloaded responses carry a null id.
-    Reg.counter("serve.overloaded").inc();
-    CountError();
+    M.Overloaded.inc();
+    M.countError();
     Done(renderError("null", ErrorCode::Overloaded,
                      "admission queue full (capacity " +
                          std::to_string(Config.QueueCapacity) + ")"));
@@ -331,10 +391,10 @@ void Service::submit(std::string Line, Callback Done) {
   Target->Queue.push_back(std::move(P));
   InFlight.fetch_add(1, std::memory_order_relaxed);
   size_t Depth = Queued + 1;
-  Reg.gauge("serve.queue.depth").set(static_cast<double>(Depth));
+  M.QueueDepth.set(static_cast<double>(Depth));
   if (Depth > QueueHighWater) {
     QueueHighWater = Depth;
-    Reg.gauge("serve.queue.depth.max").set(static_cast<double>(Depth));
+    M.QueueDepthMax.set(static_cast<double>(Depth));
   }
   L.unlock();
   Target->WorkCV.notify_one();
@@ -402,13 +462,8 @@ bool Service::tryHandleAdmin(const std::string &Line, const Callback &Done) {
     }
     // Live rates for the scraper: completed requests and errors over the
     // sliding window, next to the p99 admin:"slo" already reports.
-    auto ReqSnap =
-        Reg.windowed("serve.request.seconds", telemetry::timeBounds(),
-                     Config.WindowSlices, Config.WindowSliceSeconds)
-            .snapshot();
-    auto ErrSnap = Reg.windowed("serve.responses.error", errorBounds(),
-                                Config.WindowSlices, Config.WindowSliceSeconds)
-                       .snapshot();
+    auto ReqSnap = Metrics.RequestSecondsWindow.snapshot();
+    auto ErrSnap = Metrics.ErrorWindow.snapshot();
     std::string Out = Head() + "\"health\":{\"status\":\"";
     Out += Draining ? "draining" : "ok";
     Out += "\",\"lang\":" +
@@ -437,9 +492,7 @@ bool Service::tryHandleAdmin(const std::string &Line, const Callback &Done) {
 
   if (Verb == "slo") {
     Reg.counter("serve.admin.slo").inc();
-    auto Snap = Reg.windowed("serve.request.seconds", telemetry::timeBounds(),
-                             Config.WindowSlices, Config.WindowSliceSeconds)
-                    .snapshot();
+    auto Snap = Metrics.RequestSecondsWindow.snapshot();
     bool HasTarget = Config.SloP99Ms > 0;
     double P99Ms = Snap.P99 * 1000.0; // NaN on an empty window.
     std::string Ok = "null"; // Unknown: no target, or no recent traffic.
@@ -565,14 +618,9 @@ void Service::batcherLoop(size_t Worker) {
 
     // Per-flush depth sample: the total depth seen when a worker wakes
     // is the saturation signal the enqueue-time gauge aliases away.
-    {
-      auto &Reg = telemetry::MetricsRegistry::global();
-      double Depth = static_cast<double>(queuedLocked());
-      Reg.histogram("serve.queue.depth.flush", depthBounds()).observe(Depth);
-      Reg.windowed("serve.queue.depth", depthBounds(), Config.WindowSlices,
-                   Config.WindowSliceSeconds)
-          .observe(Depth);
-    }
+    const double Depth = static_cast<double>(queuedLocked());
+    Metrics.QueueDepthFlush.observe(Depth);
+    Metrics.QueueDepthWindow.observe(Depth);
 
     // Open a batch: take what this shard holds, then give stragglers
     // FlushMicros to coalesce before paying a predictBatch dispatch.
@@ -594,9 +642,7 @@ void Service::batcherLoop(size_t Worker) {
       Batch.back().BatchOpen = std::chrono::steady_clock::now();
       Sh.Queue.pop_front();
     }
-    telemetry::MetricsRegistry::global()
-        .gauge("serve.queue.depth")
-        .set(static_cast<double>(queuedLocked()));
+    Metrics.QueueDepth.set(static_cast<double>(queuedLocked()));
     L.unlock();
     processBatch(std::move(Batch));
     L.lock();
@@ -606,18 +652,16 @@ void Service::batcherLoop(size_t Worker) {
 }
 
 void Service::processBatch(std::vector<Pending> Batch) {
+  using Clock = std::chrono::steady_clock;
   // t_batch_seal: the straggler window closed the moment the batcher
   // handed the batch over. Later pipeline boundaries are stamped after
-  // their stage blocks; the six consecutive differences are the stage
+  // their stage blocks; the seven consecutive differences are the stage
   // durations and sum to each request's total latency by construction.
-  const auto TSeal = std::chrono::steady_clock::now();
-  auto &Reg = telemetry::MetricsRegistry::global();
+  const auto TSeal = Clock::now();
+  ServeMetrics &M = Metrics;
   telemetry::TraceScope BatchScope("serve.batch");
-  Reg.histogram("serve.batch.size", telemetry::linearBounds(1, 32))
-      .observe(static_cast<double>(Batch.size()));
-  Reg.windowed("serve.batch.size", telemetry::linearBounds(1, 32),
-               Config.WindowSlices, Config.WindowSliceSeconds)
-      .observe(static_cast<double>(Batch.size()));
+  M.BatchSize.observe(static_cast<double>(Batch.size()));
+  M.BatchSizeWindow.observe(static_cast<double>(Batch.size()));
 
   struct Item {
     Pending P;
@@ -636,13 +680,27 @@ void Service::processBatch(std::vector<Pending> Batch) {
     It.Code = Code;
     It.Response = renderError(It.D.IdJson, Code, Message, It.P.Seq);
   };
+  // A request whose deadline passed by \p Now stops here, naming the
+  // stage it was in: the work after it (inference above all) is skipped.
+  auto checkDeadline = [&](Item &It, Clock::time_point Now,
+                           const char *Stage) {
+    if (It.Failed || It.D.DeadlineMs < 0)
+      return;
+    double ElapsedMs =
+        std::chrono::duration<double, std::milli>(Now - It.P.Arrival).count();
+    if (ElapsedMs > It.D.DeadlineMs)
+      fail(It, ErrorCode::DeadlineExceeded,
+           "deadline of " + telemetry::jsonNumber(It.D.DeadlineMs) +
+               " ms passed after " + telemetry::jsonNumber(ElapsedMs) +
+               " ms in " + Stage);
+  };
 
   // Decode + deadline check (serial; JSON decoding is cheap next to
   // parsing, and failing before the parallel stage keeps malformed input
   // from ever touching the pipeline).
   {
-    parallel::StageTimer Timer("serve.decode");
-    auto Now = std::chrono::steady_clock::now();
+    parallel::StageTimer Timer(M.DecodeTimer);
+    auto Now = Clock::now();
     for (Item &It : Items) {
       if (auto Error =
               decodeRequest(It.P.Line, *Bundle, Config, It.P.Seq, It.D)) {
@@ -650,18 +708,10 @@ void Service::processBatch(std::vector<Pending> Batch) {
         It.Response = std::move(*Error);
         continue;
       }
-      if (It.D.DeadlineMs >= 0) {
-        double WaitedMs =
-            std::chrono::duration<double, std::milli>(Now - It.P.Arrival)
-                .count();
-        if (WaitedMs > It.D.DeadlineMs)
-          fail(It, ErrorCode::DeadlineExceeded,
-               "deadline of " + telemetry::jsonNumber(It.D.DeadlineMs) +
-                   " ms passed after " + telemetry::jsonNumber(WaitedMs) +
-                   " ms in queue");
-      }
+      checkDeadline(It, Now, "queue");
     }
   }
+  const auto TDecode = Clock::now(); // t_decode_done.
 
   // Parse on the worker pool. Each request parses against a private
   // delta overlay of the bundle interner: symbols the bundle already
@@ -670,7 +720,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // serving, so overlay reads stay exact even while other batcher
   // workers process their own batches.
   {
-    parallel::StageTimer Timer("serve.parse");
+    parallel::StageTimer Timer(M.ParseTimer);
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
       Item &It = Items[I];
       if (!It.Failed)
@@ -684,7 +734,9 @@ void Service::processBatch(std::vector<Pending> Batch) {
         fail(It, ErrorCode::ParseFailed, "parse failed: " + Reason);
       }
   }
-  const auto TParse = std::chrono::steady_clock::now(); // t_parse_done.
+  const auto TParse = Clock::now(); // t_parse_done.
+  for (Item &It : Items)
+    checkDeadline(It, TParse, "parse");
 
   // Extract + assemble against per-request delta overlays of the
   // bundle's path table — nothing here (or anywhere in the pipeline)
@@ -692,44 +744,31 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // process batches concurrently over one shared bundle. Share-nothing
   // items also make the stage safe to run on the pool.
   {
-    parallel::StageTimer Timer("serve.extract");
+    parallel::StageTimer Timer(M.ExtractTimer);
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
       if (!Items[I].Failed)
         core::assemblePrediction(*Bundle, Items[I].Pred);
     });
   }
-  const auto TRemap = std::chrono::steady_clock::now(); // t_remap_done.
+  const auto TExtract = Clock::now(); // t_extract_done.
+  for (Item &It : Items)
+    checkDeadline(It, TExtract, "extract");
 
   // Inference over the batch, sharded inside predictBatch.
   {
-    parallel::StageTimer Timer("serve.predict");
+    parallel::StageTimer Timer(M.PredictTimer);
     std::vector<core::Prediction *> Live;
     for (Item &It : Items)
       if (!It.Failed)
         Live.push_back(&It.Pred);
     core::inferPredictions(*Bundle, Live);
   }
-  const auto TPredict = std::chrono::steady_clock::now(); // t_predict_done.
+  const auto TPredict = Clock::now(); // t_predict_done.
 
   // Render + deliver in admission order.
-  parallel::StageTimer RenderTimer("serve.render");
-
-  // Per-stage latency series, resolved once per batch.
-  std::array<telemetry::Histogram *, NumStages> StageHist;
-  std::array<telemetry::WindowedHistogram *, NumStages> StageWin;
-  for (size_t S = 0; S < NumStages; ++S) {
-    StageHist[S] = &Reg.histogram(stageMetricName(S), telemetry::timeBounds());
-    StageWin[S] = &Reg.windowed(stageMetricName(S), telemetry::timeBounds(),
-                                Config.WindowSlices, Config.WindowSliceSeconds);
-  }
-
-  // Batch context for slow-request captures: who shared the batch.
-  std::vector<uint64_t> BatchRids;
-  BatchRids.reserve(Items.size());
-  for (const Item &It : Items)
-    BatchRids.push_back(It.P.Seq);
-  auto &Slow = SlowLog::global();
-  double SlowThresholdMs =
+  parallel::StageTimer RenderTimer(M.RenderTimer);
+  auto &Log = telemetry::EventLog::global();
+  const double SlowThresholdMs =
       Config.SlowTraceMs >= 0
           ? Config.SlowTraceMs
           : (Config.SloP99Ms > 0 ? Config.SloP99Ms : 0.0);
@@ -792,96 +831,68 @@ void Service::processBatch(std::vector<Pending> Batch) {
     }
 
     // t_respond: stamped once this request's predictions are rendered —
-    // the timing echo below describes a closed timeline, so the stage
+    // the record below describes a closed timeline, so the stage
     // durations sum to total_ms exactly.
-    const auto TRespond = std::chrono::steady_clock::now();
-    auto Sec = [](std::chrono::steady_clock::time_point A,
-                  std::chrono::steady_clock::time_point B) {
+    const std::array<Clock::time_point, NumStages + 1> Marks = {
+        It.P.Arrival, It.P.BatchOpen, TSeal,    TDecode,
+        TParse,       TExtract,       TPredict, Clock::now()};
+    auto Sec = [](Clock::time_point A, Clock::time_point B) {
       return std::chrono::duration<double>(B - A).count();
     };
-    const std::array<double, NumStages> StageS = {
-        Sec(It.P.Arrival, It.P.BatchOpen), // queue
-        Sec(It.P.BatchOpen, TSeal),        // seal
-        Sec(TSeal, TParse),                // parse (incl. decode)
-        Sec(TParse, TRemap),               // remap (+ extract + assemble)
-        Sec(TRemap, TPredict),             // predict
-        Sec(TPredict, TRespond),           // render
-    };
-    const double Wall = Sec(It.P.Arrival, TRespond);
+    RequestSample R;
+    R.Rid = It.P.Seq;
+    R.IdJson = It.D.IdJson;
+    R.Ok = !It.Failed;
+    if (It.Failed)
+      R.Code = errorCodeName(It.Code);
+    const double Wall = Sec(Marks.front(), Marks.back());
+    R.TotalMs = Wall * 1000.0;
+    for (size_t S = 0; S < NumStages; ++S) {
+      const double Seconds = Sec(Marks[S], Marks[S + 1]);
+      R.StageMs[S] = Seconds * 1000.0;
+      M.Stage[S]->observe(Seconds);
+      M.StageWindow[S]->observe(Seconds);
+    }
+    R.BatchSize = Items.size();
+    R.DepthAtAdmit = It.P.DepthAtAdmit;
 
+    // The one record: the timing echo below and the serve.request event
+    // render the same fields.
+    const bool Echo = !It.Failed && It.D.Timing;
+    const bool Logged = Log.enabled();
+    std::vector<telemetry::EventField> Fields;
+    if (Echo || Logged)
+      Fields = requestFields(R);
     if (!It.Failed) {
-      if (It.D.Timing) {
+      if (Echo) {
         Out += ",\"timing\":{";
-        for (size_t S = 0; S < NumStages; ++S) {
-          Out += "\"";
-          Out += StageNames[S];
-          Out += "_ms\":" + telemetry::jsonNumber(StageS[S] * 1000.0) + ",";
+        for (size_t F = NumIdentityFields; F < Fields.size(); ++F) {
+          if (F > NumIdentityFields)
+            Out += ",";
+          Out += "\"" + Fields[F].Key + "\":" + Fields[F].Json;
         }
-        Out += "\"total_ms\":" + telemetry::jsonNumber(Wall * 1000.0) +
-               ",\"batch_size\":" + std::to_string(Items.size()) +
-               ",\"depth_at_admit\":" + std::to_string(It.P.DepthAtAdmit) +
-               "}";
+        Out += "}";
       }
       Out += "}";
       It.Response = std::move(Out);
     }
 
-    for (size_t S = 0; S < NumStages; ++S) {
-      StageHist[S]->observe(StageS[S]);
-      StageWin[S]->observe(StageS[S]);
-    }
-    Reg.histogram("serve.request.seconds", telemetry::timeBounds())
-        .observe(Wall);
-    Reg.windowed("serve.request.seconds", telemetry::timeBounds(),
-                 Config.WindowSlices, Config.WindowSliceSeconds)
-        .observe(Wall);
-    Reg.counter(It.Failed ? "serve.responses.error" : "serve.responses.ok")
-        .inc();
+    M.RequestSeconds.observe(Wall);
+    M.RequestSecondsWindow.observe(Wall);
     if (It.Failed) {
-      Reg.counter(std::string("serve.responses.error.") +
-                  errorCodeName(It.Code))
-          .inc();
-      Reg.windowed("serve.responses.error", errorBounds(),
-                   Config.WindowSlices, Config.WindowSliceSeconds)
-          .observe(1);
+      M.countError();
+      M.ErrorsByCode[static_cast<size_t>(It.Code)].inc();
+    } else {
+      M.Ok.inc();
     }
-    auto &Log = telemetry::EventLog::global();
-    if (Log.enabled())
-      Log.record("serve.request",
-                 {{"rid", std::to_string(It.P.Seq)},
-                  {"id", It.D.IdJson},
-                  {"ok", It.Failed ? "false" : "true"},
-                  {"code",
-                   It.Failed
-                       ? telemetry::jsonString(errorCodeName(It.Code))
-                       : std::string("null")},
-                  {"wall", telemetry::jsonNumber(Wall)},
-                  {"queue", telemetry::jsonNumber(StageS[0])},
-                  {"seal", telemetry::jsonNumber(StageS[1])},
-                  {"parse", telemetry::jsonNumber(StageS[2])},
-                  {"remap", telemetry::jsonNumber(StageS[3])},
-                  {"predict", telemetry::jsonNumber(StageS[4])},
-                  {"render", telemetry::jsonNumber(StageS[5])},
-                  {"batch", std::to_string(Items.size())},
-                  {"depth", std::to_string(It.P.DepthAtAdmit)}});
-
-    // Tail sampling: capture the full timeline + batch context of any
-    // request slower than the threshold.
-    if (Slow.enabled() && Wall * 1000.0 > SlowThresholdMs) {
-      RequestSample Sample;
-      Sample.Rid = It.P.Seq;
-      Sample.IdJson = It.D.IdJson;
-      Sample.Ok = !It.Failed;
-      if (It.Failed)
-        Sample.Code = errorCodeName(It.Code);
-      Sample.TotalMs = Wall * 1000.0;
-      for (size_t S = 0; S < NumStages; ++S)
-        Sample.StageMs[S] = StageS[S] * 1000.0;
-      Sample.BatchSize = Items.size();
-      Sample.DepthAtAdmit = It.P.DepthAtAdmit;
-      Slow.append(renderSlowLogEntry(Sample, BatchRids, uptimeSeconds()));
-      Reg.counter("serve.slow.requests").inc();
-    }
+    // Tail sampling: the slow log keeps the records of requests slower
+    // than the threshold.
+    const bool Slow =
+        Logged && Log.slowLogEnabled() && R.TotalMs > SlowThresholdMs;
+    if (Logged)
+      Log.record("serve.request", Fields, Slow);
+    if (Slow)
+      M.Slow.inc();
 
     It.P.Done(std::move(It.Response));
     InFlight.fetch_sub(1, std::memory_order_relaxed);
@@ -891,22 +902,6 @@ void Service::processBatch(std::vector<Pending> Batch) {
 //===----------------------------------------------------------------------===//
 // Front-ends
 //===----------------------------------------------------------------------===//
-
-int serve::serveStream(Service &S, std::istream &In, std::ostream &Out) {
-  std::mutex WriteMutex;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    S.submit(std::move(Line), [&WriteMutex, &Out](std::string Response) {
-      std::lock_guard<std::mutex> L(WriteMutex);
-      Out << Response << "\n" << std::flush;
-    });
-    Line.clear();
-  }
-  S.drain();
-  return 0;
-}
 
 bool serve::writeAll(int Fd, std::string_view Data) {
   size_t Off = 0;

@@ -28,10 +28,9 @@
 ///
 /// `rid` is the request id the service assigned at admission: unique
 /// across every connection of the serving process, in admission order,
-/// and the join key between a response, its `serve.request` event
-/// record, and its slow-log capture. Admission-time rejections
-/// (`overloaded`, `shutting_down`) happen before a rid is assigned and
-/// omit the field.
+/// and the join key between a response and its `serve.request` event
+/// record. Admission-time rejections (`overloaded`, `shutting_down`)
+/// happen before a rid is assigned and omit the field.
 ///
 /// `task` defaults to the loaded bundle's task; `k` to ServeConfig's
 /// DefaultK. A request that fails to decode or validate produces a
@@ -47,10 +46,10 @@
 /// per stage and request:
 ///
 ///   decode (serial) → parse (core::parsePrediction on the
-///   support/Parallel pool) → extract+assemble
-///   (core::assemblePrediction, on the pool) → predict
+///   support/Parallel pool) → extract (core::assemblePrediction:
+///   path extraction + graph assembly, on the pool) → predict
 ///   (core::inferPredictions: one sharded CrfModel::predictBatch) →
-///   rank (core::rankPrediction) + render + deliver in admission order
+///   render (core::rankPrediction + JSON) + deliver in admission order
 ///   within the batch.
 ///
 /// Nothing in this pipeline writes the resident bundle: a Prediction
@@ -60,32 +59,39 @@
 /// resident tables). `pigeon predict` runs the same steps on the same
 /// overlays, so a served response is byte-identical to it by
 /// construction, at any worker count and for any batch composition
-/// (pinned by serve_test and serve_cli_test). Per-request deadlines are
-/// enforced at decode time; a request whose deadline passed while
-/// queued answers `deadline_exceeded` without paying for parse or
-/// inference.
+/// (pinned by serve_test and serve_cli_test). A request's `deadline_ms`
+/// is checked at decode (time spent queued), after parse and after
+/// extract; a request past it answers `deadline_exceeded`, naming the
+/// stage, and never reaches inference or ranking.
 ///
 /// Everything is wired into Telemetry/EventLog: `serve.requests`,
 /// `serve.batch.size`, per-phase `serve.<phase>.wall.seconds`
 /// histograms (p50/p99 in every sidecar), and per-request
 /// `serve.request` event records nested under `serve.batch` spans.
 /// Request latency, batch size and queue depth additionally feed
-/// sliding-window histograms (WindowedHistogram) so a resident server
-/// exposes live last-minute percentiles, not just since-start ones.
+/// sliding-window histograms (WindowedHistogram, the registry's
+/// 6 × 10 s window) so a resident server exposes live last-minute
+/// percentiles, not just since-start ones. The service resolves each
+/// metric handle once — when it is built, or for a counter that only
+/// some outcome feeds, at that outcome's first occurrence — and a
+/// request updates them through pointers, never looking a series up by
+/// name.
 ///
 /// Request lifecycle: the batcher stamps a monotonic timestamp at each
 /// pipeline boundary — t_admit, t_batch_open, t_batch_seal,
-/// t_parse_done, t_remap_done, t_predict_done, t_respond — and the six
-/// consecutive differences are the stage durations `queue` (admission
-/// queue wait), `seal` (straggler-flush wait), `parse` (decode + parse),
-/// `remap` (bundle-space remap + extract + graph assembly), `predict`,
-/// `render`. By construction they sum to the request's total latency.
-/// Each stage feeds `serve.stage.<name>.seconds` (cumulative + windowed)
-/// and rides on the `serve.request` event record; `"timing": true` in a
-/// request echoes the same decomposition inline as a `"timing"` object
-/// on the (ok) response. Requests slower than ServeConfig::SlowTraceMs
-/// (fallback: SloP99Ms) are additionally captured to the process
-/// SlowLog (see SlowLog.h) with their batch context. Responses without
+/// t_decode_done, t_parse_done, t_extract_done, t_predict_done,
+/// t_respond — and the seven consecutive differences are the stage
+/// durations `queue` (admission queue wait), `seal` (straggler-flush
+/// wait), `decode` (JSON decode + validation), `parse`, `extract` (path
+/// extraction + graph assembly), `predict`, `render` (ranking + JSON).
+/// By construction they sum to the request's total latency. Each stage
+/// feeds `serve.stage.<name>.seconds` (cumulative + windowed). The
+/// request's one record (RequestSample, SlowLog.h) carries them in
+/// milliseconds: it is the `serve.request` event record, and
+/// `"timing": true` in a request echoes its timing fields inline as a
+/// `"timing"` object on the (ok) response. Records of requests slower
+/// than ServeConfig::SlowTraceMs (fallback: SloP99Ms) also go to the
+/// EventLog's slow log when `--slow-log` opened it. Responses without
 /// `"timing"` are unchanged by all of this except the `rid` field.
 ///
 /// The service also enables the EventLog flight recorder (a ring of the
@@ -127,7 +133,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -162,19 +167,15 @@ struct ServeConfig {
   /// SLO target for the windowed p99 of `serve.request.seconds`, in
   /// milliseconds; <= 0 means no target (admin:"slo" reports disabled).
   double SloP99Ms = 0;
-  /// Slow-request capture threshold in milliseconds: when the process
-  /// SlowLog is open, a request whose total latency exceeds it is
-  /// captured with its stage timeline and batch context. Negative (the
-  /// default) falls back to SloP99Ms when that is set; with neither set,
-  /// every request is captured (threshold 0 — the ring cap bounds it).
+  /// Slow-request capture threshold in milliseconds: when the EventLog's
+  /// slow log is open, the `serve.request` record of a request whose
+  /// total latency exceeds it is kept there. Negative (the default)
+  /// falls back to SloP99Ms when that is set; with neither set, every
+  /// request is captured (threshold 0 — the byte cap bounds it).
   double SlowTraceMs = -1;
   /// Capacity (records) of the EventLog flight-recorder ring the service
   /// enables on construction; 0 leaves the ring untouched.
   size_t FlightRecorder = 256;
-  /// Sliding-window shape for the live serve histograms: WindowSlices
-  /// ring slices of WindowSliceSeconds each (default: last minute).
-  size_t WindowSlices = 6;
-  double WindowSliceSeconds = 10.0;
 };
 
 /// Structured error codes of the serve protocol (stable strings, part of
@@ -187,13 +188,16 @@ enum class ErrorCode {
   TaskMismatch,     ///< Known task, but not the loaded bundle's.
   SourceTooLarge,   ///< `source` exceeds ServeConfig::MaxSourceBytes.
   ParseFailed,      ///< The frontend produced no tree at all.
-  DeadlineExceeded, ///< `deadline_ms` elapsed before processing began.
+  DeadlineExceeded, ///< `deadline_ms` elapsed before inference began.
   Overloaded,       ///< Admission queue full.
   ShuttingDown,     ///< Submitted after shutdown began.
 };
 
 /// The protocol string of \p Code ("bad_request", "overloaded", ...).
 const char *errorCodeName(ErrorCode Code);
+
+/// Every serve metric handle, resolved once per process (Serve.cpp).
+struct ServeMetrics;
 
 /// A resident prediction service over one loaded model bundle.
 ///
@@ -290,6 +294,7 @@ private:
 
   std::unique_ptr<core::ModelBundle> Bundle;
   ServeConfig Config;
+  ServeMetrics &Metrics;
   std::chrono::steady_clock::time_point Started;
   std::atomic<size_t> InFlight{0};
 
@@ -303,11 +308,6 @@ private:
   bool Stopping = false;
   std::vector<std::thread> Batchers;
 };
-
-/// Reads newline-delimited requests from \p In, writes responses to
-/// \p Out (one per line, flushed), drains on EOF. \returns the process
-/// exit code (0 on clean EOF). The istream front-end used by tests.
-int serveStream(Service &S, std::istream &In, std::ostream &Out);
 
 /// Writes all of \p Data to \p Fd, retrying writes interrupted by a
 /// signal (EINTR) and polling for writability on would-block (EAGAIN).

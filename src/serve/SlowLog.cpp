@@ -6,9 +6,7 @@
 
 #include "serve/SlowLog.h"
 
-#include "support/EventLog.h"
 #include "support/TablePrinter.h"
-#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cmath>
@@ -17,174 +15,84 @@ using namespace pigeon;
 using namespace pigeon::serve;
 
 const std::array<const char *, NumStages> serve::StageNames = {
-    "queue", "seal", "parse", "remap", "predict", "render"};
+    "queue", "seal", "decode", "parse", "extract", "predict", "render"};
 
 //===----------------------------------------------------------------------===//
-// Entry rendering / parsing
+// The request record
 //===----------------------------------------------------------------------===//
-
-std::string serve::renderSlowLogEntry(const RequestSample &S,
-                                      const std::vector<uint64_t> &BatchRids,
-                                      double UptimeSeconds) {
-  std::string Out = "{\"schema\":\"pigeon.slowlog.v1\",\"rid\":" +
-                    std::to_string(S.Rid) + ",\"id\":" + S.IdJson +
-                    ",\"ok\":" + (S.Ok ? "true" : "false") + ",\"code\":" +
-                    (S.Ok ? std::string("null") : telemetry::jsonString(S.Code)) +
-                    ",\"total_ms\":" + telemetry::jsonNumber(S.TotalMs);
-  for (size_t I = 0; I < NumStages; ++I) {
-    Out += ",\"";
-    Out += StageNames[I];
-    Out += "_ms\":";
-    Out += telemetry::jsonNumber(S.StageMs[I]);
-  }
-  Out += ",\"batch_size\":" + std::to_string(S.BatchSize) +
-         ",\"depth_at_admit\":" + std::to_string(S.DepthAtAdmit) +
-         ",\"batch_rids\":[";
-  for (size_t I = 0; I < BatchRids.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += std::to_string(BatchRids[I]);
-  }
-  Out += "],\"uptime_seconds\":" + telemetry::jsonNumber(UptimeSeconds) + "}";
-  return Out;
-}
 
 namespace {
 
-/// Re-renders a scalar JSON value (request-id echoes) back to text.
-std::string rerenderScalar(const json::Value &V) {
-  switch (V.kind()) {
+// Keys of the record's timing fields besides the per-stage `<stage>_ms`.
+constexpr const char *TotalKey = "total_ms";
+constexpr const char *BatchSizeKey = "batch_size";
+constexpr const char *DepthKey = "depth_at_admit";
+
+std::string stageKey(size_t Stage) {
+  return std::string(StageNames[Stage]) + "_ms";
+}
+
+double numField(const json::Value &Doc, std::string_view Key) {
+  const json::Value *V = Doc.find(Key);
+  return V && V->isNumber() ? V->number() : 0;
+}
+
+} // namespace
+
+std::string serve::renderIdEcho(const json::Value &Id) {
+  switch (Id.kind()) {
   case json::Value::Kind::Bool:
-    return V.boolean() ? "true" : "false";
+    return Id.boolean() ? "true" : "false";
   case json::Value::Kind::Number:
-    return telemetry::jsonNumber(V.number());
+    return telemetry::jsonNumber(Id.number());
   case json::Value::Kind::String:
-    return telemetry::jsonString(V.str());
+    return telemetry::jsonString(Id.str());
   default:
     return "null";
   }
 }
 
-double numField(const json::Value &Doc, const char *Key, double Default) {
-  const json::Value *V = Doc.find(Key);
-  return V && V->isNumber() ? V->number() : Default;
+std::vector<telemetry::EventField>
+serve::requestFields(const RequestSample &S) {
+  std::vector<telemetry::EventField> Fields;
+  Fields.reserve(NumIdentityFields + NumStages + 3);
+  Fields.push_back({"rid", std::to_string(S.Rid)});
+  Fields.push_back({"id", S.IdJson});
+  Fields.push_back({"ok", S.Ok ? "true" : "false"});
+  Fields.push_back({"code", S.Ok ? "null" : telemetry::jsonString(S.Code)});
+  for (size_t I = 0; I < NumStages; ++I)
+    Fields.push_back({stageKey(I), telemetry::jsonNumber(S.StageMs[I])});
+  Fields.push_back({TotalKey, telemetry::jsonNumber(S.TotalMs)});
+  Fields.push_back({BatchSizeKey, std::to_string(S.BatchSize)});
+  Fields.push_back({DepthKey, std::to_string(S.DepthAtAdmit)});
+  return Fields;
 }
-
-} // namespace
 
 std::optional<RequestSample>
 serve::parseRequestSample(const json::Value &Doc) {
   if (!Doc.isObject())
     return std::nullopt;
-
-  auto Common = [&](RequestSample &S) {
-    S.Rid = static_cast<uint64_t>(numField(Doc, "rid", 0));
-    if (const json::Value *Id = Doc.find("id"))
-      S.IdJson = rerenderScalar(*Id);
-    if (const json::Value *Ok = Doc.find("ok"))
-      S.Ok = Ok->isBool() ? Ok->boolean() : true;
-    if (const json::Value *Code = Doc.find("code"))
-      if (Code->isString())
-        S.Code = Code->str();
-    S.BatchSize = static_cast<uint64_t>(numField(Doc, "batch_size", 0));
-    S.DepthAtAdmit =
-        static_cast<uint64_t>(numField(Doc, "depth_at_admit", 0));
-  };
-
-  const json::Value *Schema = Doc.find("schema");
-  if (Schema && Schema->isString() && Schema->str() == "pigeon.slowlog.v1") {
-    RequestSample S;
-    Common(S);
-    S.TotalMs = numField(Doc, "total_ms", 0);
-    for (size_t I = 0; I < NumStages; ++I)
-      S.StageMs[I] =
-          numField(Doc, (std::string(StageNames[I]) + "_ms").c_str(), 0);
-    return S;
-  }
-
   const json::Value *Event = Doc.find("event");
-  if (Event && Event->isString() && Event->str() == "serve.request") {
-    // Event records carry seconds (the stream's native unit); batch
-    // context uses the short field names of pigeon.events.v1.
-    RequestSample S;
-    Common(S);
-    S.TotalMs = numField(Doc, "wall", 0) * 1000.0;
-    for (size_t I = 0; I < NumStages; ++I)
-      S.StageMs[I] = numField(Doc, StageNames[I], 0) * 1000.0;
-    S.BatchSize = static_cast<uint64_t>(numField(Doc, "batch", 0));
-    S.DepthAtAdmit = static_cast<uint64_t>(numField(Doc, "depth", 0));
-    return S;
-  }
+  const json::Value *Total = Doc.find(TotalKey);
+  if (!Event || !Event->isString() || Event->str() != "serve.request" ||
+      !Total || !Total->isNumber())
+    return std::nullopt;
 
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
-// SlowLog
-//===----------------------------------------------------------------------===//
-
-SlowLog &SlowLog::global() {
-  static SlowLog Instance;
-  return Instance;
-}
-
-void SlowLog::open(const std::string &OpenPath, size_t Cap) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Path = OpenPath;
-  MaxBytes = Cap;
-  CurBytes = 0;
-  Dirty = false;
-  Entries.clear();
-  Appended.store(0, std::memory_order_relaxed);
-  Evicted.store(0, std::memory_order_relaxed);
-  On.store(true, std::memory_order_release);
-}
-
-void SlowLog::close() {
-  flush();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  On.store(false, std::memory_order_release);
-  Entries.clear();
-  CurBytes = 0;
-  Path.clear();
-}
-
-void SlowLog::append(std::string Line) {
-  if (!enabled())
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  CurBytes += Line.size() + 1;
-  Entries.push_back(std::move(Line));
-  // Byte-capped ring: evict oldest first, but always keep the newest
-  // entry even when it alone exceeds the cap.
-  while (CurBytes > MaxBytes && Entries.size() > 1) {
-    CurBytes -= Entries.front().size() + 1;
-    Entries.pop_front();
-    Evicted.fetch_add(1, std::memory_order_relaxed);
-  }
-  Appended.fetch_add(1, std::memory_order_relaxed);
-  Dirty = true;
-}
-
-bool SlowLog::flush() {
-  std::string Body, Dest;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!On.load(std::memory_order_acquire) || !Dirty)
-      return true;
-    for (const std::string &E : Entries) {
-      Body += E;
-      Body += '\n';
-    }
-    Dest = Path;
-    Dirty = false;
-  }
-  return telemetry::writeFileAtomic(Dest, Body);
-}
-
-std::vector<std::string> SlowLog::lines() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return {Entries.begin(), Entries.end()};
+  RequestSample S;
+  S.Rid = static_cast<uint64_t>(numField(Doc, "rid"));
+  if (const json::Value *Id = Doc.find("id"))
+    S.IdJson = renderIdEcho(*Id);
+  if (const json::Value *Ok = Doc.find("ok"))
+    S.Ok = Ok->isBool() ? Ok->boolean() : true;
+  if (const json::Value *Code = Doc.find("code"))
+    if (Code->isString())
+      S.Code = Code->str();
+  S.TotalMs = Total->number();
+  for (size_t I = 0; I < NumStages; ++I)
+    S.StageMs[I] = numField(Doc, stageKey(I));
+  S.BatchSize = static_cast<uint64_t>(numField(Doc, BatchSizeKey));
+  S.DepthAtAdmit = static_cast<uint64_t>(numField(Doc, DepthKey));
+  return S;
 }
 
 //===----------------------------------------------------------------------===//

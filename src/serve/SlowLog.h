@@ -5,49 +5,42 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tail-sampling side of the serve observability plane. Three pieces
-/// share this header because they share one data shape — the per-request
-/// stage timeline the batcher stamps (see Serve.cpp):
+/// The served request's one record, and the latency report folded from
+/// it.
 ///
 ///  * RequestSample — one request's decomposition: rid, total latency and
-///    the six stage durations (`queue`, `seal`, `parse`, `remap`,
-///    `predict`, `render`) whose sum is the total by construction, plus
-///    the batch context (batch size, queue depth at admit).
+///    the seven stage durations (`queue`, `seal`, `decode`, `parse`,
+///    `extract`, `predict`, `render`) whose sum is the total by
+///    construction, plus the batch context (batch size, queue depth at
+///    admit).
 ///
-///  * SlowLog — a bounded on-disk ring of slow-request captures (JSONL,
-///    schema `pigeon.slowlog.v1`). Entries accumulate in memory under a
-///    byte cap (oldest evicted first) and flush() rewrites the capture
-///    file atomically via writeFileAtomic — the same tmp+rename machinery
-///    the metric sidecars use, so a scraper never reads a torn file and
-///    the capture never grows without bound in a resident process.
-///    Process-wide singleton opened by `pigeon serve --slow-log FILE`.
+///  * requestFields() — the record's one field list. It renders both the
+///    `timing` echo of a response and the `serve.request` event record
+///    (pigeon.events.v2), which the event stream, the flight recorder and
+///    the slow log (`--slow-log FILE`, an EventLog sink that keeps the
+///    records over `--slow-trace-ms`) all receive as the same line:
 ///
-///  * trace_report folding — parseRequestSample() reads a sample back
-///    out of either a `serve.request` event record (pigeon.events.v1) or
-///    a slow-log entry; foldSamples()/renderLatencyReport() turn a pile
-///    of samples into the latency-decomposition table `tools/trace_report`
-///    prints (per-stage p50/p99 plus the top-K slowest timelines).
+///      {"event":"serve.request","ts":1.25,"tid":3,"rid":7,"id":<echo>,
+///       "ok":true,"code":null,"queue_ms":...,"seal_ms":...,
+///       "decode_ms":...,"parse_ms":...,"extract_ms":...,
+///       "predict_ms":...,"render_ms":...,"total_ms":12.4,
+///       "batch_size":4,"depth_at_admit":3}
 ///
-/// Slow-log entry schema (`pigeon.slowlog.v1`), one object per line:
-///
-///   {"schema":"pigeon.slowlog.v1","rid":7,"id":<echo>,"ok":true,
-///    "code":null,"total_ms":12.4,"queue_ms":...,"seal_ms":...,
-///    "parse_ms":...,"remap_ms":...,"predict_ms":...,"render_ms":...,
-///    "batch_size":4,"depth_at_admit":3,"batch_rids":[5,6,7,8],
-///    "uptime_seconds":123.4}
+///  * trace_report folding — parseRequestSample() reads the record back;
+///    foldSamples()/renderLatencyReport() turn a pile of records into the
+///    latency-decomposition table `tools/trace_report` prints (per-stage
+///    p50/p99 plus the top-K slowest timelines).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIGEON_SERVE_SLOWLOG_H
 #define PIGEON_SERVE_SLOWLOG_H
 
+#include "support/EventLog.h"
 #include "support/Json.h"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -57,7 +50,7 @@ namespace pigeon {
 namespace serve {
 
 /// Number of pipeline stages in a request timeline.
-inline constexpr size_t NumStages = 6;
+inline constexpr size_t NumStages = 7;
 
 /// Stage names in pipeline order; also the metric/JSON key stems
 /// (`serve.stage.<name>.seconds`, `<name>_ms`).
@@ -75,69 +68,25 @@ struct RequestSample {
   uint64_t DepthAtAdmit = 0;
 };
 
-/// Renders \p S as one pigeon.slowlog.v1 line (no trailing newline).
-/// \p BatchRids are the rids co-batched with this request (itself
-/// included); \p UptimeSeconds stamps when the capture happened relative
-/// to service start.
-std::string renderSlowLogEntry(const RequestSample &S,
-                               const std::vector<uint64_t> &BatchRids,
-                               double UptimeSeconds);
+/// Renders a scalar request id as its JSON echo, the `id` of responses
+/// and records; other kinds render as null (serve rejects them first).
+std::string renderIdEcho(const json::Value &Id);
 
-/// Reads a sample back out of a parsed JSONL line: either a slow-log
-/// entry (schema pigeon.slowlog.v1, stage fields in ms) or a
-/// `serve.request` event record (pigeon.events.v1, stage fields in
-/// seconds). Lines of any other shape — span records, stream framing,
-/// foreign documents — return nullopt.
+/// Leading fields of requestFields() that identify the request (rid, id,
+/// ok, code); the timing fields follow them.
+inline constexpr size_t NumIdentityFields = 4;
+
+/// The record's one field list, in order: rid, id, ok, code, then the
+/// timing fields `<stage>_ms` per stage, `total_ms`, `batch_size` and
+/// `depth_at_admit`. The `serve.request` event carries all of them; the
+/// `timing` echo is the timing fields as one object.
+std::vector<telemetry::EventField> requestFields(const RequestSample &S);
+
+/// Reads a record back out of a parsed `serve.request` line — the
+/// inverse of requestFields(). Lines of any other shape (span records,
+/// stream framing, the pigeon.events.v1 `serve.request` shape, foreign
+/// documents) return nullopt.
 std::optional<RequestSample> parseRequestSample(const json::Value &Doc);
-
-/// Bounded slow-request capture: a byte-capped in-memory ring of
-/// rendered JSONL entries, atomically rewritten to one file on flush().
-/// All members are thread-safe; append() while disabled is a no-op.
-class SlowLog {
-public:
-  static constexpr size_t DefaultMaxBytes = 4u << 20;
-
-  SlowLog() = default;
-
-  /// The process-wide instance (the one `--slow-log` opens).
-  static SlowLog &global();
-
-  /// Starts capturing to \p Path with an in-memory ring capped at
-  /// \p MaxBytes. Clears any previous capture state.
-  void open(const std::string &Path, size_t MaxBytes = DefaultMaxBytes);
-
-  /// flush() + stop capturing. Idempotent.
-  void close();
-
-  /// True between open() and close().
-  bool enabled() const { return On.load(std::memory_order_acquire); }
-
-  /// Appends one rendered entry, evicting the oldest entries once the
-  /// ring exceeds its byte cap.
-  void append(std::string Line);
-
-  /// Rewrites the capture file atomically when entries changed since the
-  /// last flush. \returns false only when the write itself failed.
-  bool flush();
-
-  /// The retained entries, oldest first.
-  std::vector<std::string> lines() const;
-
-  /// Total entries ever appended / evicted by the byte cap.
-  uint64_t appended() const { return Appended.load(std::memory_order_relaxed); }
-  uint64_t evicted() const { return Evicted.load(std::memory_order_relaxed); }
-
-private:
-  mutable std::mutex Mutex;
-  std::atomic<bool> On{false};
-  std::atomic<uint64_t> Appended{0};
-  std::atomic<uint64_t> Evicted{0};
-  std::string Path;
-  size_t MaxBytes = DefaultMaxBytes;
-  size_t CurBytes = 0;
-  bool Dirty = false;
-  std::deque<std::string> Entries;
-};
 
 /// Aggregated stats of one stage across a sample set.
 struct StageStats {

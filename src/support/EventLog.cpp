@@ -149,11 +149,10 @@ bool EventLog::open(const std::string &OpenPath) {
   OwnedFile = std::move(File);
   Out = OwnedFile.get();
   Path = OpenPath;
-  Epoch = Clock::now();
   Records.store(0);
   SegmentBytes = 0;
   SegmentIdx = 0;
-  Enabled.store(true, std::memory_order_release);
+  sinkOnLocked(StreamSink);
   beginStreamLocked();
   return true;
 }
@@ -164,31 +163,76 @@ void EventLog::attach(std::ostream &OS) {
   OwnedFile.reset();
   Out = &OS;
   Path.clear();
-  Epoch = Clock::now();
   Records.store(0);
   SegmentBytes = 0;
   SegmentIdx = 0;
-  Enabled.store(true, std::memory_order_release);
+  sinkOnLocked(StreamSink);
   beginStreamLocked();
+}
+
+void EventLog::sinkOnLocked(unsigned Sink) {
+  if (Sinks.load(std::memory_order_relaxed) == 0)
+    Epoch = Clock::now();
+  Sinks.fetch_or(Sink, std::memory_order_release);
+}
+
+void EventLog::sinkOffLocked(unsigned Sink) {
+  Sinks.fetch_and(~Sink, std::memory_order_release);
 }
 
 void EventLog::close() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (!Enabled.load(std::memory_order_acquire))
+  if (!(Sinks.load(std::memory_order_acquire) & StreamSink))
     return;
   endStreamLocked();
-  Enabled.store(false, std::memory_order_release);
+  sinkOffLocked(StreamSink);
   Out->flush();
   Out = nullptr;
   OwnedFile.reset();
   Path.clear();
 }
 
-void EventLog::flush() {
+bool EventLog::flush() {
+  std::string Body, Dest;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Out)
+      Out->flush();
+    if (!slowLogEnabled() || !SlowDirty)
+      return true;
+    for (const std::string &Line : Slow) {
+      Body += Line;
+      Body += '\n';
+    }
+    Dest = SlowPath;
+    SlowDirty = false;
+  }
+  return writeFileAtomic(Dest, Body);
+}
+
+void EventLog::openSlowLog(const std::string &OpenPath, size_t MaxBytes) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (!Enabled.load(std::memory_order_acquire) || !Out)
-    return;
-  Out->flush();
+  SlowPath = OpenPath;
+  SlowCap = MaxBytes;
+  Slow.clear();
+  SlowBytes = 0;
+  SlowDirty = false;
+  sinkOnLocked(SlowSink);
+}
+
+bool EventLog::closeSlowLog() {
+  bool Written = flush();
+  std::lock_guard<std::mutex> Lock(Mutex);
+  sinkOffLocked(SlowSink);
+  Slow.clear();
+  SlowBytes = 0;
+  SlowPath.clear();
+  return Written;
+}
+
+std::vector<std::string> EventLog::slowLogSnapshot() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return {Slow.begin(), Slow.end()};
 }
 
 void EventLog::setRotation(uint64_t MaxBytes) {
@@ -206,12 +250,15 @@ void EventLog::enableRing(size_t Capacity) {
   Ring.clear();
   RingCap = Capacity;
   RingCount = 0;
-  RingOn.store(Capacity > 0, std::memory_order_release);
+  if (Capacity > 0)
+    sinkOnLocked(RingSink);
+  else
+    sinkOffLocked(RingSink);
 }
 
 void EventLog::disableRing() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  RingOn.store(false, std::memory_order_release);
+  sinkOffLocked(RingSink);
   Ring.clear();
   RingCap = 0;
   RingCount = 0;
@@ -253,7 +300,7 @@ bool EventLog::dumpRing(const std::string &DumpPath) const {
 
 void EventLog::beginStreamLocked() {
   writeLineLocked("stream.begin",
-                  {{"schema", jsonString("pigeon.events.v1")},
+                  {{"schema", jsonString("pigeon.events.v2")},
                    {"pid", std::to_string(
 #if defined(__unix__) || defined(__APPLE__)
                                static_cast<long>(getpid())
@@ -279,9 +326,9 @@ void EventLog::rotateLocked() {
   std::rename(Path.c_str(), Prev.c_str());
   auto File = std::make_unique<std::ofstream>(Path, std::ios::binary);
   if (!*File) {
-    // Can't reopen (disk gone?): stream side goes quiet, the ring (if
-    // enabled) keeps recording.
-    Enabled.store(false, std::memory_order_release);
+    // Can't reopen (disk gone?): stream side goes quiet, the ring and
+    // the slow log (if enabled) keep recording.
+    sinkOffLocked(StreamSink);
     return;
   }
   OwnedFile = std::move(File);
@@ -304,16 +351,19 @@ void EventLog::endStreamLocked() {
 }
 
 void EventLog::writeLine(std::string_view Event,
-                         const std::vector<EventField> &Fields) {
+                         const std::vector<EventField> &Fields, bool Slow) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  writeLineLocked(Event, Fields);
+  writeLineLocked(Event, Fields, Slow);
 }
 
 void EventLog::writeLineLocked(std::string_view Event,
-                               const std::vector<EventField> &Fields) {
-  bool StreamOn = Enabled.load(std::memory_order_acquire) && Out;
-  bool ToRing = RingOn.load(std::memory_order_acquire);
-  if (!StreamOn && !ToRing)
+                               const std::vector<EventField> &Fields,
+                               bool ToSlow) {
+  const unsigned On = Sinks.load(std::memory_order_acquire);
+  bool StreamOn = (On & StreamSink) && Out;
+  bool ToRing = On & RingSink;
+  ToSlow = ToSlow && (On & SlowSink);
+  if (!StreamOn && !ToRing && !ToSlow)
     return;
   char Ts[32];
   std::snprintf(Ts, sizeof(Ts), "%.6f",
@@ -339,6 +389,17 @@ void EventLog::writeLineLocked(std::string_view Event,
     SegmentBytes += Line.size() + 1;
     if (OwnedFile && RotateBytes && SegmentBytes >= RotateBytes)
       rotateLocked();
+  }
+  if (ToSlow) {
+    SlowBytes += Line.size() + 1;
+    Slow.push_back(Line);
+    // Byte-capped: evict oldest first, but always keep the newest line
+    // even when it alone exceeds the cap.
+    while (SlowBytes > SlowCap && Slow.size() > 1) {
+      SlowBytes -= Slow.front().size() + 1;
+      Slow.pop_front();
+    }
+    SlowDirty = true;
   }
   if (ToRing) {
     if (Ring.size() < RingCap)
@@ -381,8 +442,8 @@ void EventLog::spanEnd(uint64_t Id, uint64_t Parent, std::string_view Name,
 }
 
 void EventLog::record(std::string_view Event,
-                      const std::vector<EventField> &Fields) {
+                      const std::vector<EventField> &Fields, bool Slow) {
   if (!enabled())
     return;
-  writeLine(Event, Fields);
+  writeLine(Event, Fields, Slow);
 }

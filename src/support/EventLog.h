@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-safe append-only event stream (schema `pigeon.events.v1`),
+/// A thread-safe append-only event stream (schema `pigeon.events.v2`),
 /// one JSON object per line. Where the metrics registry aggregates —
 /// "parse took 12 s total across 812 files" — the event log keeps the
 /// *sequence*: which span ran on which thread, under which parent, for
@@ -21,19 +21,26 @@
 ///    evaluation loops and `pigeon explain` (see Experiments.cpp): one
 ///    `prediction` per explained node, one `attribution` per
 ///    contributing AST path.
+///  * `serve.request` — one served request's record (serve/SlowLog.h):
+///    its identity and stage timeline in milliseconds, the same fields
+///    the `timing` echo of a response carries. v2 is the version that
+///    gave this record the echo's key names.
 ///  * `stream.end` — final line with process totals.
 ///
-/// Every record carries `ts` (seconds since stream open), `tid` (a small
-/// sequential id assigned per OS thread on first use) and `event`. The
-/// stream is line-buffered under one mutex: records from concurrent
-/// threads interleave but each line is whole, so a reader can parse the
-/// file line-by-line with support/Json.h (see tests/eventlog_test.cpp).
+/// Every record carries `ts` (seconds since the log's first sink opened),
+/// `tid` (a small sequential id assigned per OS thread on first use) and
+/// `event`. The stream is line-buffered under one mutex: records from
+/// concurrent threads interleave but each line is whole, so a reader can
+/// parse the file line-by-line with support/Json.h (see
+/// tests/eventlog_test.cpp).
 ///
 /// The log is a process-wide singleton, disabled (all calls cheap no-ops)
-/// until `pigeon --trace FILE` / `PIGEON_TRACE` opens it. Hot paths must
-/// check enabled() before building field vectors.
+/// until a sink opens: `pigeon --trace FILE` / `PIGEON_TRACE` (the
+/// stream), the flight recorder, or `--slow-log FILE`. Hot paths must
+/// check enabled() before building field vectors. A record is rendered
+/// once and the same line goes to every sink that takes it.
 ///
-/// Two long-running-process extensions ride on the same emit path:
+/// Three long-running-process extensions ride on the same emit path:
 ///
 ///  * Segment rotation (`--trace-max-mb`): in owned-file mode the log
 ///    tracks bytes written to the current segment; past the cap it writes
@@ -41,7 +48,7 @@
 ///    (replacing the previous rollover, so disk stays bounded at about
 ///    two segments) and reopens `<path>` with a fresh `stream.begin`
 ///    carrying an incremented `segment` field. `ts` keeps counting from
-///    the original process epoch across segments.
+///    the original epoch across segments.
 ///
 ///  * Flight recorder (`enableRing`): a bounded in-memory ring of the
 ///    last N rendered records, independent of any output stream — with
@@ -52,6 +59,14 @@
 ///    snapshots it live and the CLI dumps it next to the best-effort
 ///    metric flush on terminate/fatal paths.
 ///
+///  * Slow log (`openSlowLog`): records emitted with the `Slow` flag —
+///    `pigeon serve` sets it on the `serve.request` records over its
+///    `--slow-trace-ms` threshold — are also kept in a byte-capped ring
+///    (oldest evicted first, the newest always kept) that flush()
+///    rewrites to one file atomically, so a scraper never reads a torn
+///    file and the capture never grows without bound. Each kept line is
+///    byte-identical to the one the stream got.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIGEON_SUPPORT_EVENTLOG_H
@@ -60,6 +75,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -137,17 +153,16 @@ public:
   void close();
 
   /// Flushes buffered records to the underlying stream without closing
-  /// it — the periodic-flush path of a resident `pigeon serve`, so a
-  /// crash loses at most one flush interval of events. No-op when the
-  /// log is disabled.
-  void flush();
+  /// it and rewrites the slow-log file when it changed — the periodic
+  /// flush of a resident `pigeon serve`, so a crash loses at most one
+  /// flush interval of events. \returns false only when the slow-log
+  /// write failed.
+  bool flush();
 
-  /// True while any sink is live: an open()/attach() stream, or the
-  /// flight-recorder ring. Hot paths gate record construction on this.
-  bool enabled() const {
-    return Enabled.load(std::memory_order_acquire) ||
-           RingOn.load(std::memory_order_acquire);
-  }
+  /// True while any sink is live: an open()/attach() stream, the
+  /// flight-recorder ring or the slow log. Hot paths gate record
+  /// construction on this.
+  bool enabled() const { return Sinks.load(std::memory_order_acquire) != 0; }
 
   /// Turns the flight recorder on: the last \p Capacity rendered records
   /// are retained in memory (oldest overwritten first), whether or not a
@@ -158,7 +173,9 @@ public:
   void disableRing();
 
   /// True while the flight recorder is capturing.
-  bool ringEnabled() const { return RingOn.load(std::memory_order_acquire); }
+  bool ringEnabled() const {
+    return Sinks.load(std::memory_order_acquire) & RingSink;
+  }
 
   /// Ring capacity in records (0 when disabled).
   size_t ringCapacity() const;
@@ -176,6 +193,27 @@ public:
   /// \returns false when the ring is off/empty or the write fails.
   bool dumpRing(const std::string &Path) const;
 
+  /// Default byte cap of the slow log.
+  static constexpr size_t DefaultSlowLogBytes = 4u << 20;
+
+  /// Opens the slow log: records emitted with `Slow` set are kept in a
+  /// ring capped at \p MaxBytes, which flush() rewrites to \p Path
+  /// atomically. Reopening clears the ring.
+  void openSlowLog(const std::string &Path,
+                   size_t MaxBytes = DefaultSlowLogBytes);
+
+  /// Rewrites the slow-log file one last time and turns the sink off.
+  /// \returns false when that write failed. Idempotent.
+  bool closeSlowLog();
+
+  /// True while the slow log is open.
+  bool slowLogEnabled() const {
+    return Sinks.load(std::memory_order_acquire) & SlowSink;
+  }
+
+  /// The slow records kept, oldest first, each exactly as rendered.
+  std::vector<std::string> slowLogSnapshot() const;
+
   /// Allocates a process-unique span id (valid ids start at 1; 0 means
   /// "no span" / top level).
   uint64_t nextSpanId() { return NextSpan.fetch_add(1) + 1; }
@@ -191,22 +229,31 @@ public:
                double Wall, double Cpu,
                const std::vector<EventField> &Extra = {});
 
-  /// Emits a generic record `{"event":Event, ...Fields}`.
-  void record(std::string_view Event, const std::vector<EventField> &Fields);
+  /// Emits a generic record `{"event":Event, ...Fields}`. \p Slow also
+  /// keeps the line in the slow log (when it is open).
+  void record(std::string_view Event, const std::vector<EventField> &Fields,
+              bool Slow = false);
 
 private:
-  void writeLine(std::string_view Event, const std::vector<EventField> &Fields);
+  /// The live sinks, one bit each in Sinks.
+  enum : unsigned { StreamSink = 1, RingSink = 2, SlowSink = 4 };
+
+  void writeLine(std::string_view Event, const std::vector<EventField> &Fields,
+                 bool Slow = false);
   void writeLineLocked(std::string_view Event,
-                       const std::vector<EventField> &Fields);
+                       const std::vector<EventField> &Fields,
+                       bool Slow = false);
   void beginStreamLocked();
   void endStreamLocked();
   void rotateLocked();
+  /// Turns \p Sink on; the first sink to open starts the `ts` epoch.
+  void sinkOnLocked(unsigned Sink);
+  void sinkOffLocked(unsigned Sink);
 
   using Clock = std::chrono::steady_clock;
 
   mutable std::mutex Mutex;
-  std::atomic<bool> Enabled{false};
-  std::atomic<bool> RingOn{false};
+  std::atomic<unsigned> Sinks{0};
   std::atomic<uint64_t> NextSpan{0};
   std::atomic<uint64_t> Records{0};
   std::unique_ptr<std::ofstream> OwnedFile;
@@ -219,10 +266,17 @@ private:
   uint64_t SegmentBytes = 0; ///< Bytes written to the current segment.
   uint64_t SegmentIdx = 0;
 
-  // Flight-recorder ring (guarded by Mutex; RingOn is the fast gate).
+  // Flight-recorder ring (guarded by Mutex; Sinks is the fast gate).
   std::vector<std::string> Ring;
   size_t RingCap = 0;
   uint64_t RingCount = 0; ///< Total pushes; Ring[RingCount % RingCap] is next.
+
+  // Slow log (guarded by Mutex): a byte-capped ring of whole lines.
+  std::string SlowPath;
+  std::deque<std::string> Slow;
+  size_t SlowCap = DefaultSlowLogBytes;
+  size_t SlowBytes = 0; ///< Bytes of Slow, one newline per line included.
+  bool SlowDirty = false; ///< Changed since the last file rewrite.
 };
 
 } // namespace telemetry

@@ -384,17 +384,21 @@ void parallel::parallelFor(size_t N, size_t Threads,
   });
 }
 
-StageTimer::StageTimer(std::string Stage)
-    : Stage(std::move(Stage)), WallStart(nowSeconds()),
+StageHandles::StageHandles(std::string Stage)
+    : Name(std::move(Stage)),
+      Wall(telemetry::MetricsRegistry::global().histogram(
+          Name + ".wall.seconds", telemetry::timeBounds())),
+      Cpu(telemetry::MetricsRegistry::global().histogram(
+          Name + ".cpu.seconds", telemetry::timeBounds())) {}
+
+StageTimer::StageTimer(const StageHandles &Stage)
+    : Stage(Stage), WallStart(nowSeconds()),
       CpuStart(telemetry::threadCpuSeconds()) {
-  telemetry::profilerPushFrame(this->Stage);
+  telemetry::profilerPushFrame(Stage.Name);
 }
 
 StageTimer::~StageTimer() {
   telemetry::profilerPopFrame();
-  auto &Reg = telemetry::MetricsRegistry::global();
-  Reg.histogram(Stage + ".wall.seconds", telemetry::timeBounds())
-      .observe(nowSeconds() - WallStart);
-  Reg.histogram(Stage + ".cpu.seconds", telemetry::timeBounds())
-      .observe(telemetry::threadCpuSeconds() - CpuStart);
+  Stage.Wall.observe(nowSeconds() - WallStart);
+  Stage.Cpu.observe(telemetry::threadCpuSeconds() - CpuStart);
 }

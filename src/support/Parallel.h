@@ -49,6 +49,10 @@
 #include <vector>
 
 namespace pigeon {
+namespace telemetry {
+class Histogram;
+} // namespace telemetry
+
 namespace parallel {
 
 /// Number of hardware threads (at least 1).
@@ -149,22 +153,35 @@ auto parallelMap(size_t N, size_t Threads, Fn &&F)
   return Out;
 }
 
+/// The two series a StageTimer feeds — `<stage>.wall.seconds` and
+/// `<stage>.cpu.seconds` in the global registry — resolved once, so a
+/// timed stage builds no name and takes no registry lock. Keep one per
+/// stage for as long as it is timed (a member, or a function-local
+/// static).
+struct StageHandles {
+  explicit StageHandles(std::string Stage);
+
+  std::string Name; ///< Also the phase-profiler frame.
+  telemetry::Histogram &Wall;
+  telemetry::Histogram &Cpu;
+};
+
 /// RAII stage meter: on destruction observes the stage's wall seconds and
 /// the calling thread's CPU seconds (CLOCK_THREAD_CPUTIME_ID) into the
-/// `<stage>.wall.seconds` and `<stage>.cpu.seconds` histograms. A
-/// thread clock keeps concurrent stages (N serve workers) from counting
-/// each other's CPU; wall minus CPU is the time the thread spent off-CPU,
-/// blocked or waiting on pool workers whose CPU it does not see.
+/// stage's handles. A thread clock keeps concurrent stages (N serve
+/// workers) from counting each other's CPU; wall minus CPU is the time
+/// the thread spent off-CPU, blocked or waiting on pool workers whose CPU
+/// it does not see.
 class StageTimer {
 public:
-  explicit StageTimer(std::string Stage);
+  explicit StageTimer(const StageHandles &Stage);
   ~StageTimer();
 
   StageTimer(const StageTimer &) = delete;
   StageTimer &operator=(const StageTimer &) = delete;
 
 private:
-  std::string Stage;
+  const StageHandles &Stage;
   double WallStart;
   double CpuStart;
 };

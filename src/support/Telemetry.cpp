@@ -66,7 +66,7 @@ void atomicAdd(std::atomic<double> &A, double X) {
 } // namespace
 
 void Histogram::observe(double X) {
-  // Buckets are few (≤ ~20); a linear scan beats binary search here.
+  // Buckets are few (≤ ~25); a linear scan beats binary search here.
   size_t B = 0;
   while (B < Bounds.size() && X > Bounds[B])
     ++B;
@@ -148,9 +148,12 @@ void Histogram::resetValue() {
 }
 
 std::vector<double> telemetry::timeBounds() {
-  // 1e-4 s up through ~2 minutes, roughly 3 buckets per decade.
-  return {1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05,
-          0.1,  0.25,   0.5,  1.0,  2.5,    5.0,  10.0, 30.0,  120.0};
+  // 1 µs up through ~2 minutes on a 1-2.5-5 ladder: serve's stages run
+  // from ~10 µs (graph build) to ~1 ms, so the first buckets must
+  // resolve microseconds.
+  return {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
+          5e-4, 1e-3,   2.5e-3, 5e-3, 0.01, 0.025, 0.05, 0.1,
+          0.25, 0.5,    1.0,  2.5,  5.0,  10.0,  30.0, 120.0};
 }
 
 std::vector<double> telemetry::linearBounds(double Lo, double Hi,

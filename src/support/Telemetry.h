@@ -118,7 +118,7 @@ private:
   std::atomic<double> Max;
 };
 
-/// Exponential bucket bounds for wall-clock seconds: 100µs ... ~2 min.
+/// Exponential bucket bounds for wall-clock seconds: 1µs ... ~2 min.
 std::vector<double> timeBounds();
 
 /// Linear bucket bounds {Lo, Lo+Step, ..., Hi}.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -76,7 +77,7 @@ TEST(EventLog, StreamFramingAndFieldRendering) {
   std::vector<json::Value> Lines = parseLines(OS.str());
   ASSERT_EQ(Lines.size(), 3u);
   EXPECT_EQ(eventOf(Lines.front()), "stream.begin");
-  EXPECT_EQ(Lines.front().find("schema")->str(), "pigeon.events.v1");
+  EXPECT_EQ(Lines.front().find("schema")->str(), "pigeon.events.v2");
   EXPECT_EQ(eventOf(Lines.back()), "stream.end");
   // stream.end counts the records between the frame lines.
   EXPECT_DOUBLE_EQ(Lines.back().find("records")->number(), 1.0);
@@ -247,6 +248,22 @@ TEST(FlightRecorder, RingAloneEnablesTheLogAndKeepsTheLastN) {
   EXPECT_TRUE(Log.ringSnapshot().empty());
 }
 
+TEST(FlightRecorder, RingOnlyRecordsStampTsFromWhenTheRingOpened) {
+  // With no stream open, the ring is the log's first sink: `ts` counts
+  // from when it opened, not from the steady clock's origin (boot).
+  const auto Before = std::chrono::steady_clock::now();
+  EventLog Log;
+  Log.enableRing(4);
+  Log.record("tick", {});
+  const double Elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Before)
+          .count();
+  std::optional<json::Value> V = json::parse(Log.ringSnapshot().at(0));
+  ASSERT_TRUE(V.has_value());
+  EXPECT_GE(V->find("ts")->number(), 0.0);
+  EXPECT_LE(V->find("ts")->number(), Elapsed + 1e-6);
+}
+
 TEST(FlightRecorder, PartialRingBeforeWraparound) {
   EventLog Log;
   Log.enableRing(8);
@@ -292,10 +309,6 @@ TEST(FlightRecorder, RingCapturesAlongsideAnAttachedStream) {
   Log.disableRing();
 }
 
-//===----------------------------------------------------------------------===//
-// Segment rotation
-//===----------------------------------------------------------------------===//
-
 namespace {
 
 std::string slurp(const std::string &Path) {
@@ -305,7 +318,93 @@ std::string slurp(const std::string &Path) {
   return Buffer.str();
 }
 
+/// Emits one record flagged for the slow log.
+void recordSlow(EventLog &Log, int I) {
+  Log.record("tick",
+             {{"i", std::to_string(I)}, {"pad", jsonString("xxxxxxxxxxxx")}},
+             /*Slow=*/true);
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Slow log: the byte-capped sink of records flagged slow
+//===----------------------------------------------------------------------===//
+
+TEST(SlowLogRing, DisabledAppendIsANoOp) {
+  EventLog Log;
+  recordSlow(Log, 0);
+  EXPECT_FALSE(Log.enabled());
+  EXPECT_FALSE(Log.slowLogEnabled());
+  EXPECT_TRUE(Log.slowLogSnapshot().empty());
+  EXPECT_TRUE(Log.flush());        // Nothing to write is not a failure.
+  EXPECT_TRUE(Log.closeSlowLog()); // Neither is closing a closed log.
+}
+
+TEST(SlowLogRing, ByteCapEvictsOldestFirst) {
+  EventLog Log;
+  const std::string Path = ::testing::TempDir() + "slowlog_cap.jsonl";
+  Log.openSlowLog(Path, /*MaxBytes=*/200);
+  EXPECT_TRUE(Log.enabled()); // The slow log alone is a sink.
+  for (int I = 0; I < 10; ++I)
+    recordSlow(Log, I);
+  std::vector<std::string> Lines = Log.slowLogSnapshot();
+  ASSERT_FALSE(Lines.empty());
+  ASSERT_LT(Lines.size(), 10u);
+  size_t Bytes = 0;
+  for (const std::string &Line : Lines)
+    Bytes += Line.size() + 1;
+  EXPECT_LE(Bytes, 200u);
+  // The newest entry is always retained; the survivors are the tail.
+  EXPECT_NE(Lines.back().find("\"i\":9"), std::string::npos);
+  EXPECT_NE(Lines.front().find("\"i\":" + std::to_string(10 - Lines.size())),
+            std::string::npos);
+  Log.closeSlowLog();
+  std::remove(Path.c_str());
+}
+
+TEST(SlowLogRing, OversizedSingleEntryIsStillKept) {
+  EventLog Log;
+  const std::string Path = ::testing::TempDir() + "slowlog_big.jsonl";
+  Log.openSlowLog(Path, /*MaxBytes=*/8);
+  recordSlow(Log, 0);
+  EXPECT_EQ(Log.slowLogSnapshot().size(), 1u);
+  Log.closeSlowLog();
+  std::remove(Path.c_str());
+}
+
+TEST(SlowLogRing, FlushRewritesTheFileAtomically) {
+  EventLog Log;
+  const std::string Path = ::testing::TempDir() + "slowlog_flush.jsonl";
+  std::remove(Path.c_str());
+  Log.openSlowLog(Path);
+  Log.record("fast", {}); // Not flagged: the slow log never sees it.
+  recordSlow(Log, 1);
+  ASSERT_TRUE(Log.flush());
+  std::string First = slurp(Path);
+  EXPECT_EQ(First.find("fast"), std::string::npos);
+  EXPECT_EQ(parseLines(First).size(), 1u);
+
+  // A second flush with no new entries is a no-op success; appending
+  // again grows the same file on the next flush.
+  ASSERT_TRUE(Log.flush());
+  recordSlow(Log, 2);
+  ASSERT_TRUE(Log.flush());
+  std::string Second = slurp(Path);
+  EXPECT_GT(Second.size(), First.size());
+  EXPECT_NE(Second.find("\"i\":2"), std::string::npos);
+
+  // closeSlowLog() flushes and disables.
+  recordSlow(Log, 3);
+  EXPECT_TRUE(Log.closeSlowLog());
+  EXPECT_FALSE(Log.slowLogEnabled());
+  EXPECT_EQ(parseLines(slurp(Path)).size(), 3u);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Segment rotation
+//===----------------------------------------------------------------------===//
 
 TEST(EventLogRotation, RotatesIntoACappedPreviousSegment) {
   const std::string Path = ::testing::TempDir() + "rotating_trace.jsonl";

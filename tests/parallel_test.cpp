@@ -229,17 +229,21 @@ TEST(StageTimer, CpuClockExcludesSiblingThreads) {
   });
   while (!Started.load())
     std::this_thread::yield();
+  parallel::StageHandles Stage("test.sibling_spin");
   {
-    parallel::StageTimer Timer("test.sibling_spin");
+    parallel::StageTimer Timer(Stage);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   Stop.store(true);
   Spinner.join();
+  // The handles are the registry's series under the stage's names.
   auto &Reg = telemetry::MetricsRegistry::global();
   telemetry::Histogram &Wall = Reg.histogram(
       "test.sibling_spin.wall.seconds", telemetry::timeBounds());
   telemetry::Histogram &Cpu = Reg.histogram("test.sibling_spin.cpu.seconds",
                                             telemetry::timeBounds());
+  EXPECT_EQ(&Wall, &Stage.Wall);
+  EXPECT_EQ(&Cpu, &Stage.Cpu);
   ASSERT_EQ(Wall.count(), 1u);
   ASSERT_EQ(Cpu.count(), 1u);
   EXPECT_GE(Wall.sum(), 0.045);

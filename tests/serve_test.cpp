@@ -9,8 +9,8 @@
 // task, oversized source, bad field types, deadline exceeded, queue
 // full, shutting down), batching determinism (a batched response is
 // byte-identical to a sequential one, and both match the one-shot
-// predict route exactly), and the stream/fd front-ends' EOF and
-// stop-flag shutdown with full response flush.
+// predict route exactly), and the fd front-end's EOF and stop-flag
+// shutdown with full response flush.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <future>
 #include <optional>
 #include <sstream>
@@ -122,6 +123,34 @@ std::string errorCode(const json::Value &Doc) {
     return "";
   const json::Value *Code = Error->find("code");
   return Code ? Code->strOr("") : "";
+}
+
+/// Runs serveFdLoop (the `pigeon serve --stdio` front-end) over pipes:
+/// writes \p Input, closes it, and returns everything written back once
+/// the loop drained on EOF.
+std::string serveOverPipes(Service &S, const std::string &Input) {
+  int InPipe[2], OutPipe[2];
+  EXPECT_EQ(::pipe(InPipe), 0);
+  EXPECT_EQ(::pipe(OutPipe), 0);
+  std::atomic<bool> Stop{false};
+  std::thread Loop([&] {
+    serveFdLoop(S, InPipe[0], OutPipe[1], Stop);
+    ::close(OutPipe[1]); // EOF for the reader below.
+  });
+  std::thread Writer([&] {
+    writeAll(InPipe[1], Input);
+    ::close(InPipe[1]);
+  });
+  std::string Output;
+  char Buf[4096];
+  ssize_t N;
+  while ((N = ::read(OutPipe[0], Buf, sizeof(Buf))) > 0)
+    Output.append(Buf, static_cast<size_t>(N));
+  Writer.join();
+  Loop.join();
+  ::close(InPipe[0]);
+  ::close(OutPipe[0]);
+  return Output;
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,6 +354,26 @@ TEST(Serve, DeadlineExceededWhileQueued) {
   EXPECT_EQ(Doc.find("id")->numberOr(-1), 7.0); // Id still echoed.
 }
 
+TEST(Serve, DeadlineIsCheckedBetweenStages) {
+  // A flat 500-term chain costs far more than 20 ms to extract (every
+  // leaf pair is examined), yet passes the check at decode. The request
+  // must stop at the stage that ran over and answer deadline_exceeded
+  // instead of going on to inference.
+  std::string Chain = "function f(x) { return x";
+  for (int I = 1; I < 500; ++I)
+    Chain += " + x";
+  Chain += "; }";
+  Service S(loadBundle());
+  json::Value Doc = parsed(
+      S.handleOne(requestLine(Chain, ",\"id\":5,\"deadline_ms\":20")));
+  ASSERT_EQ(errorCode(Doc), "deadline_exceeded");
+  EXPECT_EQ(Doc.find("id")->numberOr(-1), 5.0);
+  std::string Message = Doc.find("error")->find("message")->strOr("");
+  EXPECT_TRUE(Message.find(" in parse") != std::string::npos ||
+              Message.find(" in extract") != std::string::npos)
+      << Message;
+}
+
 TEST(Serve, QueueFullAnswersOverloadedImmediately) {
   ServeConfig Config;
   Config.QueueCapacity = 2;
@@ -400,30 +449,33 @@ TEST(Serve, DrainWaitsOutTheStragglerWindow) {
 //===----------------------------------------------------------------------===//
 
 TEST(Serve, StreamFrontEndAnswersEveryLineThenEofCleanly) {
-  Service S(loadBundle());
+  // Several workers, so completions can come back out of order: the
+  // front-end must still answer in request order.
+  ServeConfig Config;
+  Config.Workers = 4;
+  Service S(loadBundle(), Config);
   // A line nested far past the parsers' budget gets parse_failed, and
   // the lines around it are still answered.
   std::string Deep = "function h(x) { return " + std::string(10000, '(') +
                      "x" + std::string(10000, ')') + "; }";
-  std::istringstream In(requestLine(MinifiedFlag, ",\"id\":1") + "\n" +
-                        "garbage\n" + requestLine(Deep, ",\"id\":2") +
-                        "\n" + requestLine(MinifiedLoop, ",\"id\":3") +
-                        "\n");
-  std::ostringstream Out;
-  EXPECT_EQ(serveStream(S, In, Out), 0);
-  std::istringstream Lines(Out.str());
+  std::istringstream Lines(serveOverPipes(
+      S, requestLine(MinifiedFlag, ",\"id\":1") + "\n" + "garbage\n" +
+             requestLine(Deep, ",\"id\":2") + "\n" +
+             requestLine(MinifiedLoop, ",\"id\":3") + "\n"));
+  std::vector<json::Value> Docs;
   std::string Line;
-  size_t Count = 0, Ok = 0, Errors = 0, ParseFailed = 0;
-  while (std::getline(Lines, Line)) {
-    ++Count;
-    json::Value Doc = parsed(Line);
-    (Doc.find("ok")->boolean() ? Ok : Errors) += 1;
-    ParseFailed += errorCode(Doc) == "parse_failed";
-  }
-  EXPECT_EQ(Count, 4u);
-  EXPECT_EQ(Ok, 2u);
-  EXPECT_EQ(Errors, 2u);
-  EXPECT_EQ(ParseFailed, 1u);
+  while (std::getline(Lines, Line))
+    Docs.push_back(parsed(Line));
+  ASSERT_EQ(Docs.size(), 4u);
+  // Request order: id 1, the garbage line (null id), id 2, id 3.
+  EXPECT_EQ(Docs[0].find("id")->numberOr(-1), 1.0);
+  EXPECT_TRUE(Docs[0].find("ok")->boolean());
+  EXPECT_TRUE(Docs[1].find("id")->isNull());
+  EXPECT_EQ(errorCode(Docs[1]), "bad_request");
+  EXPECT_EQ(Docs[2].find("id")->numberOr(-1), 2.0);
+  EXPECT_EQ(errorCode(Docs[2]), "parse_failed");
+  EXPECT_EQ(Docs[3].find("id")->numberOr(-1), 3.0);
+  EXPECT_TRUE(Docs[3].find("ok")->boolean());
 }
 
 TEST(Serve, FdLoopDrainsOnEof) {
@@ -740,11 +792,10 @@ TEST(Serve, RidIsEchoedInAdmissionOrderOnEveryOutcome) {
   EXPECT_DOUBLE_EQ(Doc.find("rid")->numberOr(-1), 2.0);
 
   // Rids are unique per service across connections: handleOne and the
-  // stream front end share one admission sequence.
-  std::istringstream In(requestLine(MinifiedFlag, ",\"id\":3") + "\n");
-  std::ostringstream Out;
-  serveStream(S, In, Out);
-  json::Value Streamed = parsed(Out.str());
+  // fd front end share one admission sequence.
+  std::string Output =
+      serveOverPipes(S, requestLine(MinifiedFlag, ",\"id\":3") + "\n");
+  json::Value Streamed = parsed(Output.substr(0, Output.find('\n')));
   EXPECT_DOUBLE_EQ(Streamed.find("rid")->numberOr(-1), 3.0);
 }
 
@@ -772,13 +823,17 @@ TEST(Serve, TimingEchoDecomposesTheMeasuredLatency) {
   double Total = T->find("total_ms")->numberOr(-1);
   EXPECT_GT(Total, 0.0);
   double Sum = 0;
-  for (const char *Stage : StageNames) {
-    const json::Value *V = T->find(std::string(Stage) + "_ms");
+  // The stage names say what they time: decode is its own stage, and
+  // extraction + graph assembly is `extract`.
+  for (const char *Stage : {"queue_ms", "seal_ms", "decode_ms", "parse_ms",
+                            "extract_ms", "predict_ms", "render_ms"}) {
+    const json::Value *V = T->find(Stage);
     ASSERT_TRUE(V && V->isNumber()) << Stage;
     EXPECT_GE(V->number(), 0.0) << Stage;
     Sum += V->number();
   }
-  // The six stages partition the admit→respond interval: their sum is
+  EXPECT_EQ(T->find("remap_ms"), nullptr);
+  // The seven stages partition the admit→respond interval: their sum is
   // the total up to rendering rounding (well inside the 5% the
   // acceptance criterion allows).
   EXPECT_NEAR(Sum, Total, Total * 0.001);
@@ -803,25 +858,27 @@ TEST(Serve, TimingAbsentOrFalseLeavesTheResponseUntouched) {
 }
 
 TEST(Serve, SlowLogCapturesRequestsAboveTheThreshold) {
-  SlowLog &Log = SlowLog::global();
+  telemetry::EventLog &Log = telemetry::EventLog::global();
   const std::string Path = ::testing::TempDir() + "serve_slow.jsonl";
 
   // Threshold far above any real latency: nothing is captured.
   {
-    Log.open(Path);
+    Log.openSlowLog(Path);
     ServeConfig Config;
     Config.SlowTraceMs = 60000;
     Service S(loadBundle(), Config);
     S.handleOne(requestLine(MinifiedFlag));
-    EXPECT_TRUE(Log.lines().empty());
+    EXPECT_TRUE(Log.slowLogSnapshot().empty());
   }
 
   // A synthetic straggler: the request sits in a paused queue for
   // ~100 ms, far over the 20 ms threshold. The capture's stage timeline
   // must account for the measured total — the queue stage is where the
-  // time went.
+  // time went — and be the very line the event stream got.
+  std::ostringstream Events;
   {
-    Log.open(Path); // Reopen: clears the previous capture state.
+    Log.openSlowLog(Path); // Reopen: clears the previous capture state.
+    Log.attach(Events);
     ServeConfig Config;
     Config.SlowTraceMs = 20;
     Service S(loadBundle(), Config);
@@ -833,24 +890,32 @@ TEST(Serve, SlowLogCapturesRequestsAboveTheThreshold) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     S.resume();
     F.get();
-
-    std::vector<std::string> Lines = Log.lines();
-    ASSERT_EQ(Lines.size(), 1u);
-    json::Value Entry = parsed(Lines[0]);
-    EXPECT_EQ(Entry.find("schema")->strOr(""), "pigeon.slowlog.v1");
-    EXPECT_EQ(Entry.find("id")->strOr(""), "slow");
-    EXPECT_TRUE(Entry.find("ok")->boolean());
-    double Total = Entry.find("total_ms")->numberOr(0);
-    EXPECT_GE(Total, 100.0);
-    double Sum = 0;
-    for (const char *Stage : StageNames)
-      Sum += Entry.find(std::string(Stage) + "_ms")->numberOr(0);
-    EXPECT_NEAR(Sum, Total, Total * 0.05);
-    EXPECT_GE(Entry.find("queue_ms")->numberOr(0), 90.0);
-    ASSERT_TRUE(Entry.find("batch_rids")->isArray());
-    EXPECT_EQ(Entry.find("batch_rids")->array().size(), 1u);
   }
   Log.close();
+
+  std::vector<std::string> Lines = Log.slowLogSnapshot();
+  ASSERT_EQ(Lines.size(), 1u);
+  EXPECT_NE(Events.str().find("\n" + Lines[0] + "\n"), std::string::npos);
+  json::Value Entry = parsed(Lines[0]);
+  EXPECT_EQ(Entry.find("event")->strOr(""), "serve.request");
+  EXPECT_EQ(Entry.find("id")->strOr(""), "slow");
+  EXPECT_TRUE(Entry.find("ok")->boolean());
+  double Total = Entry.find("total_ms")->numberOr(0);
+  EXPECT_GE(Total, 100.0);
+  double Sum = 0;
+  for (const char *Stage : StageNames)
+    Sum += Entry.find(std::string(Stage) + "_ms")->numberOr(0);
+  EXPECT_NEAR(Sum, Total, Total * 0.05);
+  EXPECT_GE(Entry.find("queue_ms")->numberOr(0), 90.0);
+  EXPECT_EQ(Entry.find("batch_size")->numberOr(0), 1.0);
+
+  // The capture file is written on close.
+  ASSERT_TRUE(Log.closeSlowLog());
+  EXPECT_FALSE(Log.slowLogEnabled());
+  std::ifstream In(Path);
+  std::string Written;
+  ASSERT_TRUE(std::getline(In, Written));
+  EXPECT_EQ(Written, Lines[0]);
   std::remove(Path.c_str());
 }
 

@@ -6,12 +6,11 @@
 
 #include "serve/SlowLog.h"
 
+#include "support/EventLog.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 using namespace pigeon;
@@ -25,38 +24,48 @@ RequestSample sampleWith(uint64_t Rid, double TotalMs) {
   S.IdJson = std::to_string(Rid * 10);
   S.TotalMs = TotalMs;
   // A deterministic decomposition that sums exactly to TotalMs.
-  S.StageMs = {TotalMs * 0.10, TotalMs * 0.05, TotalMs * 0.30,
-               TotalMs * 0.05, TotalMs * 0.40, TotalMs * 0.10};
+  S.StageMs = {TotalMs * 0.10, TotalMs * 0.05, TotalMs * 0.05,
+               TotalMs * 0.25, TotalMs * 0.05, TotalMs * 0.40,
+               TotalMs * 0.10};
   S.BatchSize = 4;
   S.DepthAtAdmit = 2;
   return S;
 }
 
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
+/// Renders \p S the way serve does: one `serve.request` event line.
+std::string eventLine(const RequestSample &S) {
+  telemetry::EventLog Log;
+  Log.enableRing(1);
+  Log.record("serve.request", requestFields(S));
+  return Log.ringSnapshot().at(0);
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Entry rendering / parsing
+// The request record
 //===----------------------------------------------------------------------===//
 
 TEST(SlowLogEntry, RenderParseRoundTrip) {
   RequestSample S = sampleWith(7, 12.5);
-  std::string Line = renderSlowLogEntry(S, {5, 6, 7, 8}, 123.25);
+  std::string Line = eventLine(S);
 
   std::string Error;
   std::optional<json::Value> Doc = json::parse(Line, &Error);
   ASSERT_TRUE(Doc.has_value()) << Error << " in: " << Line;
-  EXPECT_EQ(Doc->find("schema")->str(), "pigeon.slowlog.v1");
-  EXPECT_DOUBLE_EQ(Doc->find("uptime_seconds")->number(), 123.25);
-  ASSERT_TRUE(Doc->find("batch_rids")->isArray());
-  EXPECT_EQ(Doc->find("batch_rids")->array().size(), 4u);
+  EXPECT_EQ(Doc->find("event")->str(), "serve.request");
+  EXPECT_TRUE(Doc->find("ts")->isNumber());
   EXPECT_TRUE(Doc->find("code")->isNull());
+  EXPECT_DOUBLE_EQ(Doc->find("total_ms")->number(), 12.5);
+  EXPECT_DOUBLE_EQ(Doc->find("extract_ms")->number(), 12.5 * 0.05);
+  EXPECT_DOUBLE_EQ(Doc->find("batch_size")->number(), 4.0);
+
+  // The identity fields lead; the timing fields follow in stage order.
+  std::vector<telemetry::EventField> Fields = requestFields(S);
+  ASSERT_EQ(Fields.size(), NumIdentityFields + NumStages + 3);
+  EXPECT_EQ(Fields[NumIdentityFields - 1].Key, "code");
+  EXPECT_EQ(Fields[NumIdentityFields].Key, "queue_ms");
+  EXPECT_EQ(Fields.back().Key, "depth_at_admit");
 
   std::optional<RequestSample> Back = parseRequestSample(*Doc);
   ASSERT_TRUE(Back.has_value());
@@ -74,8 +83,7 @@ TEST(SlowLogEntry, ErrorEntriesCarryTheCode) {
   RequestSample S = sampleWith(3, 1.5);
   S.Ok = false;
   S.Code = "parse_error";
-  std::string Line = renderSlowLogEntry(S, {3}, 0.5);
-  std::optional<json::Value> Doc = json::parse(Line);
+  std::optional<json::Value> Doc = json::parse(eventLine(S));
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("code")->str(), "parse_error");
 
@@ -86,13 +94,14 @@ TEST(SlowLogEntry, ErrorEntriesCarryTheCode) {
 }
 
 TEST(SlowLogEntry, ParsesServeRequestEventRecords) {
-  // The pigeon.events.v1 shape: stage fields in seconds, short batch
-  // context names. parseRequestSample must normalize to milliseconds.
+  // The pigeon.events.v2 shape, as a --trace stream or --slow-log file
+  // holds it: the timing echo's key names, in milliseconds.
   std::optional<json::Value> Doc = json::parse(
       "{\"event\":\"serve.request\",\"ts\":1.5,\"tid\":2,\"rid\":9,"
-      "\"id\":\"abc\",\"ok\":true,\"wall\":0.004,\"queue\":0.001,"
-      "\"seal\":0.0005,\"parse\":0.001,\"remap\":0.0005,"
-      "\"predict\":0.0005,\"render\":0.0005,\"batch\":3,\"depth\":1}");
+      "\"id\":\"abc\",\"ok\":true,\"code\":null,\"queue_ms\":1,"
+      "\"seal_ms\":0.5,\"decode_ms\":0.1,\"parse_ms\":0.9,"
+      "\"extract_ms\":0.5,\"predict_ms\":0.5,\"render_ms\":0.5,"
+      "\"total_ms\":4,\"batch_size\":3,\"depth_at_admit\":1}");
   ASSERT_TRUE(Doc.has_value());
   std::optional<RequestSample> S = parseRequestSample(*Doc);
   ASSERT_TRUE(S.has_value());
@@ -101,6 +110,8 @@ TEST(SlowLogEntry, ParsesServeRequestEventRecords) {
   EXPECT_DOUBLE_EQ(S->TotalMs, 4.0);
   EXPECT_DOUBLE_EQ(S->StageMs[0], 1.0);
   EXPECT_DOUBLE_EQ(S->StageMs[1], 0.5);
+  EXPECT_DOUBLE_EQ(S->StageMs[2], 0.1);
+  EXPECT_DOUBLE_EQ(S->StageMs[4], 0.5);
   EXPECT_EQ(S->BatchSize, 3u);
   EXPECT_EQ(S->DepthAtAdmit, 1u);
 }
@@ -108,86 +119,16 @@ TEST(SlowLogEntry, ParsesServeRequestEventRecords) {
 TEST(SlowLogEntry, RejectsForeignLines) {
   for (const char *Line :
        {"{\"event\":\"span.begin\",\"ts\":0.1,\"name\":\"parse\"}",
-        "{\"event\":\"stream.begin\",\"schema\":\"pigeon.events.v1\"}",
+        "{\"event\":\"stream.begin\",\"schema\":\"pigeon.events.v2\"}",
         "{\"schema\":\"pigeon.serve.v1\",\"id\":1,\"ok\":true}", "[1,2,3]",
-        "42"}) {
+        "42",
+        // The pigeon.events.v1 record: seconds under the stage names.
+        "{\"event\":\"serve.request\",\"rid\":9,\"ok\":true,\"wall\":0.004,"
+        "\"queue\":0.001,\"remap\":0.0005,\"batch\":3,\"depth\":1}"}) {
     std::optional<json::Value> Doc = json::parse(Line);
     ASSERT_TRUE(Doc.has_value()) << Line;
     EXPECT_FALSE(parseRequestSample(*Doc).has_value()) << Line;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// The byte-capped capture ring
-//===----------------------------------------------------------------------===//
-
-TEST(SlowLogRing, DisabledAppendIsANoOp) {
-  SlowLog Log;
-  EXPECT_FALSE(Log.enabled());
-  Log.append("{\"x\":1}");
-  EXPECT_EQ(Log.appended(), 0u);
-  EXPECT_TRUE(Log.lines().empty());
-  EXPECT_TRUE(Log.flush()); // Nothing to write is not a failure.
-}
-
-TEST(SlowLogRing, ByteCapEvictsOldestFirst) {
-  SlowLog Log;
-  const std::string Path = ::testing::TempDir() + "slowlog_cap.jsonl";
-  // Cap sized for three 22-byte entries (23 with the newline).
-  Log.open(Path, /*MaxBytes=*/80);
-  for (int I = 0; I < 10; ++I) {
-    std::string Entry = "{\"rid\":" + std::to_string(I) + ",\"pad\":\"xxxx\"}";
-    ASSERT_EQ(Entry.size(), 22u);
-    Log.append(Entry);
-  }
-  EXPECT_EQ(Log.appended(), 10u);
-  EXPECT_GT(Log.evicted(), 0u);
-  std::vector<std::string> Lines = Log.lines();
-  ASSERT_FALSE(Lines.empty());
-  ASSERT_LE(Lines.size(), 3u);
-  // The newest entry is always retained; the survivors are the tail.
-  EXPECT_NE(Lines.back().find("\"rid\":9"), std::string::npos);
-  EXPECT_NE(Lines.front().find(
-                "\"rid\":" + std::to_string(10 - Lines.size())),
-            std::string::npos);
-  Log.close();
-  std::remove(Path.c_str());
-}
-
-TEST(SlowLogRing, OversizedSingleEntryIsStillKept) {
-  SlowLog Log;
-  const std::string Path = ::testing::TempDir() + "slowlog_big.jsonl";
-  Log.open(Path, /*MaxBytes=*/8);
-  Log.append(std::string(100, 'x'));
-  EXPECT_EQ(Log.lines().size(), 1u);
-  Log.close();
-  std::remove(Path.c_str());
-}
-
-TEST(SlowLogRing, FlushRewritesTheFileAtomically) {
-  SlowLog Log;
-  const std::string Path = ::testing::TempDir() + "slowlog_flush.jsonl";
-  std::remove(Path.c_str());
-  Log.open(Path);
-  RequestSample S = sampleWith(1, 9.0);
-  Log.append(renderSlowLogEntry(S, {1}, 0.1));
-  ASSERT_TRUE(Log.flush());
-  std::string First = slurp(Path);
-  EXPECT_NE(First.find("pigeon.slowlog.v1"), std::string::npos);
-
-  // A second flush with no new entries is a no-op success; appending
-  // again grows the same file on the next flush.
-  ASSERT_TRUE(Log.flush());
-  Log.append(renderSlowLogEntry(sampleWith(2, 3.0), {2}, 0.2));
-  ASSERT_TRUE(Log.flush());
-  std::string Second = slurp(Path);
-  EXPECT_GT(Second.size(), First.size());
-  EXPECT_NE(Second.find("\"rid\":2"), std::string::npos);
-
-  // close() flushes and disables.
-  Log.close();
-  EXPECT_FALSE(Log.enabled());
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -205,13 +146,13 @@ TEST(FoldSamples, ComputesStageStatsAndTopK) {
   EXPECT_DOUBLE_EQ(R.TotalP99Ms, 10.0);
 
   // Stage "predict" is 40% of every request, so 40% of the grand total.
-  const StageStats &Predict = R.Stages[4];
+  const StageStats &Predict = R.Stages[5];
   EXPECT_EQ(Predict.Count, 10u);
   EXPECT_NEAR(Predict.Share, 0.40, 1e-9);
   EXPECT_NEAR(Predict.MeanMs, 0.40 * 5.5, 1e-9);
   EXPECT_NEAR(Predict.MaxMs, 4.0, 1e-9);
 
-  // Shares cover the whole timeline: the six stages sum to 100%.
+  // Shares cover the whole timeline: the seven stages sum to 100%.
   double ShareSum = 0;
   for (const StageStats &St : R.Stages)
     ShareSum += St.Share;

@@ -156,6 +156,17 @@ TEST(Histogram, PercentileSinglePointDistribution) {
   EXPECT_DOUBLE_EQ(H.percentile(0.99), 0.002);
 }
 
+TEST(Histogram, TimeBoundsResolveMicroseconds) {
+  // Serve's stages run from ~10 µs: a p50 over 5 µs and 60 µs samples
+  // must land on the 5 µs mode, not be smeared across one 0-100 µs bucket.
+  Histogram H(timeBounds());
+  EXPECT_DOUBLE_EQ(timeBounds().front(), 1e-6);
+  H.observeN(5e-6, 20);
+  H.observeN(60e-6, 20);
+  EXPECT_DOUBLE_EQ(H.percentile(0.50), 5e-6);
+  EXPECT_NEAR(H.percentile(0.90), 60e-6, 5e-6);
+}
+
 TEST(Histogram, PercentileOnEmptyIsNaN) {
   Histogram H(linearBounds(0, 4));
   EXPECT_TRUE(std::isnan(H.percentile(0.5)));

@@ -56,7 +56,6 @@
 #include "core/ModelIO.h"
 #include "core/Predict.h"
 #include "serve/Serve.h"
-#include "serve/SlowLog.h"
 #include "support/EventLog.h"
 #include "support/Parallel.h"
 #include "support/PhaseProfiler.h"
@@ -119,7 +118,7 @@ int usage() {
          "environment variable is the fallback when the flag is absent.\n"
          "\n"
          "Every subcommand accepts --trace FILE to stream structured JSONL\n"
-         "events (schema pigeon.events.v1): phase and per-chunk spans with\n"
+         "events (schema pigeon.events.v2): phase and per-chunk spans with\n"
          "wall/CPU/RSS, plus prediction-provenance records. PIGEON_TRACE\n"
          "is the fallback, and --trace-max-mb MB rotates the stream into\n"
          "byte-capped segments (the previous segment is kept at FILE.1).\n"
@@ -138,9 +137,10 @@ int usage() {
          "rewritten every --metrics-interval seconds, default 10, alongside\n"
          "--metrics/--trace), --slo-p99-ms MS (the admin:\"slo\" target\n"
          "for the windowed serve.request.seconds p99), --slow-log FILE\n"
-         "(tail sampling: requests slower than --slow-trace-ms — falling\n"
-         "back to the SLO target — are captured with their full stage\n"
-         "timelines as pigeon.slowlog.v1 JSONL; 0 captures everything),\n"
+         "(tail sampling: the serve.request event records of requests\n"
+         "slower than --slow-trace-ms — falling back to the SLO target —\n"
+         "are kept there as JSONL, the same lines --trace writes; 0\n"
+         "captures everything),\n"
          "and --flightrec FILE (the in-memory flight recorder of recent\n"
          "event records, also dumped by admin:\"flightrec\", is written\n"
          "there at exit and on every metrics tick).\n";
@@ -617,7 +617,6 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
   bool WantFlusher = FlushInterval > 0 &&
                      (!DiagMetricsPath.empty() || !DiagPromPath.empty() ||
                       !DiagFlightRecPath.empty() ||
-                      serve::SlowLog::global().enabled() ||
                       telemetry::EventLog::global().enabled());
   if (WantFlusher)
     Flusher = std::thread([&] {
@@ -631,7 +630,6 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
           telemetry::writeFileAtomic(DiagPromPath,
                                      Reg.prometheusSnapshot());
         telemetry::EventLog::global().flush();
-        serve::SlowLog::global().flush();
         if (!DiagFlightRecPath.empty())
           telemetry::EventLog::global().dumpRing(DiagFlightRecPath);
       }
@@ -815,7 +813,7 @@ int cmdExplain(Language Lang, const std::string &TaskName, int TopK,
 /// the --profile folded stacks, the --slow-log capture, the --flightrec
 /// dump and the --trace event stream. Safe to call more than once: every
 /// write is a whole-file atomic rewrite and EventLog::close() /
-/// SlowLog::close() are idempotent. \returns false when a requested
+/// closeSlowLog() are idempotent. \returns false when a requested
 /// metrics snapshot could not be written.
 bool flushDiagnostics() {
   bool Ok = true;
@@ -842,10 +840,8 @@ bool flushDiagnostics() {
       std::cerr << "error: cannot write profile to " << DiagProfilePath
                 << "\n";
   }
-  if (serve::SlowLog::global().enabled() &&
-      !serve::SlowLog::global().flush())
+  if (!telemetry::EventLog::global().closeSlowLog())
     std::cerr << "error: cannot write the slow-request log\n";
-  serve::SlowLog::global().close();
   // Dump the flight recorder before closing the event stream: a fatal
   // exit is exactly when the last-N-records window matters.
   if (!DiagFlightRecPath.empty() &&
@@ -1059,7 +1055,7 @@ int main(int argc, char **argv) {
     return 2;
   }
   if (!SlowLogPath.empty())
-    serve::SlowLog::global().open(SlowLogPath);
+    telemetry::EventLog::global().openSlowLog(SlowLogPath);
   if (!ProfilePath.empty())
     telemetry::PhaseProfiler::global().start();
 

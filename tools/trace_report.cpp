@@ -10,11 +10,12 @@
 /// across every request found, plus the top-K slowest requests with
 /// their full stage timelines.
 ///
-/// Accepted inputs, freely mixed (the line schema is auto-detected):
-///  * pigeon.events.v1 streams (`pigeon serve --trace FILE` output and
-///    its rotated `FILE.1` segment, or an `admin:"flightrec"` dump) —
-///    `serve.request` records are folded, everything else is skipped;
-///  * pigeon.slowlog.v1 captures (`--slow-log FILE`).
+/// Accepted inputs, freely mixed: pigeon.events.v2 streams (`pigeon
+/// serve --trace FILE` output and its rotated `FILE.1` segment), slow
+/// logs (`--slow-log FILE`) and flight-recorder dumps (`--flightrec
+/// FILE`). All three hold the same `serve.request` record lines, which
+/// are folded; every other line is skipped, the v1 shape of that record
+/// included.
 ///
 /// Exit codes: 0 when at least one request sample was found, 1 when the
 /// inputs held none (CI uses this to assert a non-empty decomposition),
@@ -39,8 +40,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: trace_report [--top K] FILE...\n"
-               "  FILE: a pigeon.events.v1 stream (--trace / flightrec dump)\n"
-               "        and/or a pigeon.slowlog.v1 capture (--slow-log)\n"
+               "  FILE: a pigeon.events.v2 stream (--trace), slow log\n"
+               "        (--slow-log) or flight-recorder dump (--flightrec)\n"
                "  --top K  timelines to list for the slowest requests "
                "(default 5)\n");
   return 2;
@@ -105,7 +106,7 @@ int main(int argc, char **argv) {
 
   if (Samples.empty()) {
     std::fprintf(stderr,
-                 "trace_report: no serve.request / slowlog samples found\n");
+                 "trace_report: no serve.request samples found\n");
     return 1;
   }
 
