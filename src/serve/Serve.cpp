@@ -89,15 +89,21 @@ std::string renderError(const std::string &IdJson, ErrorCode Code,
   return Out;
 }
 
+/// Why decodeRequest refused a request: the protocol code and message.
+struct DecodeError {
+  ErrorCode Code;
+  std::string Message;
+};
+
 /// Decodes and validates one request line against \p Bundle and
-/// \p Config. On failure returns the rendered error response (and leaves
-/// \p Out partially filled — only IdJson is meaningful then).
-std::optional<std::string> decodeRequest(const std::string &Line,
+/// \p Config. On failure returns the error (and leaves \p Out partially
+/// filled — only IdJson is meaningful then).
+std::optional<DecodeError> decodeRequest(const std::string &Line,
                                          const core::ModelBundle &Bundle,
                                          const ServeConfig &Config,
-                                         uint64_t Rid, Decoded &Out) {
-  auto Err = [&](ErrorCode Code, const std::string &Message) {
-    return renderError(Out.IdJson, Code, Message, Rid);
+                                         Decoded &Out) {
+  auto Err = [](ErrorCode Code, std::string Message) {
+    return DecodeError{Code, std::move(Message)};
   };
   std::string ParseError;
   std::optional<json::Value> Doc = json::parse(Line, &ParseError);
@@ -702,10 +708,8 @@ void Service::processBatch(std::vector<Pending> Batch) {
     parallel::StageTimer Timer(M.DecodeTimer);
     auto Now = Clock::now();
     for (Item &It : Items) {
-      if (auto Error =
-              decodeRequest(It.P.Line, *Bundle, Config, It.P.Seq, It.D)) {
-        It.Failed = true;
-        It.Response = std::move(*Error);
+      if (auto Error = decodeRequest(It.P.Line, *Bundle, Config, It.D)) {
+        fail(It, Error->Code, Error->Message);
         continue;
       }
       checkDeadline(It, Now, "queue");

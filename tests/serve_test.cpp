@@ -311,33 +311,46 @@ TEST(Serve, NonObjectAndBadFieldsAreBadRequests) {
             "bad_request");
 }
 
+/// Answers \p Line on \p S and expects the error \p Code in the response
+/// and in the metrics: `serve.responses.error.<Code>` rises by one while
+/// `serve.responses.error.bad_request` stays put.
+void expectCountedRejection(Service &S, const std::string &Line,
+                            const std::string &Code) {
+  auto &Reg = telemetry::MetricsRegistry::global();
+  telemetry::Counter &ByCode = Reg.counter("serve.responses.error." + Code);
+  telemetry::Counter &BadRequest =
+      Reg.counter("serve.responses.error.bad_request");
+  const uint64_t ByCode0 = ByCode.value();
+  const uint64_t BadRequest0 = BadRequest.value();
+  EXPECT_EQ(errorCode(parsed(S.handleOne(Line))), Code);
+  EXPECT_EQ(ByCode.value(), ByCode0 + 1) << Code;
+  EXPECT_EQ(BadRequest.value(), BadRequest0) << Code;
+}
+
 TEST(Serve, UnknownAndMismatchedLang) {
   Service S(loadBundle());
-  EXPECT_EQ(errorCode(parsed(S.handleOne(
-                "{\"lang\":\"golang\",\"source\":\"x\"}"))),
-            "unknown_lang");
-  EXPECT_EQ(errorCode(parsed(S.handleOne(
-                "{\"lang\":\"java\",\"source\":\"class C {}\"}"))),
-            "lang_mismatch");
+  expectCountedRejection(S, "{\"lang\":\"golang\",\"source\":\"x\"}",
+                         "unknown_lang");
+  expectCountedRejection(
+      S, "{\"lang\":\"java\",\"source\":\"class C {}\"}", "lang_mismatch");
 }
 
 TEST(Serve, UnknownTaskAndTaskMismatch) {
   Service S(loadBundle());
-  std::string Unknown = S.handleOne(
-      "{\"lang\":\"js\",\"task\":\"frobnicate\",\"source\":\"var x;\"}");
-  EXPECT_EQ(errorCode(parsed(Unknown)), "unknown_task");
-  std::string Mismatch = S.handleOne(
-      "{\"lang\":\"js\",\"task\":\"methods\",\"source\":\"var x;\"}");
-  EXPECT_EQ(errorCode(parsed(Mismatch)), "task_mismatch");
+  expectCountedRejection(
+      S, "{\"lang\":\"js\",\"task\":\"frobnicate\",\"source\":\"var x;\"}",
+      "unknown_task");
+  expectCountedRejection(
+      S, "{\"lang\":\"js\",\"task\":\"methods\",\"source\":\"var x;\"}",
+      "task_mismatch");
 }
 
 TEST(Serve, OversizedSourceRejected) {
   ServeConfig Config;
   Config.MaxSourceBytes = 64;
   Service S(loadBundle(), Config);
-  std::string Big(100, 'x');
-  json::Value Doc = parsed(S.handleOne(requestLine(Big)));
-  EXPECT_EQ(errorCode(Doc), "source_too_large");
+  expectCountedRejection(S, requestLine(std::string(100, 'x')),
+                         "source_too_large");
 }
 
 TEST(Serve, DeadlineExceededWhileQueued) {
