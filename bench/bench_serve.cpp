@@ -8,8 +8,8 @@
 /// trained bundle:
 ///
 ///  1. Closed loop, one sequential client (per-request floor).
-///  2. Closed loop, several concurrent clients — the number
-///     micro-batching exists for; the bench fails (exit 1) if it does
+///  2. Closed loop, several concurrent clients — the number the N
+///     batcher workers exist for; the bench fails (exit 1) if it does
 ///     not beat the sequential client.
 ///  3. Open loop: a load generator submits at fixed offered rates on a
 ///     schedule that never waits for responses, so queueing delay shows
@@ -249,13 +249,11 @@ int main() {
   // Open-loop ladder first, scaled off a quick closed-loop calibration
   // probe: offered rates as multiples of the closed-loop concurrent
   // number, which is machine-relative — the interesting question is how
-  // far past the closed-loop ceiling the sharded batcher can be pushed
+  // far past the closed-loop ceiling the batcher workers can be pushed
   // before the queue (not the clients) gives out.
   double ProbeRps;
   {
-    serve::ServeConfig Probe;
-    Probe.MaxBatch = Clients;
-    serve::Service S(Bundle.open(), Probe);
+    serve::Service S(Bundle.open());
     std::vector<double> Ms;
     ProbeRps = runConcurrent(S, Lines, Clients, Ms);
   }
@@ -280,27 +278,18 @@ int main() {
   // own those numbers.)
   telemetry::MetricsRegistry::global().reset();
 
-  // Sequential client: flush immediately — with exactly one request in
-  // flight, waiting for stragglers is pure added latency.
-  serve::ServeConfig SingleConfig;
-  SingleConfig.FlushMicros = 0;
+  // Closed loop: one sequential client, then Clients concurrent ones.
   double SingleRps;
   std::vector<double> SingleMs;
   {
-    serve::Service S(Bundle.open(), SingleConfig);
+    serve::Service S(Bundle.open());
     SingleRps = runSingle(S, Lines, SingleMs);
   }
 
-  // Concurrent clients: batch size matched to the closed-loop client
-  // count so full batches flush on size, not on the straggler deadline
-  // — with N blocking clients there are never more than N requests in
-  // flight, so a larger MaxBatch would wait out FlushMicros every round.
-  serve::ServeConfig ConcurrentConfig;
-  ConcurrentConfig.MaxBatch = Clients;
   double ConcurrentRps;
   std::vector<double> ConcurrentMs;
   {
-    serve::Service S(Bundle.open(), ConcurrentConfig);
+    serve::Service S(Bundle.open());
     ConcurrentRps = runConcurrent(S, Lines, Clients, ConcurrentMs);
   }
 
@@ -317,7 +306,6 @@ int main() {
   double OneWorkerRps = 0;
   if (Cores >= 2) {
     serve::ServeConfig OneWorker;
-    OneWorker.MaxBatch = Clients;
     OneWorker.Workers = 1;
     serve::Service S(Bundle.open(), OneWorker);
     std::vector<double> Ms;

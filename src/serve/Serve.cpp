@@ -18,6 +18,7 @@
 #include <cstring>
 #include <future>
 #include <map>
+#include <utility>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -326,23 +327,14 @@ Service::Service(std::unique_ptr<core::ModelBundle> Bundle,
   telemetry::MetricsRegistry::global().gauge("serve.workers").set(
       static_cast<double>(Workers));
   for (size_t W = 0; W < Workers; ++W)
-    Shards.push_back(std::make_unique<Shard>());
-  for (size_t W = 0; W < Workers; ++W)
-    Batchers.emplace_back([this, W] { batcherLoop(W); });
+    Batchers.emplace_back([this] { batcherLoop(); });
 }
 
 Service::~Service() { shutdown(); }
 
-size_t Service::queuedLocked() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &Sh : Shards)
-    Total += Sh->Queue.size();
-  return Total;
-}
-
 size_t Service::queueDepth() const {
   std::lock_guard<std::mutex> L(Mutex);
-  return queuedLocked();
+  return Queue.size();
 }
 
 double Service::uptimeSeconds() const {
@@ -370,7 +362,7 @@ void Service::submit(std::string Line, Callback Done) {
                      "service is shutting down"));
     return;
   }
-  size_t Queued = queuedLocked();
+  const size_t Queued = Queue.size();
   if (Queued >= Config.QueueCapacity) {
     L.unlock();
     // Admission-time rejection: the id is inside the line we refuse to
@@ -382,19 +374,13 @@ void Service::submit(std::string Line, Callback Done) {
                          std::to_string(Config.QueueCapacity) + ")"));
     return;
   }
-  // Shallowest shard wins (ties: lowest index). The rid stays a single
-  // global admission-order sequence; only the *processing* is sharded.
-  Shard *Target = Shards.front().get();
-  for (const std::unique_ptr<Shard> &Sh : Shards)
-    if (Sh->Queue.size() < Target->Queue.size())
-      Target = Sh.get();
   Pending P;
   P.Seq = NextSeq++;
   P.Line = std::move(Line);
   P.Done = std::move(Done);
   P.Arrival = std::chrono::steady_clock::now();
   P.DepthAtAdmit = Queued;
-  Target->Queue.push_back(std::move(P));
+  Queue.push_back(std::move(P));
   InFlight.fetch_add(1, std::memory_order_relaxed);
   size_t Depth = Queued + 1;
   M.QueueDepth.set(static_cast<double>(Depth));
@@ -403,7 +389,7 @@ void Service::submit(std::string Line, Callback Done) {
     M.QueueDepthMax.set(static_cast<double>(Depth));
   }
   L.unlock();
-  Target->WorkCV.notify_one();
+  WorkCV.notify_one();
 }
 
 namespace {
@@ -461,7 +447,7 @@ bool Service::tryHandleAdmin(const std::string &Line, const Callback &Done) {
     bool IsPaused, Draining;
     {
       std::lock_guard<std::mutex> L(Mutex);
-      Depth = queuedLocked();
+      Depth = Queue.size();
       HighWater = QueueHighWater;
       IsPaused = Paused;
       Draining = Stopping;
@@ -581,7 +567,7 @@ std::string Service::handleOne(const std::string &Line) {
 
 void Service::drain() {
   std::unique_lock<std::mutex> L(Mutex);
-  IdleCV.wait(L, [&] { return queuedLocked() == 0 && ActiveBatches == 0; });
+  IdleCV.wait(L, [&] { return Queue.empty() && ActiveBatches == 0; });
 }
 
 void Service::shutdown() {
@@ -590,8 +576,7 @@ void Service::shutdown() {
     Stopping = true;
     Paused = false;
   }
-  for (std::unique_ptr<Shard> &Sh : Shards)
-    Sh->WorkCV.notify_all();
+  WorkCV.notify_all();
   for (std::thread &T : Batchers)
     if (T.joinable())
       T.join();
@@ -607,48 +592,38 @@ void Service::resume() {
     std::lock_guard<std::mutex> L(Mutex);
     Paused = false;
   }
-  for (std::unique_ptr<Shard> &Sh : Shards)
-    Sh->WorkCV.notify_all();
+  WorkCV.notify_all();
 }
 
-void Service::batcherLoop(size_t Worker) {
-  Shard &Sh = *Shards[Worker];
+void Service::batcherLoop() {
   std::unique_lock<std::mutex> L(Mutex);
   while (true) {
-    Sh.WorkCV.wait(L, [&] {
-      return (Stopping && Sh.Queue.empty()) ||
-             (!Paused && !Sh.Queue.empty());
+    WorkCV.wait(L, [&] {
+      return (Stopping && Queue.empty()) || (!Paused && !Queue.empty());
     });
-    if (Sh.Queue.empty())
+    if (Queue.empty())
       return; // Stopping with nothing left: clean exit.
 
-    // Per-flush depth sample: the total depth seen when a worker wakes
-    // is the saturation signal the enqueue-time gauge aliases away.
-    const double Depth = static_cast<double>(queuedLocked());
+    // Per-flush depth sample: the depth seen when a worker wakes is the
+    // saturation signal the enqueue-time gauge aliases away.
+    const double Depth = static_cast<double>(Queue.size());
     Metrics.QueueDepthFlush.observe(Depth);
     Metrics.QueueDepthWindow.observe(Depth);
 
-    // Open a batch: take what this shard holds, then give stragglers
-    // FlushMicros to coalesce before paying a predictBatch dispatch.
-    // The batch is in flight from this point — the straggler wait below
-    // releases the mutex while requests sit in the local Batch, and
-    // drain() must not mistake empty queues for an idle service.
+    // Take whatever is queued, up to MaxBatch, and run it at once: no
+    // request waits for company, and no request waits behind a busy
+    // worker while this one is idle. The batch counts as in flight
+    // before the mutex drops, so drain() never sees an empty queue and
+    // an idle service while it is on its way to the pipeline.
     ++ActiveBatches;
-    auto FlushAt = std::chrono::steady_clock::now() +
-                   std::chrono::microseconds(Config.FlushMicros);
+    const auto Open = std::chrono::steady_clock::now();
     std::vector<Pending> Batch;
-    while (Batch.size() < Config.MaxBatch) {
-      if (Sh.Queue.empty()) {
-        bool More = Sh.WorkCV.wait_until(
-            L, FlushAt, [&] { return !Sh.Queue.empty() || Stopping; });
-        if (!More || Sh.Queue.empty())
-          break;
-      }
-      Batch.push_back(std::move(Sh.Queue.front()));
-      Batch.back().BatchOpen = std::chrono::steady_clock::now();
-      Sh.Queue.pop_front();
+    while (!Queue.empty() && Batch.size() < Config.MaxBatch) {
+      Batch.push_back(std::move(Queue.front()));
+      Batch.back().BatchOpen = Open;
+      Queue.pop_front();
     }
-    Metrics.QueueDepth.set(static_cast<double>(queuedLocked()));
+    Metrics.QueueDepth.set(static_cast<double>(Queue.size()));
     L.unlock();
     processBatch(std::move(Batch));
     L.lock();
@@ -659,9 +634,9 @@ void Service::batcherLoop(size_t Worker) {
 
 void Service::processBatch(std::vector<Pending> Batch) {
   using Clock = std::chrono::steady_clock;
-  // t_batch_seal: the straggler window closed the moment the batcher
-  // handed the batch over. Later pipeline boundaries are stamped after
-  // their stage blocks; the seven consecutive differences are the stage
+  // t_batch_seal: the batch reaches the pipeline (`seal` is the hand-off
+  // from the pop). Later pipeline boundaries are stamped after their
+  // stage blocks; the seven consecutive differences are the stage
   // durations and sum to each request's total latency by construction.
   const auto TSeal = Clock::now();
   ServeMetrics &M = Metrics;
@@ -946,10 +921,10 @@ bool serve::writeAll(int Fd, std::string_view Data) {
 
 namespace {
 
-/// Restores per-stream FIFO delivery on top of the sharded batcher:
-/// with N workers, responses complete in shard order, not admission
-/// order, but a client that pipelines requests down one stream must
-/// read its responses in the order it sent them (the single-batcher
+/// Restores per-stream FIFO delivery on top of the batcher workers:
+/// with N workers running batches side by side, responses complete in
+/// no fixed order, but a client that pipelines requests down one stream
+/// must read its responses in the order it sent them (the single-batcher
 /// contract, and what keeps `serve --stdio` output byte-identical at
 /// any worker count). Sequence numbers are assigned at submit time on
 /// the single reader thread; deliver() buffers a completed frame until
@@ -980,6 +955,35 @@ struct OrderedWriter {
   }
 };
 
+/// Splits a stream front-end's input into request lines. Between calls
+/// the buffer holds only an unterminated tail, so feed() scans just the
+/// bytes it appended and drops the consumed prefix once: a line that
+/// arrives over many reads costs time linear in its length.
+class LineSplitter {
+public:
+  /// Appends \p Data and hands each completed non-empty line to \p Emit.
+  template <typename EmitFn> void feed(std::string_view Data, EmitFn &&Emit) {
+    size_t Scan = Buffer.size(); // The tail before it holds no '\n'.
+    Buffer.append(Data);
+    size_t Start = 0, Newline;
+    while ((Newline = Buffer.find('\n', Scan)) != std::string::npos) {
+      if (Newline > Start)
+        Emit(Buffer.substr(Start, Newline - Start));
+      Start = Scan = Newline + 1;
+    }
+    Buffer.erase(0, Start);
+  }
+
+  /// End of stream: an unterminated final line is still a request.
+  template <typename EmitFn> void finish(EmitFn &&Emit) {
+    if (!Buffer.empty())
+      Emit(std::exchange(Buffer, std::string()));
+  }
+
+private:
+  std::string Buffer;
+};
+
 } // namespace
 
 int serve::serveFdLoop(Service &S, int InFd, int OutFd,
@@ -994,7 +998,7 @@ int serve::serveFdLoop(Service &S, int InFd, int OutFd,
     });
   };
 
-  std::string Buffer;
+  LineSplitter Lines;
   char Chunk[4096];
   while (!Stop.load(std::memory_order_relaxed)) {
     struct pollfd Pfd = {InFd, POLLIN, 0};
@@ -1014,18 +1018,9 @@ int serve::serveFdLoop(Service &S, int InFd, int OutFd,
     }
     if (N == 0)
       break; // EOF.
-    Buffer.append(Chunk, static_cast<size_t>(N));
-    size_t Pos;
-    while ((Pos = Buffer.find('\n')) != std::string::npos) {
-      std::string Line = Buffer.substr(0, Pos);
-      Buffer.erase(0, Pos + 1);
-      if (!Line.empty())
-        Submit(std::move(Line));
-    }
+    Lines.feed({Chunk, static_cast<size_t>(N)}, Submit);
   }
-  // An unterminated final line is still a request.
-  if (!Buffer.empty())
-    Submit(std::move(Buffer));
+  Lines.finish(Submit);
   S.drain();
   return 0;
 }
@@ -1040,7 +1035,7 @@ namespace {
 /// at all, never as a torn frame.
 struct MuxConn {
   int Fd = -1;
-  std::string Buffer;    ///< Partial-line accumulator (event-loop only).
+  LineSplitter Lines;    ///< Request-line splitter (event-loop only).
   uint64_t SubmitSeq = 0; ///< Per-connection submit order (event-loop only).
   OrderedWriter Writer;  ///< FIFO-orders + serializes frames on Fd.
   std::atomic<size_t> PendingWrites{0}; ///< Submitted, not yet written.
@@ -1105,6 +1100,7 @@ int muxLoop(Service &S, int Listener, const std::atomic<bool> &Stop) {
       if (!(Pfds[I + 1].revents & (POLLIN | POLLHUP | POLLERR)))
         continue;
       const std::shared_ptr<MuxConn> &C = Conns[ConnAt[I]];
+      auto Submit = [&](std::string Line) { SubmitLine(C, std::move(Line)); };
       ssize_t N = ::read(C->Fd, Chunk, sizeof(Chunk));
       if (N < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
@@ -1114,21 +1110,13 @@ int muxLoop(Service &S, int Listener, const std::atomic<bool> &Stop) {
       }
       if (N == 0) {
         // EOF (possibly a half-close: the client may still be reading).
-        // An unterminated final line is still a request; responses
-        // already in flight drain before the reaper closes the fd.
-        if (!C->Buffer.empty())
-          SubmitLine(C, std::move(C->Buffer));
+        // Responses already in flight drain before the reaper closes the
+        // fd.
+        C->Lines.finish(Submit);
         C->ReadClosed.store(true, std::memory_order_release);
         continue;
       }
-      C->Buffer.append(Chunk, static_cast<size_t>(N));
-      size_t Pos;
-      while ((Pos = C->Buffer.find('\n')) != std::string::npos) {
-        std::string Line = C->Buffer.substr(0, Pos);
-        C->Buffer.erase(0, Pos + 1);
-        if (!Line.empty())
-          SubmitLine(C, std::move(Line));
-      }
+      C->Lines.feed({Chunk, static_cast<size_t>(N)}, Submit);
     }
     // Reap: a connection whose read side ended and whose last response
     // was written closes *now*, not at shutdown.

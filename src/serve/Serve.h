@@ -36,13 +36,15 @@
 /// DefaultK. A request that fails to decode or validate produces a
 /// structured error record and never takes the server down.
 ///
-/// Execution model: requests enter a bounded admission queue sharded
-/// across ServeConfig::Workers batcher workers (a full queue answers
-/// `overloaded` immediately instead of blocking the reader; admission
-/// picks the shallowest shard). Each worker accumulates its shard into
-/// micro-batches — flushed when MaxBatch requests are pending or
-/// FlushMicros elapsed since the batch opened — then runs the pipeline
-/// per batch, one step of the shared prediction path (core/Predict.h)
+/// Execution model: requests enter one bounded admission queue (a full
+/// queue answers `overloaded` immediately instead of blocking the
+/// reader) that all ServeConfig::Workers batcher workers pull from. A
+/// worker that wakes takes whatever is queued, up to MaxBatch requests,
+/// as one micro-batch and runs it at once — it never waits for more, so
+/// a request is never held for company, and never waits behind a busy
+/// worker while another is idle. Batches larger than one form only when
+/// requests queue up faster than the workers take them. Each batch runs
+/// the pipeline, one step of the shared prediction path (core/Predict.h)
 /// per stage and request:
 ///
 ///   decode (serial) → parse (core::parsePrediction on the
@@ -81,9 +83,10 @@
 /// pipeline boundary — t_admit, t_batch_open, t_batch_seal,
 /// t_decode_done, t_parse_done, t_extract_done, t_predict_done,
 /// t_respond — and the seven consecutive differences are the stage
-/// durations `queue` (admission queue wait), `seal` (straggler-flush
-/// wait), `decode` (JSON decode + validation), `parse`, `extract` (path
-/// extraction + graph assembly), `predict`, `render` (ranking + JSON).
+/// durations `queue` (admission queue wait), `seal` (hand-off from the
+/// queue pop to the pipeline: microseconds), `decode` (JSON decode +
+/// validation), `parse`, `extract` (path extraction + graph assembly),
+/// `predict`, `render` (ranking + JSON).
 /// By construction they sum to the request's total latency. Each stage
 /// feeds `serve.stage.<name>.seconds` (cumulative + windowed). The
 /// request's one record (RequestSample, SlowLog.h) carries them in
@@ -143,16 +146,15 @@
 namespace pigeon {
 namespace serve {
 
-/// Tuning knobs of the resident service. The defaults favour latency:
-/// a couple of milliseconds of batching delay buys amortized inference
-/// without a human-visible stall.
+/// Tuning knobs of the resident service.
 struct ServeConfig {
-  /// Parallel batcher workers, each with its own admission-queue shard.
+  /// Parallel batcher workers, all pulling from the one admission queue.
   /// 0 (the default) resolves to the hardware thread count.
   size_t Workers = 0;
-  /// Flush a batch once this many requests are pending.
+  /// Most requests a worker takes from the queue as one batch.
   size_t MaxBatch = 16;
-  /// Flush an incomplete batch this many microseconds after it opened.
+  /// Read by nothing: workers never wait for a batch to fill. Declared
+  /// only so existing callers that assign it keep compiling.
   long FlushMicros = 2000;
   /// Admission-queue bound; requests beyond it answer `overloaded`.
   size_t QueueCapacity = 256;
@@ -251,9 +253,9 @@ public:
   const core::ModelBundle &bundle() const { return *Bundle; }
 
   /// Resolved batcher worker count (ServeConfig::Workers, defaulted).
-  size_t workers() const { return Shards.size(); }
+  size_t workers() const { return Batchers.size(); }
 
-  /// Requests currently waiting in the admission queue (all shards).
+  /// Requests currently waiting in the admission queue.
   size_t queueDepth() const;
 
   /// Requests admitted but not yet answered (queued + in-batch).
@@ -272,20 +274,8 @@ private:
     size_t DepthAtAdmit = 0; ///< Queue depth seen at admission.
   };
 
-  /// One admission-queue shard, owned by one batcher worker. All shards
-  /// are guarded by the service Mutex; the per-shard condition variable
-  /// is what lets each worker sleep on (and straggler-wait on) its own
-  /// queue without thundering the whole pool awake per request.
-  struct Shard {
-    std::deque<Pending> Queue;
-    std::condition_variable WorkCV;
-  };
-
-  void batcherLoop(size_t Worker);
+  void batcherLoop();
   void processBatch(std::vector<Pending> Batch);
-
-  /// Total requests queued across all shards. Caller holds Mutex.
-  size_t queuedLocked() const;
 
   /// Detects and answers a pigeon.admin.v1 request synchronously.
   /// \returns true when \p Line was an admin request (Done has been
@@ -299,10 +289,11 @@ private:
   std::atomic<size_t> InFlight{0};
 
   mutable std::mutex Mutex;
-  std::condition_variable IdleCV;  ///< Wakes drain() waiters.
-  std::vector<std::unique_ptr<Shard>> Shards;
+  std::condition_variable WorkCV; ///< Wakes batcher workers.
+  std::condition_variable IdleCV; ///< Wakes drain() waiters.
+  std::deque<Pending> Queue;      ///< The admission queue, every worker's.
   uint64_t NextSeq = 1;
-  size_t QueueHighWater = 0; ///< Deepest total queue ever seen.
+  size_t QueueHighWater = 0; ///< Deepest queue ever seen.
   size_t ActiveBatches = 0;  ///< Batches currently being processed.
   bool Paused = false;
   bool Stopping = false;

@@ -100,6 +100,16 @@ const char *MinifiedFlag =
 const char *MinifiedLoop =
     "function g(x, y) { var q = 0; q += x; q += y; return q; }";
 
+/// A flat 500-term sum: extraction examines every leaf pair, so the
+/// request runs far longer than MinifiedFlag's (~100 ms in a release
+/// build) while passing decode like any other.
+std::string slowChain() {
+  std::string Chain = "function f(x) { return x";
+  for (int I = 1; I < 500; ++I)
+    Chain += " + x";
+  return Chain + "; }";
+}
+
 std::string jsonEscape(const std::string &S) {
   return telemetry::jsonString(S);
 }
@@ -220,7 +230,9 @@ TEST(Serve, ResponseMatchesOneShotPredictionExactly) {
 /// Batched processing must not change any response byte: one service
 /// handles four requests in a single micro-batch, the other handles the
 /// same four sequentially (batch size 1 by construction of handleOne),
-/// both freshly loaded from the same bundle bytes.
+/// both freshly loaded from the same bundle bytes. The batch forms
+/// although four workers are idle: they share one queue, and the first
+/// to wake after resume() takes all four.
 TEST(Serve, BatchedResponsesByteIdenticalToSequential) {
   std::vector<std::string> Lines = {
       requestLine(MinifiedFlag, ",\"id\":\"a\""),
@@ -235,8 +247,14 @@ TEST(Serve, BatchedResponsesByteIdenticalToSequential) {
     SequentialResponses.push_back(Sequential.handleOne(Line));
 
   ServeConfig Batched;
+  Batched.Workers = 4;
   Batched.MaxBatch = Lines.size();
   Service S(loadBundle(), Batched);
+  telemetry::Histogram &BatchSize =
+      telemetry::MetricsRegistry::global().histogram(
+          "serve.batch.size", telemetry::linearBounds(1, 32));
+  const uint64_t Batches0 = BatchSize.count();
+  const double Sizes0 = BatchSize.sum();
   std::vector<std::string> BatchedResponses(Lines.size());
   S.pause(); // Everything queues, then lands in one batch.
   std::mutex M;
@@ -250,6 +268,8 @@ TEST(Serve, BatchedResponsesByteIdenticalToSequential) {
   S.drain();
 
   EXPECT_EQ(BatchedResponses, SequentialResponses);
+  EXPECT_EQ(BatchSize.count(), Batches0 + 1); // One batch...
+  EXPECT_EQ(BatchSize.sum(), Sizes0 + 4.0);   // ...of all four.
 }
 
 TEST(Serve, ExplainTotalsMatchCandidateScores) {
@@ -368,17 +388,12 @@ TEST(Serve, DeadlineExceededWhileQueued) {
 }
 
 TEST(Serve, DeadlineIsCheckedBetweenStages) {
-  // A flat 500-term chain costs far more than 20 ms to extract (every
-  // leaf pair is examined), yet passes the check at decode. The request
-  // must stop at the stage that ran over and answer deadline_exceeded
-  // instead of going on to inference.
-  std::string Chain = "function f(x) { return x";
-  for (int I = 1; I < 500; ++I)
-    Chain += " + x";
-  Chain += "; }";
+  // The slow chain costs far more than 20 ms to extract, yet passes the
+  // check at decode. The request must stop at the stage that ran over
+  // and answer deadline_exceeded instead of going on to inference.
   Service S(loadBundle());
-  json::Value Doc = parsed(
-      S.handleOne(requestLine(Chain, ",\"id\":5,\"deadline_ms\":20")));
+  json::Value Doc = parsed(S.handleOne(
+      requestLine(slowChain(), ",\"id\":5,\"deadline_ms\":20")));
   ASSERT_EQ(errorCode(Doc), "deadline_exceeded");
   EXPECT_EQ(Doc.find("id")->numberOr(-1), 5.0);
   std::string Message = Doc.find("error")->find("message")->strOr("");
@@ -439,22 +454,39 @@ TEST(Serve, ParseFailureIsAStructuredError) {
       parsed(S.handleOne(requestLine(MinifiedFlag))).find("ok")->boolean());
 }
 
-TEST(Serve, DrainWaitsOutTheStragglerWindow) {
-  // Regression: while the batcher sits in its FlushMicros straggler
-  // wait, accepted requests live in its local batch and the queue is
-  // empty — drain() must still treat the service as busy. It used to
-  // return through that window, letting stream front-ends destroy the
-  // write path with a response still pending.
-  ServeConfig Config;
-  Config.FlushMicros = 200000; // 200 ms: a window drain() would fall into.
-  Service S(loadBundle(), Config);
+TEST(Serve, DrainWaitsForTheBatchInFlight) {
+  // Regression: once a worker has popped a batch, the queue is empty
+  // while the requests live in the worker's hands — drain() must still
+  // treat the service as busy. It used to return through that gap,
+  // letting stream front-ends destroy the write path with a response
+  // still pending. The slow chain holds the batch open.
+  Service S(loadBundle());
   std::atomic<bool> Answered{false};
-  S.submit(requestLine(MinifiedFlag),
+  S.submit(requestLine(slowChain()),
            [&Answered](std::string) { Answered = true; });
-  // Let the batcher pick the request up and enter the straggler wait.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  while (S.queueDepth() != 0)
+    std::this_thread::yield(); // A worker took it.
   S.drain();
   EXPECT_TRUE(Answered.load());
+}
+
+TEST(Serve, IdleWorkerTakesTheNextRequest) {
+  // One worker is busy on the slow chain; the next request must go to
+  // the idle one and be answered while the slow one still runs, never
+  // queue behind it.
+  ServeConfig Config;
+  Config.Workers = 2;
+  Service S(loadBundle(), Config);
+  std::atomic<bool> SlowAnswered{false};
+  S.submit(requestLine(slowChain()),
+           [&SlowAnswered](std::string) { SlowAnswered = true; });
+  while (S.queueDepth() != 0)
+    std::this_thread::yield(); // A worker took it.
+  json::Value Fast = parsed(S.handleOne(requestLine(MinifiedFlag)));
+  EXPECT_TRUE(Fast.find("ok")->boolean());
+  EXPECT_FALSE(SlowAnswered.load());
+  S.drain();
+  EXPECT_TRUE(SlowAnswered.load());
 }
 
 //===----------------------------------------------------------------------===//
@@ -467,28 +499,34 @@ TEST(Serve, StreamFrontEndAnswersEveryLineThenEofCleanly) {
   ServeConfig Config;
   Config.Workers = 4;
   Service S(loadBundle(), Config);
-  // A line nested far past the parsers' budget gets parse_failed, and
-  // the lines around it are still answered.
+  // A line nested far past the parsers' budget gets parse_failed, a
+  // 4 MiB line arriving over a thousand reads gets source_too_large, and
+  // the lines around them are still answered.
   std::string Deep = "function h(x) { return " + std::string(10000, '(') +
                      "x" + std::string(10000, ')') + "; }";
+  std::string Huge(4u << 20, 'x');
   std::istringstream Lines(serveOverPipes(
       S, requestLine(MinifiedFlag, ",\"id\":1") + "\n" + "garbage\n" +
              requestLine(Deep, ",\"id\":2") + "\n" +
+             requestLine(Huge, ",\"id\":\"huge\"") + "\n" +
              requestLine(MinifiedLoop, ",\"id\":3") + "\n"));
   std::vector<json::Value> Docs;
   std::string Line;
   while (std::getline(Lines, Line))
     Docs.push_back(parsed(Line));
-  ASSERT_EQ(Docs.size(), 4u);
-  // Request order: id 1, the garbage line (null id), id 2, id 3.
+  ASSERT_EQ(Docs.size(), 5u);
+  // Request order: id 1, the garbage line (null id), id 2, the huge
+  // line, id 3.
   EXPECT_EQ(Docs[0].find("id")->numberOr(-1), 1.0);
   EXPECT_TRUE(Docs[0].find("ok")->boolean());
   EXPECT_TRUE(Docs[1].find("id")->isNull());
   EXPECT_EQ(errorCode(Docs[1]), "bad_request");
   EXPECT_EQ(Docs[2].find("id")->numberOr(-1), 2.0);
   EXPECT_EQ(errorCode(Docs[2]), "parse_failed");
-  EXPECT_EQ(Docs[3].find("id")->numberOr(-1), 3.0);
-  EXPECT_TRUE(Docs[3].find("ok")->boolean());
+  EXPECT_EQ(Docs[3].find("id")->strOr(""), "huge");
+  EXPECT_EQ(errorCode(Docs[3]), "source_too_large");
+  EXPECT_EQ(Docs[4].find("id")->numberOr(-1), 3.0);
+  EXPECT_TRUE(Docs[4].find("ok")->boolean());
 }
 
 TEST(Serve, FdLoopDrainsOnEof) {
@@ -1097,7 +1135,7 @@ TEST(Serve, WriteAllSurvivesSignalsShortWritesAndEagain) {
 }
 
 /// The tentpole pin, mirrored on the pipeline's thread-count
-/// invariance: the sharded batcher must produce responses byte-identical
+/// invariance: N batcher workers must produce responses byte-identical
 /// to a sequential single-worker service at every worker count. Each
 /// worker parses and extracts into never-committed overlays of the
 /// read-only resident bundle, so nothing one request interns can leak
@@ -1136,7 +1174,7 @@ TEST(Serve, ResponsesByteIdenticalAtAnyWorkerCount) {
 
 /// A client that pipelines requests down one stream must read its
 /// responses in the order it sent them, even though N workers finish
-/// batches in shard order — the OrderedWriter contract. Pinned as full
+/// batches in no fixed order — the OrderedWriter contract. Pinned as full
 /// byte-identity of the piped output at every worker count.
 TEST(Serve, PipelinedStdioOutputByteIdenticalAtAnyWorkerCount) {
   std::string Input;
