@@ -963,7 +963,7 @@ class LineSplitter {
 public:
   /// Appends \p Data and hands each completed non-empty line to \p Emit.
   template <typename EmitFn> void feed(std::string_view Data, EmitFn &&Emit) {
-    size_t Scan = Buffer.size(); // The tail before it holds no '\n'.
+    size_t Scan = Buffer.size(); // The kept tail holds no '\n'.
     Buffer.append(Data);
     size_t Start = 0, Newline;
     while ((Newline = Buffer.find('\n', Scan)) != std::string::npos) {

@@ -101,8 +101,8 @@ const char *MinifiedLoop =
     "function g(x, y) { var q = 0; q += x; q += y; return q; }";
 
 /// A flat 500-term sum: extraction examines every leaf pair, so the
-/// request runs far longer than MinifiedFlag's (~100 ms in a release
-/// build) while passing decode like any other.
+/// request runs for a hundred milliseconds or more, far longer than
+/// MinifiedFlag's, while passing decode like any other.
 std::string slowChain() {
   std::string Chain = "function f(x) { return x";
   for (int I = 1; I < 500; ++I)
