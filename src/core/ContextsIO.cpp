@@ -1,4 +1,4 @@
-//===- ContextsIO.cpp - On-disk extracted path-contexts ----------------------===//
+//===- ContextsIO.cpp - The train/eval route over context records ------------===//
 //
 // Part of the PIGEON project, under the MIT License.
 //
@@ -6,7 +6,11 @@
 
 #include "core/ContextsIO.h"
 
+#include "baselines/Baselines.h"
+#include "ml/common/Metrics.h"
 #include "support/BinaryIO.h"
+#include "support/EventLog.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
 
 #include <istream>
@@ -73,7 +77,128 @@ bool readPathId(std::istream &IS, PathId &Out, size_t TableSize) {
   return true;
 }
 
+/// Extracts the contexts a representation feeds to the CRF.
+std::vector<PathContext> contextsFor(const Tree &Tree,
+                                     const CrfExperimentOptions &Options,
+                                     PathTable &Table) {
+  switch (Options.Repr) {
+  case Representation::AstPaths:
+    return extractPathContexts(Tree, Options.Extraction, Table);
+  case Representation::NoPaths: {
+    // The paper's no-path baseline is a "bag of near identifiers": the
+    // neighbours' names without any syntactic relation. Semi-paths would
+    // leak ancestor kinds (structure) into the bag, so they are off.
+    ExtractionConfig Config = Options.Extraction;
+    Config.Abst = Abstraction::NoPath;
+    Config.IncludeSemiPaths = false;
+    return extractPathContexts(Tree, Config, Table);
+  }
+  case Representation::IntraStatement: {
+    auto All = extractPathContexts(Tree, Options.Extraction, Table);
+    return baselines::filterIntraStatement(Tree, All);
+  }
+  case Representation::Ngrams:
+    return baselines::ngramContexts(Tree, Options.NgramN, Table);
+  }
+  return {};
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Extraction and records
+//===----------------------------------------------------------------------===//
+
+void core::extractSharded(
+    const std::vector<uint64_t> &Costs, size_t Threads, PathTable &Table,
+    const std::function<void(size_t, PathTable &)> &Extract,
+    const std::function<void(size_t, const std::vector<PathId> &)> &Remap) {
+  Threads = parallel::resolveThreads(Threads);
+  // A cost-balanced plan: a giant item gets an (oversubscribed,
+  // stealable) chunk of its own instead of anchoring a straggler.
+  parallel::ChunkPlan Plan = parallel::planChunks(Costs.size(), Threads, Costs);
+  size_t NumChunks = Plan.count();
+  if (NumChunks <= 1) {
+    for (size_t I = 0; I < Costs.size(); ++I)
+      Extract(I, Table);
+    return;
+  }
+
+  for (size_t I = Plan.begin(0); I < Plan.end(0); ++I)
+    Extract(I, Table);
+  std::vector<std::unique_ptr<PathTable>> Overlays(NumChunks);
+  parallel::parallelChunks(
+      Plan, Threads,
+      [&](size_t Chunk, size_t Begin, size_t End) {
+        Overlays[Chunk] =
+            std::make_unique<PathTable>(PathTable::Delta, Table);
+        for (size_t I = Begin; I < End; ++I)
+          Extract(I, *Overlays[Chunk]);
+      },
+      /*FirstChunk=*/1);
+
+  // Only provisional ids need rewriting: final ids were assigned by the
+  // shared table already.
+  std::vector<std::vector<PathId>> Maps(NumChunks);
+  for (size_t Chunk = 1; Chunk < NumChunks; ++Chunk)
+    if (Overlays[Chunk])
+      Maps[Chunk] = Table.absorb(*Overlays[Chunk]);
+  parallel::parallelChunks(
+      Plan, Threads,
+      [&](size_t Chunk, size_t Begin, size_t End) {
+        for (size_t I = Begin; I < End; ++I)
+          Remap(I, Maps[Chunk]);
+      },
+      /*FirstChunk=*/1);
+}
+
+std::vector<FileContexts>
+core::extractCorpusContexts(const Corpus &Corpus,
+                            const std::vector<size_t> &Indices,
+                            const CrfExperimentOptions &Options,
+                            PathTable &Table) {
+  static const parallel::StageHandles ExtractStage("extract");
+  parallel::StageTimer Stage(ExtractStage);
+  std::vector<FileContexts> Out(Indices.size());
+  std::vector<uint64_t> Costs;
+  Costs.reserve(Indices.size());
+  for (size_t I : Indices)
+    Costs.push_back(Corpus.Files[I].Tree.size());
+  extractSharded(
+      Costs, Options.Threads, Table,
+      [&](size_t I, PathTable &Into) {
+        const Tree &T = Corpus.Files[Indices[I]].Tree;
+        Out[I].Contexts = contextsFor(T, Options, Into);
+        if (Options.TriContexts)
+          Out[I].Tris = extractTriContexts(T, Options.Extraction, Into);
+      },
+      [&](size_t I, const std::vector<PathId> &Map) {
+        for (PathContext &Ctx : Out[I].Contexts)
+          Ctx.Path = finalPathId(Ctx.Path, Map);
+        for (TriContext &Tri : Out[I].Tris)
+          Tri.Path = finalPathId(Tri.Path, Map);
+      });
+  return Out;
+}
+
+std::vector<FileRecord>
+core::buildFileRecords(const Corpus &Corpus,
+                       const std::vector<size_t> &Indices,
+                       const CrfExperimentOptions &Options, PathTable &Table) {
+  auto Extracted = extractCorpusContexts(Corpus, Indices, Options, Table);
+  telemetry::TraceScope Phase("records");
+  std::vector<FileRecord> Files(Indices.size());
+  for (size_t I = 0; I < Indices.size(); ++I) {
+    const ParsedFile &PF = Corpus.Files[Indices[I]];
+    FileRecord &Rec = Files[I];
+    Rec.Project = PF.Project;
+    Rec.FileName = PF.FileName;
+    Rec.Elements = PF.Tree.elements();
+    Rec.Contexts = contextRecords(PF.Tree, Extracted[I].Contexts);
+    Rec.Tris = triRecords(PF.Tree, Extracted[I].Tris);
+  }
+  return Files;
+}
 
 ContextsArtifact
 core::buildContextsArtifact(Corpus &Corpus, Task TaskKind,
@@ -84,27 +209,18 @@ core::buildContextsArtifact(Corpus &Corpus, Task TaskKind,
   Art.Extraction = Options.Extraction;
   Art.Repr = Options.Repr;
   Art.TriContexts = Options.TriContexts;
-
   std::vector<size_t> Indices(Corpus.Files.size());
   for (size_t I = 0; I < Indices.size(); ++I)
     Indices[I] = I;
-  auto Extracted = extractCorpusContexts(Corpus, Indices, Options, Art.Table);
-
-  telemetry::TraceScope Phase("records");
-  Art.Files.resize(Corpus.Files.size());
-  for (size_t F = 0; F < Corpus.Files.size(); ++F) {
-    const ParsedFile &PF = Corpus.Files[F];
-    FileRecord &Rec = Art.Files[F];
-    Rec.Project = PF.Project;
-    Rec.FileName = PF.FileName;
-    Rec.Elements = PF.Tree.elements();
-    Rec.Contexts = contextRecords(PF.Tree, Extracted[F].Contexts);
-    Rec.Tris = triRecords(PF.Tree, Extracted[F].Tris);
-  }
+  Art.Files = buildFileRecords(Corpus, Indices, Options, Art.Table);
   // The artifact owns the symbol space its records and paths refer to.
   Art.Interner = std::move(Corpus.Interner);
   return Art;
 }
+
+//===----------------------------------------------------------------------===//
+// Serialization
+//===----------------------------------------------------------------------===//
 
 void core::saveContexts(std::ostream &OS, const ContextsArtifact &Art) {
   writePod(OS, ContextsMagic);
@@ -338,7 +454,7 @@ bool core::rebaseArtifact(ContextsArtifact &Art, StringInterner &TargetSI,
 }
 
 //===----------------------------------------------------------------------===//
-// Evaluation over a rebased artifact
+// Evaluation
 //===----------------------------------------------------------------------===//
 
 double EvalStats::accuracy() const {
@@ -347,20 +463,76 @@ double EvalStats::accuracy() const {
   return static_cast<double>(Correct) / static_cast<double>(Total);
 }
 
+EvalStats core::evalGraphs(const CrfModel &Model,
+                           const std::vector<CrfGraph> &Graphs,
+                           const StringInterner &SI, const PathTable &Table,
+                           Task TaskKind, size_t Threads) {
+  std::vector<std::vector<Symbol>> Preds = Model.predictBatch(Graphs, Threads);
+  telemetry::EventLog &Log = telemetry::EventLog::global();
+  const char *Tag = taskToken(TaskKind);
+  ml::SubTokenMeter SubTokens;
+  EvalStats Stats;
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    const CrfGraph &G = Graphs[I];
+    for (uint32_t N : G.Unknowns) {
+      Symbol Pred = Preds[I][N];
+      std::string_view Gold = SI.str(G.Nodes[N].Gold);
+      std::string_view Predicted = Pred.isValid() ? SI.str(Pred) : "";
+      ++Stats.Total;
+      if (TaskKind == Task::MethodNames)
+        SubTokens.add(Predicted, Gold);
+      bool Right = !Predicted.empty() && (TaskKind == Task::FullTypes
+                                              ? Predicted == Gold
+                                              : namesMatch(Predicted, Gold));
+      if (Right)
+        ++Stats.Correct;
+      else if (Log.enabled() && Pred.isValid())
+        logPredictionProvenance(Tag, SI, Table, Gold, Predicted,
+                                Model.explain(G, N, Pred, Preds[I], 5));
+    }
+  }
+  Stats.SubtokenF1 = SubTokens.f1();
+  return Stats;
+}
+
 EvalStats core::evalArtifact(ModelBundle &Bundle,
                              const ContextsArtifact &Artifact) {
   std::vector<CrfGraph> Graphs = assembleGraphs(Artifact, *Bundle.Interner);
   telemetry::TraceScope Phase("eval");
-  std::vector<std::vector<Symbol>> Preds = Bundle.Model.predictBatch(Graphs);
-  EvalStats Stats;
-  const StringInterner &SI = *Bundle.Interner;
-  for (size_t I = 0; I < Graphs.size(); ++I) {
-    for (uint32_t N : Graphs[I].Unknowns) {
-      ++Stats.Total;
-      if (Preds[I][N].isValid() &&
-          SI.str(Preds[I][N]) == SI.str(Graphs[I].Nodes[N].Gold))
-        ++Stats.Correct;
-    }
-  }
-  return Stats;
+  return evalGraphs(Bundle.Model, Graphs, *Bundle.Interner, Bundle.Table,
+                    Artifact.TaskKind);
+}
+
+void core::logPredictionProvenance(std::string_view Task,
+                                   const StringInterner &SI,
+                                   const PathTable &Table,
+                                   std::string_view Gold,
+                                   std::string_view Predicted,
+                                   const crf::NodeExplanation &Ex) {
+  telemetry::EventLog &Log = telemetry::EventLog::global();
+  if (!Log.enabled())
+    return;
+  using telemetry::jsonNumber;
+  using telemetry::jsonString;
+  Log.record("prediction", {{"task", jsonString(Task)},
+                            {"gold", jsonString(Gold)},
+                            {"predicted", jsonString(Predicted)},
+                            {"correct", Gold == Predicted ? "true" : "false"},
+                            {"score", jsonNumber(Ex.Total)},
+                            {"bias", jsonNumber(Ex.Bias)},
+                            {"paths", std::to_string(Ex.Paths.size())}});
+  for (const crf::Attribution &A : Ex.Paths)
+    Log.record(
+        "attribution",
+        {{"task", jsonString(Task)},
+         {"predicted", jsonString(Predicted)},
+         {"path",
+          jsonString(A.Path != InvalidPath ? Table.render(A.Path, SI)
+                                           : std::string())},
+         {"neighbor",
+          jsonString(A.Neighbor.isValid() ? SI.str(A.Neighbor) : "")},
+         {"unary", A.Unary ? "true" : "false"},
+         {"score", jsonNumber(A.Score)},
+         {"weight", jsonNumber(A.Weight)},
+         {"vote", jsonNumber(A.Vote)}});
 }

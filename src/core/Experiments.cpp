@@ -9,13 +9,9 @@
 #include "baselines/Baselines.h"
 #include "ml/common/Metrics.h"
 #include "support/EventLog.h"
-#include "support/Parallel.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
-#include <optional>
-
-#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -24,20 +20,6 @@ using namespace pigeon::ast;
 using namespace pigeon::core;
 using namespace pigeon::crf;
 using namespace pigeon::paths;
-
-const char *core::representationName(Representation R) {
-  switch (R) {
-  case Representation::AstPaths:
-    return "AST paths";
-  case Representation::NoPaths:
-    return "no-paths";
-  case Representation::IntraStatement:
-    return "single-statement relations (UnuglifyJS-style)";
-  case Representation::Ngrams:
-    return "token n-grams";
-  }
-  return "invalid";
-}
 
 const char *core::w2vContextsName(W2vContexts C) {
   switch (C) {
@@ -53,38 +35,15 @@ const char *core::w2vContextsName(W2vContexts C) {
 
 namespace {
 
-/// Extracts the contexts a representation feeds to the CRF.
-std::vector<PathContext> contextsFor(const Tree &Tree,
-                                     const CrfExperimentOptions &Options,
-                                     PathTable &Table) {
-  switch (Options.Repr) {
-  case Representation::AstPaths:
-    return extractPathContexts(Tree, Options.Extraction, Table);
-  case Representation::NoPaths: {
-    // The paper's no-path baseline is a "bag of near identifiers": the
-    // neighbours' names without any syntactic relation. Semi-paths would
-    // leak ancestor kinds (structure) into the bag, so they are off.
-    ExtractionConfig Config = Options.Extraction;
-    Config.Abst = Abstraction::NoPath;
-    Config.IncludeSemiPaths = false;
-    return extractPathContexts(Tree, Config, Table);
-  }
-  case Representation::IntraStatement: {
-    auto All = extractPathContexts(Tree, Options.Extraction, Table);
-    return baselines::filterIntraStatement(Tree, All);
-  }
-  case Representation::Ngrams:
-    return baselines::ngramContexts(Tree, Options.NgramN, Table);
-  }
-  return {};
-}
-
-void downsample(std::vector<PathContext> &Contexts, double KeepP, Rng &R) {
+/// Keeps each context record with probability \p KeepP, drawing from
+/// \p R once per record in order (no draws at all when nothing is
+/// dropped).
+void downsample(std::vector<ContextRecord> &Contexts, double KeepP, Rng &R) {
   if (KeepP >= 1.0)
     return;
-  std::vector<PathContext> Kept;
+  std::vector<ContextRecord> Kept;
   Kept.reserve(Contexts.size());
-  for (const PathContext &Ctx : Contexts)
+  for (const ContextRecord &Ctx : Contexts)
     if (R.nextBool(KeepP))
       Kept.push_back(Ctx);
   Contexts = std::move(Kept);
@@ -100,171 +59,106 @@ bool isApiTypeTarget(const Corpus &Corpus, const Tree &T, NodeId Id) {
          K == "ArrayCreationExpr";
 }
 
-} // namespace
+/// A CRF trained on the train split of a corpus, what the three CRF
+/// drivers share. The train split extracts and interns first, and the
+/// test split only after training, so train-side PathIds and symbols (and
+/// with them every tie-break) do not depend on the test split.
+class SplitRun {
+public:
+  SplitRun(const Corpus &Corpus, Task TaskKind,
+           const CrfExperimentOptions &Options);
 
-std::vector<FileContexts>
-core::extractCorpusContexts(const Corpus &Corpus,
-                            const std::vector<size_t> &Indices,
-                            const CrfExperimentOptions &Options,
-                            PathTable &Table) {
-  static const parallel::StageHandles ExtractStage("extract");
-  parallel::StageTimer Stage(ExtractStage);
-  std::vector<FileContexts> Out(Indices.size());
+  /// The test split's graphs, interning into the run's table.
+  std::vector<CrfGraph> testGraphs() { return graphsOf(S.Test, nullptr); }
 
-  // Per file, the intern order into the table is pairwise contexts first,
-  // then (when enabled) 3-wise contexts — exactly the order the serial
-  // experiment loop produces.
-  auto ExtractFile = [&](size_t I, PathTable &Into) {
-    const Tree &T = Corpus.Files[Indices[I]].Tree;
-    Out[I].Contexts = contextsFor(T, Options, Into);
-    if (Options.TriContexts)
-      Out[I].Tris = extractTriContexts(T, Options.Extraction, Into);
-  };
+  CrfModel Model;
+  /// The route's artifact over the corpus' symbol space (Interner unset):
+  /// its Table holds the paths of both splits, and for the name tasks
+  /// its Files the records of the split being assembled.
+  ContextsArtifact Art;
+  ExperimentResult Result; ///< Training's share of the result.
 
-  size_t Threads = parallel::resolveThreads(Options.Threads);
-  // Cost-balanced plan over tree sizes: extraction work scales with node
-  // count, so a giant tree gets an (oversubscribed, stealable) chunk of
-  // its own instead of anchoring a straggler.
-  std::vector<uint64_t> Costs;
-  Costs.reserve(Indices.size());
-  for (size_t I : Indices)
-    Costs.push_back(Corpus.Files[I].Tree.size());
-  parallel::ChunkPlan Plan =
-      parallel::planChunks(Indices.size(), Threads, Costs);
-  size_t NumChunks = Plan.count();
-  if (NumChunks <= 1) {
-    for (size_t I = 0; I < Indices.size(); ++I)
-      ExtractFile(I, Table);
-    return Out;
+private:
+  const Corpus &C;
+  const CrfExperimentOptions &Options;
+  Split S;
+
+  /// The CRF graphs of Corpus.Files[I] for every I in \p Indices: type
+  /// graphs for FullTypes, otherwise the files' records (downsampled with
+  /// \p Sampler when set) assembled by assembleGraphs(). Composite labels
+  /// intern into the corpus interner. \p Contexts, when non-null, counts
+  /// the contexts the graphs were built from.
+  std::vector<CrfGraph> graphsOf(const std::vector<size_t> &Indices,
+                                 Rng *Sampler, size_t *Contexts = nullptr);
+};
+
+SplitRun::SplitRun(const Corpus &Corpus, Task TaskKind,
+                   const CrfExperimentOptions &Options)
+    : Model(Options.Crf), C(Corpus), Options(Options),
+      S(splitByProject(Corpus, Options.TestFraction, Options.Seed)) {
+  Art.Lang = Corpus.Lang;
+  Art.TaskKind = TaskKind;
+  Art.Extraction = Options.Extraction;
+  Art.Repr = Options.Repr;
+  Art.TriContexts = Options.TriContexts;
+  Rng Sampler = Rng::forStream(Options.Seed, "downsample");
+  telemetry::TraceScope TrainPhase("train");
+  std::vector<CrfGraph> TrainGraphs;
+  {
+    telemetry::TraceScope ExtractPhase("extract");
+    TrainGraphs = graphsOf(S.Train, &Sampler, &Result.TrainContexts);
   }
-
-  // Chunk 0 extracts serially into the shared table, warming it with the
-  // common paths; the remaining chunks extract into delta overlays that
-  // read the then-frozen shared table and store only novel paths.
-  for (size_t I = Plan.begin(0); I < Plan.end(0); ++I)
-    ExtractFile(I, Table);
-  std::vector<std::unique_ptr<PathTable>> Overlays(NumChunks);
-  parallel::parallelChunks(
-      Plan, Threads,
-      [&](size_t Chunk, size_t Begin, size_t End) {
-        Overlays[Chunk] =
-            std::make_unique<PathTable>(PathTable::Delta, Table);
-        for (size_t I = Begin; I < End; ++I)
-          ExtractFile(I, *Overlays[Chunk]);
-      },
-      /*FirstChunk=*/1);
-
-  // Absorbing the overlays' novel paths in chunk order replays the serial
-  // first-encounter order of path bytes, so the rewritten PathIds (and
-  // Table itself) match a single-threaded extraction bit for bit. Only
-  // provisional ids need rewriting — final ids were already assigned by
-  // the shared table — and the fix-up runs parallel again.
-  std::vector<std::vector<PathId>> Maps(NumChunks);
-  for (size_t Chunk = 1; Chunk < NumChunks; ++Chunk)
-    if (Overlays[Chunk])
-      Maps[Chunk] = Table.absorb(*Overlays[Chunk]);
-  parallel::parallelChunks(
-      Plan, Threads,
-      [&](size_t Chunk, size_t Begin, size_t End) {
-        const std::vector<PathId> &Map = Maps[Chunk];
-        constexpr PathId Bit = PathTable::ProvisionalBit;
-        for (size_t I = Begin; I < End; ++I) {
-          for (PathContext &Ctx : Out[I].Contexts)
-            if (Ctx.Path != InvalidPath && (Ctx.Path & Bit))
-              Ctx.Path = Map[Ctx.Path & ~Bit];
-          for (TriContext &Tri : Out[I].Tris)
-            if (Tri.Path != InvalidPath && (Tri.Path & Bit))
-              Tri.Path = Map[Tri.Path & ~Bit];
-        }
-      },
-      /*FirstChunk=*/1);
-  return Out;
+  Model.train(TrainGraphs);
+  Result.TrainSeconds = TrainPhase.seconds();
+  Result.NumFeatures = Model.numFeatures();
+  Result.DistinctPaths = Art.Table.size();
 }
+
+std::vector<CrfGraph> SplitRun::graphsOf(const std::vector<size_t> &Indices,
+                                         Rng *Sampler, size_t *Contexts) {
+  if (Art.TaskKind == Task::FullTypes)
+    return buildTypeGraphs(C, Indices, Options, Art.Table, Contexts);
+  Art.Files = buildFileRecords(C, Indices, Options, Art.Table);
+  for (FileRecord &Rec : Art.Files) {
+    if (Sampler)
+      downsample(Rec.Contexts, Options.DownsampleP, *Sampler);
+    if (Contexts)
+      *Contexts += Rec.Contexts.size();
+  }
+  return assembleGraphs(Art, *C.Interner);
+}
+
+/// Trains on the train split and scores the test split with evalGraphs();
+/// sets `eval.<task>.accuracy`. An empty test split scores 0.
+ExperimentResult runCrfExperiment(const Corpus &Corpus, Task TaskKind,
+                                  const CrfExperimentOptions &Options) {
+  SplitRun Run(Corpus, TaskKind, Options);
+  telemetry::TraceScope EvalPhase("eval");
+  EvalStats Stats = evalGraphs(Run.Model, Run.testGraphs(), *Corpus.Interner,
+                               Run.Art.Table, TaskKind, Options.Threads);
+  ExperimentResult Result = Run.Result;
+  Result.Predictions = Stats.Total;
+  Result.Accuracy = Stats.Total == 0 ? 0.0 : Stats.accuracy();
+  Result.SubtokenF1 = Stats.SubtokenF1;
+  telemetry::MetricsRegistry::global()
+      .gauge(std::string("eval.") + taskToken(TaskKind) + ".accuracy")
+      .set(Result.Accuracy);
+  return Result;
+}
+
+} // namespace
 
 ExperimentResult
 core::runCrfNameExperiment(const Corpus &Corpus, Task Task,
                            const CrfExperimentOptions &Options) {
   assert(Task != Task::FullTypes && "use runCrfTypeExperiment");
-  ExperimentResult Result;
-  Split S = splitByProject(Corpus, Options.TestFraction, Options.Seed);
-  ElementSelector Selector = selectorFor(Task);
-  PathTable Table;
-  Rng Sampler = Rng::forStream(Options.Seed, "downsample");
+  return runCrfExperiment(Corpus, Task, Options);
+}
 
-  // Serial per-file graph assembly over pre-extracted contexts. Kept
-  // sequential on purpose: the downsampler draws from one shared Rng
-  // stream and addTriFactors interns composite labels into the corpus
-  // interner, both of which must happen in file order to stay
-  // bit-identical to a single-threaded run.
-  auto AssembleGraphs = [&](const std::vector<size_t> &Indices,
-                            std::vector<FileContexts> &Extracted,
-                            bool Downsample) {
-    std::vector<CrfGraph> Graphs;
-    Graphs.reserve(Indices.size());
-    for (size_t I = 0; I < Indices.size(); ++I) {
-      const Tree &T = Corpus.Files[Indices[I]].Tree;
-      FileContexts &FC = Extracted[I];
-      if (Downsample) {
-        downsample(FC.Contexts, Options.DownsampleP, Sampler);
-        Result.TrainContexts += FC.Contexts.size();
-      }
-      CrfGraph G = buildGraph(T, FC.Contexts, Selector);
-      if (Options.TriContexts)
-        addTriFactors(G, T, FC.Tris, Selector, *Corpus.Interner);
-      Graphs.push_back(std::move(G));
-    }
-    return Graphs;
-  };
-
-  CrfModel Model(Options.Crf);
-  {
-    telemetry::TraceScope TrainPhase("train");
-    std::vector<CrfGraph> TrainGraphs;
-    {
-      telemetry::TraceScope ExtractPhase("extract");
-      auto Extracted = extractCorpusContexts(Corpus, S.Train, Options, Table);
-      TrainGraphs = AssembleGraphs(S.Train, Extracted, /*Downsample=*/true);
-    }
-    Model.train(TrainGraphs);
-    Result.TrainSeconds = TrainPhase.seconds();
-  }
-  Result.NumFeatures = Model.numFeatures();
-  Result.DistinctPaths = Table.size();
-
-  telemetry::TraceScope EvalPhase("eval");
-  telemetry::EventLog &Log = telemetry::EventLog::global();
-  const char *Tag = taskToken(Task);
-  ml::AccuracyMeter Meter;
-  ml::SubTokenMeter SubMeter;
-  const StringInterner &SI = *Corpus.Interner;
-  auto TestExtracted = extractCorpusContexts(Corpus, S.Test, Options, Table);
-  std::vector<CrfGraph> TestGraphs =
-      AssembleGraphs(S.Test, TestExtracted, /*Downsample=*/false);
-  std::vector<std::vector<Symbol>> Preds =
-      Model.predictBatch(TestGraphs, Options.Threads);
-  for (size_t I = 0; I < TestGraphs.size(); ++I) {
-    const CrfGraph &G = TestGraphs[I];
-    for (uint32_t N : G.Unknowns) {
-      std::string Gold(SI.str(G.Nodes[N].Gold));
-      std::string Predicted(Preds[I][N].isValid() ? SI.str(Preds[I][N])
-                                                  : std::string_view());
-      Meter.add(Predicted, Gold);
-      SubMeter.add(Predicted, Gold);
-      // Misprediction provenance: with the event log open, every wrong
-      // answer leaves the per-path evidence it was scored on.
-      if (Log.enabled() && Preds[I][N].isValid() && Predicted != Gold)
-        logPredictionProvenance(
-            Tag, SI, Table, Gold, Predicted,
-            Model.explain(G, N, Preds[I][N], Preds[I], 5));
-    }
-  }
-  Result.Accuracy = Meter.accuracy();
-  Result.SubtokenF1 = SubMeter.f1();
-  Result.Predictions = Meter.total();
-  telemetry::MetricsRegistry::global()
-      .gauge(std::string("eval.") + Tag + ".accuracy")
-      .set(Result.Accuracy);
-  return Result;
+ExperimentResult
+core::runCrfTypeExperiment(const Corpus &Corpus,
+                           const CrfExperimentOptions &Options) {
+  return runCrfExperiment(Corpus, Task::FullTypes, Options);
 }
 
 std::vector<CrfGraph>
@@ -272,140 +166,39 @@ core::buildTypeGraphs(const Corpus &Corpus,
                       const std::vector<size_t> &Indices,
                       const CrfExperimentOptions &Options, PathTable &Table,
                       size_t *ContextCount) {
-  // Sharded like extractCorpusContexts: chunk 0 warms the shared table,
-  // the other chunks extract through delta overlays and build graphs
-  // whose factors may carry provisional PathIds; the commit absorbs
-  // overlays in chunk order and the fix-up rewrites only provisional
-  // factor paths, reproducing the serial ids exactly (buildTypeGraph
-  // itself interns nothing).
-  auto FileGraphs = [&](size_t I, PathTable &Into, size_t &Contexts,
-                        std::vector<CrfGraph> &Graphs) {
-    const Tree &T = Corpus.Files[I].Tree;
-    for (NodeId Target : T.typedNodes()) {
-      if (!isApiTypeTarget(Corpus, T, Target))
-        continue;
-      auto Paths = extractPathsToNode(T, Target, Options.Extraction, Into);
-      Contexts += Paths.size();
-      Graphs.push_back(buildTypeGraph(T, Target, Paths));
-    }
-  };
-
-  size_t Threads = parallel::resolveThreads(Options.Threads);
+  // buildTypeGraph interns nothing, so a factor's path is the only id an
+  // overlay can leave provisional.
+  std::vector<std::vector<CrfGraph>> PerFile(Indices.size());
+  std::vector<size_t> Contexts(Indices.size());
   std::vector<uint64_t> Costs;
   Costs.reserve(Indices.size());
   for (size_t I : Indices)
     Costs.push_back(Corpus.Files[I].Tree.size());
-  parallel::ChunkPlan Plan =
-      parallel::planChunks(Indices.size(), Threads, Costs);
-  size_t NumChunks = Plan.count();
+  extractSharded(
+      Costs, Options.Threads, Table,
+      [&](size_t I, PathTable &Into) {
+        const Tree &T = Corpus.Files[Indices[I]].Tree;
+        for (NodeId Target : T.typedNodes()) {
+          if (!isApiTypeTarget(Corpus, T, Target))
+            continue;
+          auto Paths = extractPathsToNode(T, Target, Options.Extraction, Into);
+          Contexts[I] += Paths.size();
+          PerFile[I].push_back(buildTypeGraph(T, Target, Paths));
+        }
+      },
+      [&](size_t I, const std::vector<PathId> &Map) {
+        for (CrfGraph &G : PerFile[I])
+          for (Factor &F : G.Factors)
+            F.Path = finalPathId(F.Path, Map);
+      });
   std::vector<CrfGraph> Graphs;
-  size_t Contexts = 0;
-  if (NumChunks <= 1) {
-    for (size_t I : Indices)
-      FileGraphs(I, Table, Contexts, Graphs);
-  } else {
-    struct ChunkOut {
-      std::unique_ptr<PathTable> Overlay;
-      std::vector<CrfGraph> Graphs;
-      size_t Contexts = 0;
-    };
-    std::vector<ChunkOut> Chunks(NumChunks);
-    // Chunk 0 warms the shared table serially; the rest extract into
-    // delta overlays over the then-frozen table (same shape as
-    // extractCorpusContexts above).
-    for (size_t P = Plan.begin(0); P < Plan.end(0); ++P)
-      FileGraphs(Indices[P], Table, Chunks[0].Contexts, Chunks[0].Graphs);
-    parallel::parallelChunks(
-        Plan, Threads,
-        [&](size_t Chunk, size_t Begin, size_t End) {
-          Chunks[Chunk].Overlay =
-              std::make_unique<PathTable>(PathTable::Delta, Table);
-          for (size_t P = Begin; P < End; ++P)
-            FileGraphs(Indices[P], *Chunks[Chunk].Overlay,
-                       Chunks[Chunk].Contexts, Chunks[Chunk].Graphs);
-        },
-        /*FirstChunk=*/1);
-    std::vector<std::vector<PathId>> Maps(NumChunks);
-    for (size_t Chunk = 1; Chunk < NumChunks; ++Chunk)
-      if (Chunks[Chunk].Overlay)
-        Maps[Chunk] = Table.absorb(*Chunks[Chunk].Overlay);
-    parallel::parallelChunks(
-        Plan, Threads,
-        [&](size_t Chunk, size_t, size_t) {
-          const std::vector<PathId> &Map = Maps[Chunk];
-          constexpr PathId Bit = PathTable::ProvisionalBit;
-          for (CrfGraph &G : Chunks[Chunk].Graphs)
-            for (Factor &F : G.Factors)
-              if (F.Path != InvalidPath && (F.Path & Bit))
-                F.Path = Map[F.Path & ~Bit];
-        },
-        /*FirstChunk=*/1);
-    for (ChunkOut &C : Chunks) {
-      for (CrfGraph &G : C.Graphs)
-        Graphs.push_back(std::move(G));
-      Contexts += C.Contexts;
-    }
+  for (size_t I = 0; I < Indices.size(); ++I) {
+    for (CrfGraph &G : PerFile[I])
+      Graphs.push_back(std::move(G));
+    if (ContextCount)
+      *ContextCount += Contexts[I];
   }
-  if (ContextCount)
-    *ContextCount += Contexts;
   return Graphs;
-}
-
-ExperimentResult
-core::runCrfTypeExperiment(const Corpus &Corpus,
-                           const CrfExperimentOptions &Options) {
-  ExperimentResult Result;
-  Split S = splitByProject(Corpus, Options.TestFraction, Options.Seed);
-  PathTable Table;
-
-  CrfModel Model(Options.Crf);
-  {
-    telemetry::TraceScope TrainPhase("train");
-    std::optional<telemetry::TraceScope> ExtractPhase;
-    ExtractPhase.emplace("extract");
-    std::vector<CrfGraph> TrainGraphs =
-        buildTypeGraphs(Corpus, S.Train, Options, Table,
-                        &Result.TrainContexts);
-    ExtractPhase.reset();
-    Model.train(TrainGraphs);
-    Result.TrainSeconds = TrainPhase.seconds();
-  }
-  Result.NumFeatures = Model.numFeatures();
-  Result.DistinctPaths = Table.size();
-
-  // Types are compared by exact string ("int[]" must not match "int", so
-  // the name-normalising metric is too lenient here).
-  telemetry::TraceScope EvalPhase("eval");
-  telemetry::EventLog &Log = telemetry::EventLog::global();
-  const StringInterner &SI = *Corpus.Interner;
-  size_t Total = 0, Correct = 0;
-  std::vector<CrfGraph> TestGraphs =
-      buildTypeGraphs(Corpus, S.Test, Options, Table, nullptr);
-  std::vector<std::vector<Symbol>> Preds =
-      Model.predictBatch(TestGraphs, Options.Threads);
-  for (size_t I = 0; I < TestGraphs.size(); ++I) {
-    const CrfGraph &G = TestGraphs[I];
-    for (uint32_t N : G.Unknowns) {
-      ++Total;
-      bool Right = Preds[I][N].isValid() &&
-                   SI.str(Preds[I][N]) == SI.str(G.Nodes[N].Gold);
-      if (Right)
-        ++Correct;
-      else if (Log.enabled() && Preds[I][N].isValid())
-        logPredictionProvenance(
-            "types", SI, Table, SI.str(G.Nodes[N].Gold),
-            SI.str(Preds[I][N]),
-            Model.explain(G, N, Preds[I][N], Preds[I], 5));
-    }
-  }
-  Result.Predictions = Total;
-  Result.Accuracy =
-      Total == 0 ? 0.0
-                 : static_cast<double>(Correct) / static_cast<double>(Total);
-  telemetry::MetricsRegistry::global()
-      .gauge("eval.types.accuracy")
-      .set(Result.Accuracy);
-  return Result;
 }
 
 ExperimentResult core::runRuleBasedJava(const Corpus &Corpus,
@@ -674,79 +467,14 @@ core::runW2vNameExperiment(const Corpus &Corpus,
 // Prediction provenance
 //===----------------------------------------------------------------------===//
 
-void core::logPredictionProvenance(std::string_view Task,
-                                   const StringInterner &SI,
-                                   const PathTable &Table,
-                                   std::string_view Gold,
-                                   std::string_view Predicted,
-                                   const crf::NodeExplanation &Ex) {
-  telemetry::EventLog &Log = telemetry::EventLog::global();
-  if (!Log.enabled())
-    return;
-  using telemetry::jsonNumber;
-  using telemetry::jsonString;
-  Log.record("prediction", {{"task", jsonString(Task)},
-                            {"gold", jsonString(Gold)},
-                            {"predicted", jsonString(Predicted)},
-                            {"correct", Gold == Predicted ? "true" : "false"},
-                            {"score", jsonNumber(Ex.Total)},
-                            {"bias", jsonNumber(Ex.Bias)},
-                            {"paths", std::to_string(Ex.Paths.size())}});
-  for (const crf::Attribution &A : Ex.Paths)
-    Log.record(
-        "attribution",
-        {{"task", jsonString(Task)},
-         {"predicted", jsonString(Predicted)},
-         {"path",
-          jsonString(A.Path != InvalidPath ? Table.render(A.Path, SI)
-                                           : std::string())},
-         {"neighbor",
-          jsonString(A.Neighbor.isValid() ? SI.str(A.Neighbor) : "")},
-         {"unary", A.Unary ? "true" : "false"},
-         {"score", jsonNumber(A.Score)},
-         {"weight", jsonNumber(A.Weight)},
-         {"vote", jsonNumber(A.Vote)}});
-}
-
 std::vector<ExplainedPrediction>
 core::explainCrfPredictions(const Corpus &Corpus, Task Task,
                             const CrfExperimentOptions &Options, int TopK,
                             size_t MaxNodes) {
-  Split S = splitByProject(Corpus, Options.TestFraction, Options.Seed);
-  PathTable Table;
-  CrfModel Model(Options.Crf);
-  std::vector<CrfGraph> TestGraphs;
-
-  if (Task == Task::FullTypes) {
-    {
-      telemetry::TraceScope TrainPhase("train");
-      Model.train(buildTypeGraphs(Corpus, S.Train, Options, Table, nullptr));
-    }
-    TestGraphs = buildTypeGraphs(Corpus, S.Test, Options, Table, nullptr);
-  } else {
-    ElementSelector Selector = selectorFor(Task);
-    Rng Sampler = Rng::forStream(Options.Seed, "downsample");
-    auto Assemble = [&](const std::vector<size_t> &Indices, bool Sample) {
-      auto Extracted = extractCorpusContexts(Corpus, Indices, Options, Table);
-      std::vector<CrfGraph> Graphs;
-      Graphs.reserve(Indices.size());
-      for (size_t I = 0; I < Indices.size(); ++I) {
-        const Tree &T = Corpus.Files[Indices[I]].Tree;
-        if (Sample)
-          downsample(Extracted[I].Contexts, Options.DownsampleP, Sampler);
-        CrfGraph G = buildGraph(T, Extracted[I].Contexts, Selector);
-        if (Options.TriContexts)
-          addTriFactors(G, T, Extracted[I].Tris, Selector, *Corpus.Interner);
-        Graphs.push_back(std::move(G));
-      }
-      return Graphs;
-    };
-    {
-      telemetry::TraceScope TrainPhase("train");
-      Model.train(Assemble(S.Train, /*Sample=*/true));
-    }
-    TestGraphs = Assemble(S.Test, /*Sample=*/false);
-  }
+  SplitRun Run(Corpus, Task, Options);
+  const CrfModel &Model = Run.Model;
+  const PathTable &Table = Run.Art.Table;
+  std::vector<CrfGraph> TestGraphs = Run.testGraphs();
 
   telemetry::TraceScope ExplainPhase("explain");
   const StringInterner &SI = *Corpus.Interner;

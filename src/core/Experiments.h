@@ -12,11 +12,18 @@
 /// word2vec context encodings of Table 3. Each driver returns the metrics
 /// the paper reports (accuracy, sub-token F1, training time, model size).
 ///
+/// The CRF drivers are clients of the train/eval route `pigeon train` and
+/// `pigeon eval` ship (ContextsIO.h): records from buildFileRecords(),
+/// graphs from assembleGraphs(), scores from evalGraphs(). Only the type
+/// task, whose graphs hang off expression nodes rather than records,
+/// builds its graphs here (buildTypeGraphs, sharded by extractSharded).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIGEON_CORE_EXPERIMENTS_H
 #define PIGEON_CORE_EXPERIMENTS_H
 
+#include "core/ContextsIO.h"
 #include "core/Pipeline.h"
 #include "ml/crf/Crf.h"
 #include "ml/word2vec/Sgns.h"
@@ -26,36 +33,6 @@
 
 namespace pigeon {
 namespace core {
-
-/// The input representation fed to the (unchanged) CRF learner — the
-/// paper's central variable.
-enum class Representation {
-  AstPaths,       ///< PIGEON: abstract AST path-contexts.
-  NoPaths,        ///< "bag of near identifiers" (α = no-path).
-  IntraStatement, ///< UnuglifyJS-style single-statement relations.
-  Ngrams,         ///< Sequential token n-gram factors.
-};
-
-const char *representationName(Representation R);
-
-/// Options shared by the CRF experiments.
-struct CrfExperimentOptions {
-  paths::ExtractionConfig Extraction;
-  crf::CrfConfig Crf;
-  Representation Repr = Representation::AstPaths;
-  /// n for Representation::Ngrams (the paper's Java baseline uses 4).
-  int NgramN = 4;
-  /// Keep-probability p for training path-context downsampling (Fig. 11).
-  double DownsampleP = 1.0;
-  /// Also add 3-wise path-context factors (§4's n-wise generalization).
-  bool TriContexts = false;
-  double TestFraction = 0.25;
-  uint64_t Seed = 42;
-  /// Worker threads for the extraction and inference stages (0 = process
-  /// default; see parallel::resolveThreads). Results are identical at any
-  /// thread count.
-  size_t Threads = 0;
-};
 
 /// Metrics every experiment reports.
 struct ExperimentResult {
@@ -68,37 +45,19 @@ struct ExperimentResult {
   size_t DistinctPaths = 0;
 };
 
-/// Path-contexts (and optional 3-wise contexts) of one corpus file, as
-/// produced by the sharded extraction stage.
-struct FileContexts {
-  std::vector<paths::PathContext> Contexts;
-  std::vector<paths::TriContext> Tris;
-};
-
-/// Extracts the representation contexts of Corpus.Files[Indices[I]] for
-/// every I, sharded over Options.Threads workers with a private PathTable
-/// per shard. Shard tables are merged into \p Table in file order, so the
-/// PathIds in the result (and the contents of \p Table) are bit-identical
-/// to a serial extraction — the determinism contract the parallel
-/// pipeline is built on (DESIGN.md §Parallelism).
-std::vector<FileContexts>
-extractCorpusContexts(const Corpus &Corpus,
-                      const std::vector<size_t> &Indices,
-                      const CrfExperimentOptions &Options,
-                      paths::PathTable &Table);
-
 /// Trains and evaluates a CRF for variable- or method-name prediction.
 ExperimentResult runCrfNameExperiment(const Corpus &Corpus, Task Task,
                                       const CrfExperimentOptions &Options);
 
 /// Trains and evaluates the full-type CRF (paths from leaves to the
-/// expression nonterminal, §5.3.3). Types are compared by exact string.
+/// expression nonterminal, §5.3.3). Types are compared by exact string
+/// (evalGraphs).
 ExperimentResult runCrfTypeExperiment(const Corpus &Corpus,
                                       const CrfExperimentOptions &Options);
 
 /// Builds the single-unknown full-type graphs of Corpus.Files[I] for
 /// every I in \p Indices — one graph per API-shaped typed expression —
-/// sharded like extractCorpusContexts with the same bit-identical merge.
+/// sharded by extractSharded with its bit-identical merge.
 /// Factored out of runCrfTypeExperiment so `pigeon explain` builds the
 /// exact graphs the type experiment evaluates. \p ContextCount, when
 /// non-null, accumulates the number of extracted leaf-to-target paths.
@@ -130,16 +89,6 @@ struct ExplainedPrediction {
   };
   std::vector<PathLine> Paths;
 };
-
-/// Writes one `prediction` record plus one `attribution` record per path
-/// of \p Ex into the global event log (no-op when the log is closed).
-/// \p Task tags the records ("vars", "methods", "types"); \p Ex carries
-/// the decomposition of the *predicted* label's score.
-void logPredictionProvenance(std::string_view Task, const StringInterner &SI,
-                             const paths::PathTable &Table,
-                             std::string_view Gold,
-                             std::string_view Predicted,
-                             const crf::NodeExplanation &Ex);
 
 /// The `pigeon explain` driver: trains a CRF on the train split of
 /// \p Corpus (any task, including FullTypes) and explains the first

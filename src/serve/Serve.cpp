@@ -612,17 +612,19 @@ void Service::batcherLoop() {
 
     // Take whatever is queued, up to MaxBatch, and run it at once: no
     // request waits for company, and no request waits behind a busy
-    // worker while this one is idle. The batch counts as in flight
-    // before the mutex drops, so drain() never sees an empty queue and
-    // an idle service while it is on its way to the pipeline.
+    // worker while this one is idle. A batch holds at least one request
+    // whatever MaxBatch says, so a worker always makes progress. The
+    // batch counts as in flight before the mutex drops, so drain() never
+    // sees an empty queue and an idle service while it is on its way to
+    // the pipeline.
     ++ActiveBatches;
     const auto Open = std::chrono::steady_clock::now();
     std::vector<Pending> Batch;
-    while (!Queue.empty() && Batch.size() < Config.MaxBatch) {
+    do {
       Batch.push_back(std::move(Queue.front()));
       Batch.back().BatchOpen = Open;
       Queue.pop_front();
-    }
+    } while (!Queue.empty() && Batch.size() < Config.MaxBatch);
     Metrics.QueueDepth.set(static_cast<double>(Queue.size()));
     L.unlock();
     processBatch(std::move(Batch));

@@ -151,7 +151,8 @@ struct ServeConfig {
   /// Parallel batcher workers, all pulling from the one admission queue.
   /// 0 (the default) resolves to the hardware thread count.
   size_t Workers = 0;
-  /// Most requests a worker takes from the queue as one batch.
+  /// Most requests a worker takes from the queue as one batch; a batch
+  /// always holds at least one, so 0 acts as 1.
   size_t MaxBatch = 16;
   /// Read by nothing: workers never wait for a batch to fill. Declared
   /// only so existing callers that assign it keep compiling.

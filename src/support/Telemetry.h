@@ -177,8 +177,9 @@ public:
   TraceScope(const TraceScope &) = delete;
   TraceScope &operator=(const TraceScope &) = delete;
 
-  /// Elapsed seconds since the scope opened (the Timer replacement: read
-  /// mid-scope to report a phase's duration while it is still running).
+  /// Elapsed seconds since the scope opened; read mid-scope to report a
+  /// phase's duration while it is still running (the experiments' training
+  /// times).
   double seconds() const;
 
 private:

@@ -13,6 +13,7 @@
 #include "core/ModelIO.h"
 
 #include "datagen/Sketch.h"
+#include "support/SubToken.h"
 
 #include <gtest/gtest.h>
 
@@ -308,7 +309,8 @@ TEST(EvalStats, EvalArtifactMatchesManualTally) {
       buildContextsArtifact(C, Task::VariableNames, varsOptions());
 
   // Train a model on the artifact's own graphs, then evaluate on the same
-  // artifact: evalArtifact must agree with a hand-rolled tally.
+  // artifact: evalArtifact must agree with a hand-rolled tally under the
+  // paper's name metric.
   ModelBundle Bundle;
   Bundle.Lang = Art.Lang;
   Bundle.TaskKind = Art.TaskKind;
@@ -334,11 +336,54 @@ TEST(EvalStats, EvalArtifactMatchesManualTally) {
     for (uint32_t N : Graphs[I].Unknowns) {
       ++Total;
       if (Preds[I][N].isValid() &&
-          SI.str(Preds[I][N]) == SI.str(Graphs[I].Nodes[N].Gold))
+          namesMatch(SI.str(Preds[I][N]), SI.str(Graphs[I].Nodes[N].Gold)))
         ++Correct;
     }
   EXPECT_EQ(Stats.Total, Total);
   EXPECT_EQ(Stats.Correct, Correct);
+}
+
+TEST(EvalStats, NamesMatchUpToCaseAndUnderscores) {
+  // The paper's §5.2 metric: predicting `total_count` for a gold
+  // `totalCount` is right. Train where the accumulator is always
+  // `total_count`, then score a file that calls it `totalCount`.
+  auto Sum = [](const std::string &Name) {
+    return "function sum(items) { var " + Name + " = 0; for (var i = 0; " +
+           "i < items.length; i++) { " + Name + " += items[i]; } return " +
+           Name + "; }";
+  };
+  std::vector<datagen::SourceFile> Sources;
+  for (int I = 0; I < 4; ++I)
+    Sources.push_back({"p" + std::to_string(I), "sum.js", Sum("total_count"),
+                       {}});
+  Corpus Train = parseCorpus(Sources, Language::JavaScript);
+  ModelBundle Bundle = trainBundle(
+      buildContextsArtifact(Train, Task::VariableNames, varsOptions()));
+
+  Corpus Held = parseCorpus({{"q", "sum.js", Sum("totalCount"), {}}},
+                            Language::JavaScript);
+  ContextsArtifact Test =
+      buildContextsArtifact(Held, Task::VariableNames, varsOptions());
+  ASSERT_TRUE(rebaseArtifact(Test, *Bundle.Interner, Bundle.Table));
+
+  // The model does answer `total_count` there.
+  std::vector<crf::CrfGraph> Graphs = assembleGraphs(Test, *Bundle.Interner);
+  ASSERT_EQ(Graphs.size(), 1u);
+  std::vector<Symbol> Pred = Bundle.Model.predict(Graphs[0]);
+  const StringInterner &SI = *Bundle.Interner;
+  size_t Seen = 0;
+  for (uint32_t N : Graphs[0].Unknowns) {
+    if (SI.str(Graphs[0].Nodes[N].Gold) != "totalCount")
+      continue;
+    ++Seen;
+    ASSERT_TRUE(Pred[N].isValid());
+    EXPECT_EQ(SI.str(Pred[N]), "total_count");
+  }
+  ASSERT_EQ(Seen, 1u);
+
+  EvalStats Stats = evalArtifact(Bundle, Test);
+  EXPECT_EQ(Stats.Total, 3u); // items, totalCount, i
+  EXPECT_EQ(Stats.Correct, 3u);
 }
 
 } // namespace

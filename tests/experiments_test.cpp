@@ -190,6 +190,69 @@ TEST(ExperimentsTypes, TypePredictionBeatsStringBaseline) {
   EXPECT_GT(Naive.Accuracy, 0.05);
 }
 
+//===----------------------------------------------------------------------===//
+// Exact numbers: a refactor of the experiment route must reproduce these
+// bit for bit (the orderings above would survive many a silent drift).
+//===----------------------------------------------------------------------===//
+
+/// The training-side fields a run pins.
+void expectTraining(const ExperimentResult &R, size_t NumFeatures,
+                    size_t DistinctPaths, size_t TrainContexts) {
+  EXPECT_EQ(R.NumFeatures, NumFeatures);
+  EXPECT_EQ(R.DistinctPaths, DistinctPaths);
+  EXPECT_EQ(R.TrainContexts, TrainContexts);
+}
+
+TEST(ExperimentsPinned, VarNamesAstPaths) {
+  ExperimentResult R = runCrfNameExperiment(
+      corpusFor(Language::JavaScript), Task::VariableNames, defaultOptions());
+  EXPECT_EQ(R.Predictions, 448u);
+  EXPECT_EQ(R.Accuracy, 264.0 / 448);
+  expectTraining(R, 5153, 235, 31779);
+}
+
+TEST(ExperimentsPinned, VarNamesIntraStatement) {
+  CrfExperimentOptions Options = defaultOptions();
+  Options.Repr = Representation::IntraStatement;
+  ExperimentResult R = runCrfNameExperiment(
+      corpusFor(Language::JavaScript), Task::VariableNames, Options);
+  EXPECT_EQ(R.Predictions, 393u);
+  EXPECT_EQ(R.Accuracy, 205.0 / 393);
+  // The filter drops contexts after their paths interned: DistinctPaths
+  // counts what extraction saw, TrainContexts what training kept.
+  expectTraining(R, 1885, 235, 11954);
+}
+
+TEST(ExperimentsPinned, VarNamesDownsampledWithTriContexts) {
+  CrfExperimentOptions Options = defaultOptions();
+  Options.DownsampleP = 0.5;
+  Options.TriContexts = true;
+  ExperimentResult R = runCrfNameExperiment(
+      corpusFor(Language::JavaScript), Task::VariableNames, Options);
+  EXPECT_EQ(R.Predictions, 448u);
+  EXPECT_EQ(R.Accuracy, 264.0 / 448);
+  expectTraining(R, 5172, 252, 15871);
+}
+
+TEST(ExperimentsPinned, MethodNames) {
+  ExperimentResult R = runCrfNameExperiment(
+      corpusFor(Language::JavaScript), Task::MethodNames, defaultOptions());
+  EXPECT_EQ(R.Predictions, 160u);
+  EXPECT_EQ(R.Accuracy, 60.0 / 160);
+  EXPECT_EQ(R.SubtokenF1, 0.45825932504440497);
+  expectTraining(R, 1046, 235, 31779);
+}
+
+TEST(ExperimentsPinned, FullTypes) {
+  CrfExperimentOptions Options = defaultOptions();
+  Options.Extraction.MaxWidth = 1;
+  ExperimentResult R =
+      runCrfTypeExperiment(corpusFor(Language::Java), Options);
+  EXPECT_EQ(R.Predictions, 307u);
+  EXPECT_EQ(R.Accuracy, 305.0 / 307);
+  expectTraining(R, 71, 18, 3037);
+}
+
 TEST(ExperimentsW2v, PathsBeatTokenStream) {
   const Corpus &C = corpusFor(Language::JavaScript);
   W2vExperimentOptions Options;

@@ -489,6 +489,26 @@ TEST(Serve, IdleWorkerTakesTheNextRequest) {
   EXPECT_TRUE(SlowAnswered.load());
 }
 
+TEST(Serve, ZeroMaxBatchStillAnswers) {
+  // Regression: with MaxBatch 0 the take loop popped nothing, so the one
+  // worker spun on a non-empty queue forever and never answered.
+  ServeConfig Config;
+  Config.Workers = 1;
+  Config.MaxBatch = 0;
+  auto S = std::make_unique<Service>(loadBundle(), Config);
+  std::promise<std::string> Response;
+  std::future<std::string> Answer = Response.get_future();
+  S->submit(requestLine(MinifiedFlag), [&Response](std::string Line) {
+    Response.set_value(std::move(Line));
+  });
+  if (Answer.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    (void)S.release(); // Its worker never returns: joining would hang.
+    FAIL() << "request unanswered";
+  }
+  EXPECT_TRUE(parsed(Answer.get()).find("ok")->boolean());
+}
+
 //===----------------------------------------------------------------------===//
 // Front-ends and shutdown
 //===----------------------------------------------------------------------===//

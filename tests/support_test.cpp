@@ -9,7 +9,6 @@
 #include "support/StringInterner.h"
 #include "support/SubToken.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -334,16 +333,4 @@ TEST(Hashing, FinalizeIsBijectiveish) {
   for (uint64_t I = 0; I < 1000; ++I)
     Seen.insert(hashFinalize(I));
   EXPECT_EQ(Seen.size(), 1000u);
-}
-
-//===----------------------------------------------------------------------===//
-// Timer
-//===----------------------------------------------------------------------===//
-
-TEST(Timer, MonotonicNonNegative) {
-  Timer T;
-  double A = T.seconds();
-  double B = T.seconds();
-  EXPECT_GE(A, 0.0);
-  EXPECT_GE(B, A);
 }
