@@ -36,8 +36,7 @@ const char *core::w2vContextsName(W2vContexts C) {
 namespace {
 
 /// Keeps each context record with probability \p KeepP, drawing from
-/// \p R once per record in order (no draws at all when nothing is
-/// dropped).
+/// \p R once per record in order (no draws at all when KeepP >= 1).
 void downsample(std::vector<ContextRecord> &Contexts, double KeepP, Rng &R) {
   if (KeepP >= 1.0)
     return;
