@@ -157,8 +157,8 @@ core::extractCorpusContexts(const Corpus &Corpus,
                             const std::vector<size_t> &Indices,
                             const CrfExperimentOptions &Options,
                             PathTable &Table) {
-  static const parallel::StageHandles ExtractStage("extract");
-  parallel::StageTimer Stage(ExtractStage);
+  static const telemetry::Stage ExtractStage("extract");
+  telemetry::TraceScope Phase(ExtractStage);
   std::vector<FileContexts> Out(Indices.size());
   std::vector<uint64_t> Costs;
   Costs.reserve(Indices.size());

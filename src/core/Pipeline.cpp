@@ -204,9 +204,8 @@ void core::recordParseFailureReason(std::string_view RawReason) {
 
 Corpus core::parseCorpus(const std::vector<datagen::SourceFile> &Sources,
                          Language Lang, size_t Threads) {
-  static const parallel::StageHandles ParseStage("parse");
-  telemetry::TraceScope Phase("parse");
-  parallel::StageTimer Stage(ParseStage);
+  static const telemetry::Stage ParseStage("parse");
+  telemetry::TraceScope Phase(ParseStage);
   auto &Reg = telemetry::MetricsRegistry::global();
   const std::string Prefix = std::string("parse.") + languageToken(Lang);
 

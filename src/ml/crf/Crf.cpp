@@ -861,12 +861,11 @@ std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
 std::vector<std::vector<Symbol>>
 CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs,
                        size_t Threads) const {
-  static const parallel::StageHandles PredictStage("crf.predict");
-  telemetry::TraceScope Phase("crf.predict");
-  parallel::StageTimer Stage(PredictStage);
-  telemetry::MetricsRegistry::global()
-      .counter("crf.predict.graphs")
-      .add(Graphs.size());
+  static const telemetry::Stage PredictStage("crf.predict");
+  static telemetry::Counter &PredictedGraphs =
+      telemetry::MetricsRegistry::global().counter("crf.predict.graphs");
+  telemetry::TraceScope Phase(PredictStage);
+  PredictedGraphs.add(Graphs.size());
   std::vector<std::vector<Symbol>> Out(Graphs.size());
   parallel::parallelFor(Graphs.size(), Threads,
                         [&](size_t I) { Out[I] = predict(Graphs[I]); });

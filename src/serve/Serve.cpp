@@ -11,7 +11,6 @@
 #include "support/EventLog.h"
 #include "support/Json.h"
 #include "support/Parallel.h"
-#include "support/PhaseProfiler.h"
 #include "support/Telemetry.h"
 
 #include <cerrno>
@@ -290,12 +289,13 @@ struct serve::ServeMetrics {
   telemetry::WindowedHistogram &ErrorWindow;
   std::array<telemetry::Histogram *, NumStages> Stage;
   std::array<telemetry::WindowedHistogram *, NumStages> StageWindow;
-  // The pipeline's StageTimers: `serve.<stage>.{wall,cpu}.seconds`.
-  parallel::StageHandles DecodeTimer{"serve.decode"};
-  parallel::StageHandles ParseTimer{"serve.parse"};
-  parallel::StageHandles ExtractTimer{"serve.extract"};
-  parallel::StageHandles PredictTimer{"serve.predict"};
-  parallel::StageHandles RenderTimer{"serve.render"};
+  // The pipeline's stages: trace nodes under `serve.batch`, each with
+  // its `serve.<stage>.{wall,cpu}.seconds` histograms.
+  telemetry::Stage DecodeStage{"serve.decode"};
+  telemetry::Stage ParseStage{"serve.parse"};
+  telemetry::Stage ExtractStage{"serve.extract"};
+  telemetry::Stage PredictStage{"serve.predict"};
+  telemetry::Stage RenderStage{"serve.render"};
   LazyCounter Ok, Errors, Overloaded, Slow;
   std::array<LazyCounter, NumErrorCodes> ErrorsByCode;
 };
@@ -506,21 +506,18 @@ bool Service::tryHandleAdmin(const std::string &Line, const Callback &Done) {
 
   if (Verb == "profile") {
     Reg.counter("serve.admin.profile").inc();
-    auto &Prof = telemetry::PhaseProfiler::global();
-    telemetry::PhaseProfiler::Report R = Prof.report();
-    std::string Out = Head() + "\"profile\":{\"running\":";
-    Out += Prof.running() ? "true" : "false";
-    Out += ",\"hz\":" + telemetry::jsonNumber(R.Hz) +
-           ",\"samples\":" + std::to_string(R.Samples) +
-           ",\"attributed\":" + std::to_string(R.Attributed) +
-           ",\"lines\":[";
-    for (size_t I = 0; I < R.Lines.size(); ++I) {
+    std::vector<telemetry::ProfileLine> Lines =
+        telemetry::profileLines(Reg.traceRoot());
+    std::string Out = Head() + "\"profile\":{\"lines\":[";
+    for (size_t I = 0; I < Lines.size(); ++I) {
       if (I)
         Out += ",";
-      Out += "{\"stack\":" + telemetry::jsonString(R.Lines[I].Stack) +
-             ",\"count\":" + std::to_string(R.Lines[I].Count) + "}";
+      Out += "{\"stack\":" + telemetry::jsonString(Lines[I].Stack) +
+             ",\"calls\":" + std::to_string(Lines[I].Calls) +
+             ",\"self_us\":" + std::to_string(Lines[I].SelfMicros) + "}";
     }
-    Out += "],\"folded\":" + telemetry::jsonString(Prof.folded()) + "}}";
+    Out += "],\"folded\":" +
+           telemetry::jsonString(telemetry::foldedStacks(Lines)) + "}}";
     Done(std::move(Out));
     return true;
   }
@@ -682,7 +679,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // parsing, and failing before the parallel stage keeps malformed input
   // from ever touching the pipeline).
   {
-    parallel::StageTimer Timer(M.DecodeTimer);
+    telemetry::TraceScope Scope(M.DecodeStage);
     auto Now = Clock::now();
     for (Item &It : Items) {
       if (auto Error = decodeRequest(It.P.Line, *Bundle, Config, It.D)) {
@@ -701,7 +698,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // serving, so overlay reads stay exact even while other batcher
   // workers process their own batches.
   {
-    parallel::StageTimer Timer(M.ParseTimer);
+    telemetry::TraceScope Scope(M.ParseStage);
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
       Item &It = Items[I];
       if (!It.Failed)
@@ -725,7 +722,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
   // process batches concurrently over one shared bundle. Share-nothing
   // items also make the stage safe to run on the pool.
   {
-    parallel::StageTimer Timer(M.ExtractTimer);
+    telemetry::TraceScope Scope(M.ExtractStage);
     parallel::parallelFor(Items.size(), 0, [&](size_t I) {
       if (!Items[I].Failed)
         core::assemblePrediction(*Bundle, Items[I].Pred);
@@ -737,7 +734,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
 
   // Inference over the batch, sharded inside predictBatch.
   {
-    parallel::StageTimer Timer(M.PredictTimer);
+    telemetry::TraceScope Scope(M.PredictStage);
     std::vector<core::Prediction *> Live;
     for (Item &It : Items)
       if (!It.Failed)
@@ -747,7 +744,7 @@ void Service::processBatch(std::vector<Pending> Batch) {
   const auto TPredict = Clock::now(); // t_predict_done.
 
   // Render + deliver in admission order.
-  parallel::StageTimer RenderTimer(M.RenderTimer);
+  telemetry::TraceScope RenderScope(M.RenderStage);
   auto &Log = telemetry::EventLog::global();
   const double SlowThresholdMs =
       Config.SlowTraceMs >= 0

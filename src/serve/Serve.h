@@ -115,7 +115,10 @@
 ///                                    request rate and error rate
 ///   {"admin": "slo"}               → `--slo-p99-ms` target vs. the
 ///                                    windowed p99 of serve.request.seconds
-///   {"admin": "profile"}           → phase-profiler folded stacks
+///   {"admin": "profile"}           → the phase profile: one line per
+///                                    trace-tree node (`stack`, `calls`,
+///                                    `self_us`) and the same lines as
+///                                    flamegraph.pl folded stacks
 ///   {"admin": "prom"}              → Prometheus text exposition (string)
 ///   {"admin": "flightrec"}         → flight-recorder snapshot: the last
 ///                                    N event records, embedded verbatim

@@ -14,9 +14,11 @@
 /// Record kinds:
 ///  * `stream.begin` — first line; carries the schema tag and a process
 ///    epoch so `ts` fields are interpretable.
-///  * `span.begin` / `span.end` — emitted by TraceScope (Telemetry.cpp)
-///    and by the per-chunk instrumentation in Parallel.cpp. `span.end`
-///    carries wall seconds, thread-CPU seconds and a peak-RSS sample.
+///  * `span.begin` / `span.end` — emitted by every TraceScope
+///    (Telemetry.cpp), stage scopes included, and by each chunk of a
+///    parallel region of two or more chunks (Parallel.cpp; a one-chunk
+///    region emits none). `span.end` carries wall seconds, thread-CPU
+///    seconds and a peak-RSS sample.
 ///  * `prediction` / `attribution` — provenance records written by the
 ///    evaluation loops and `pigeon explain` (see Experiments.cpp): one
 ///    `prediction` per explained node, one `attribution` per

@@ -7,7 +7,6 @@
 #include "support/Parallel.h"
 
 #include "support/EventLog.h"
-#include "support/PhaseProfiler.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
@@ -56,9 +55,6 @@ struct Region {
   /// chunk — and the chunk spans themselves — nest under the stage that
   /// started the region instead of floating at a worker's top level.
   telemetry::TraceContext Ctx;
-  /// The spawner's profiler phase stack, installed alongside Ctx so the
-  /// sampling profiler attributes worker time to the spawning stage.
-  std::vector<const char *> ProfStack;
   std::atomic<size_t> Next{0};
   std::atomic<size_t> Done{0};
   std::mutex Mutex;
@@ -74,7 +70,6 @@ struct Region {
     bool Saved = InRegion;
     InRegion = true;
     telemetry::TraceContext Prev = telemetry::setCurrentTraceContext(Ctx);
-    telemetry::ProfilerStackGuard ProfGuard(ProfStack);
     for (;;) {
       size_t I = Next.fetch_add(1, std::memory_order_relaxed);
       if (I >= Total)
@@ -118,7 +113,6 @@ public:
     R->Total = Chunks;
     R->Fn = &Fn;
     R->Ctx = telemetry::currentTraceContext(); // run() is the spawner.
-    R->ProfStack = telemetry::profilerCaptureStack();
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       size_t Want = std::min(std::min(Threads, Chunks), MaxThreads);
@@ -180,12 +174,6 @@ private:
   bool Stop = false;
 };
 
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 } // namespace
 
 size_t parallel::hardwareConcurrency() {
@@ -224,9 +212,9 @@ size_t parallel::resolveThreads(size_t Requested) {
                            : defaultThreads();
   if (N == 0)
     N = 1;
-  telemetry::MetricsRegistry::global()
-      .gauge("parallel.threads")
-      .set(static_cast<double>(N));
+  static telemetry::Gauge &Threads =
+      telemetry::MetricsRegistry::global().gauge("parallel.threads");
+  Threads.set(static_cast<double>(N));
   return N;
 }
 
@@ -239,12 +227,13 @@ namespace {
 /// chunks depends on the thread count, and the trace tree must stay
 /// thread-count invariant (the determinism contract). While open, the
 /// chunk span is the thread's current span, so TraceScopes inside the
-/// chunk body nest under it.
+/// chunk body nest under it. A region of one chunk passes \p Emit false:
+/// the stage around it already spans the same work.
 class ChunkSpan {
 public:
-  ChunkSpan(size_t Chunk, size_t Begin, size_t End)
+  ChunkSpan(bool Emit, size_t Chunk, size_t Begin, size_t End)
       : Log(telemetry::EventLog::global()) {
-    if (!Log.enabled())
+    if (!Emit || !Log.enabled())
       return;
     Prev = telemetry::currentTraceContext();
     Id = Log.nextSpanId();
@@ -346,23 +335,23 @@ void parallel::parallelChunks(
   if (FirstChunk >= Chunks)
     return;
   size_t T = resolveThreads(Threads);
+  size_t Pending = Chunks - FirstChunk;
   auto RunChunk = [&](size_t I) {
     size_t C = FirstChunk + I;
     size_t Begin = Plan.begin(C);
     size_t End = Plan.end(C);
     if (Begin == End)
       return; // Cost-balanced plans may produce empty chunks.
-    ChunkSpan Span(C, Begin, End);
+    ChunkSpan Span(Pending > 1, C, Begin, End);
     Fn(C, Begin, End);
   };
-  size_t Pending = Chunks - FirstChunk;
   if (Pending <= 1 || T <= 1 || InRegion) {
     // Serial / nested: same chunk structure, caller's thread, in order.
     for (size_t I = 0; I < Pending; ++I)
       RunChunk(I);
     return;
   }
-  telemetry::Counter &Regions =
+  static telemetry::Counter &Regions =
       telemetry::MetricsRegistry::global().counter("parallel.regions");
   Regions.inc();
   Pool::instance().run(Pending, T, RunChunk);
@@ -382,23 +371,4 @@ void parallel::parallelFor(size_t N, size_t Threads,
     for (size_t I = Begin; I < End; ++I)
       Fn(I);
   });
-}
-
-StageHandles::StageHandles(std::string Stage)
-    : Name(std::move(Stage)),
-      Wall(telemetry::MetricsRegistry::global().histogram(
-          Name + ".wall.seconds", telemetry::timeBounds())),
-      Cpu(telemetry::MetricsRegistry::global().histogram(
-          Name + ".cpu.seconds", telemetry::timeBounds())) {}
-
-StageTimer::StageTimer(const StageHandles &Stage)
-    : Stage(Stage), WallStart(nowSeconds()),
-      CpuStart(telemetry::threadCpuSeconds()) {
-  telemetry::profilerPushFrame(Stage.Name);
-}
-
-StageTimer::~StageTimer() {
-  telemetry::profilerPopFrame();
-  Stage.Wall.observe(nowSeconds() - WallStart);
-  Stage.Cpu.observe(telemetry::threadCpuSeconds() - CpuStart);
 }

@@ -32,9 +32,11 @@
 ///     stable chunk boundaries for a given (N, threads) pair;
 ///   * workers inherit the spawning thread's telemetry::TraceContext, so
 ///     TraceScopes opened inside chunks nest under the spawning stage in
-///     the merged trace tree (thread-count invariant), and when the event
-///     log is open each chunk emits a `parallel.chunk` span nested under
-///     that stage (event stream only — chunk count varies with threads).
+///     the merged trace tree (thread-count invariant);
+///   * when the event log is open, each chunk of a region of two or more
+///     chunks emits a `parallel.chunk` span nested under that stage
+///     (event stream only — chunk count varies with threads). A one-chunk
+///     region emits none: its extent is the stage around it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,14 +47,9 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace pigeon {
-namespace telemetry {
-class Histogram;
-} // namespace telemetry
-
 namespace parallel {
 
 /// Number of hardware threads (at least 1).
@@ -152,39 +149,6 @@ auto parallelMap(size_t N, size_t Threads, Fn &&F)
   parallelFor(N, Threads, [&](size_t I) { Out[I] = F(I); });
   return Out;
 }
-
-/// The two series a StageTimer feeds — `<stage>.wall.seconds` and
-/// `<stage>.cpu.seconds` in the global registry — resolved once, so a
-/// timed stage builds no name and takes no registry lock. Keep one per
-/// stage for as long as it is timed (a member, or a function-local
-/// static).
-struct StageHandles {
-  explicit StageHandles(std::string Stage);
-
-  std::string Name; ///< Also the phase-profiler frame.
-  telemetry::Histogram &Wall;
-  telemetry::Histogram &Cpu;
-};
-
-/// RAII stage meter: on destruction observes the stage's wall seconds and
-/// the calling thread's CPU seconds (CLOCK_THREAD_CPUTIME_ID) into the
-/// stage's handles. A thread clock keeps concurrent stages (N serve
-/// workers) from counting each other's CPU; wall minus CPU is the time
-/// the thread spent off-CPU, blocked or waiting on pool workers whose CPU
-/// it does not see.
-class StageTimer {
-public:
-  explicit StageTimer(const StageHandles &Stage);
-  ~StageTimer();
-
-  StageTimer(const StageTimer &) = delete;
-  StageTimer &operator=(const StageTimer &) = delete;
-
-private:
-  const StageHandles &Stage;
-  double WallStart;
-  double CpuStart;
-};
 
 } // namespace parallel
 } // namespace pigeon

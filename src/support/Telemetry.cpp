@@ -7,7 +7,6 @@
 #include "support/Telemetry.h"
 
 #include "support/EventLog.h"
-#include "support/PhaseProfiler.h"
 #include "support/TablePrinter.h"
 
 #include <algorithm>
@@ -165,7 +164,7 @@ std::vector<double> telemetry::linearBounds(double Lo, double Hi,
 }
 
 //===----------------------------------------------------------------------===//
-// TraceScope
+// Trace tree
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -178,16 +177,23 @@ thread_local TraceNode *CurrentPhase = nullptr;
 /// the pair.
 thread_local uint64_t CurrentSpan = 0;
 
-TraceNode *findOrCreateChild(TraceNode &Parent, std::string_view Name) {
-  for (const auto &Child : Parent.Children)
-    if (Child->Name == Name)
-      return Child.get();
-  Parent.Children.push_back(std::make_unique<TraceNode>());
-  Parent.Children.back()->Name = std::string(Name);
-  return Parent.Children.back().get();
+} // namespace
+
+TraceNode *TraceNode::findChild(std::string_view Child) const {
+  for (TraceNode *C = FirstChild.load(std::memory_order_acquire); C;
+       C = C->NextSibling.load(std::memory_order_acquire))
+    if (C->Name == Child)
+      return C;
+  return nullptr;
 }
 
-} // namespace
+std::vector<const TraceNode *> TraceNode::children() const {
+  std::vector<const TraceNode *> Out;
+  for (TraceNode *C = FirstChild.load(std::memory_order_acquire); C;
+       C = C->NextSibling.load(std::memory_order_acquire))
+    Out.push_back(C);
+  return Out;
+}
 
 TraceContext telemetry::currentTraceContext() {
   return {CurrentPhase, CurrentSpan};
@@ -200,47 +206,93 @@ TraceContext telemetry::setCurrentTraceContext(TraceContext Ctx) {
   return Prev;
 }
 
+Stage::Stage(std::string StageName)
+    : Name(std::move(StageName)),
+      Wall(MetricsRegistry::global().histogram(Name + ".wall.seconds",
+                                               timeBounds())),
+      Cpu(MetricsRegistry::global().histogram(Name + ".cpu.seconds",
+                                              timeBounds())) {}
+
 TraceScope::TraceScope(std::string_view Name)
-    : TraceScope(MetricsRegistry::global(), Name) {}
+    : TraceScope(MetricsRegistry::global(), Name, nullptr) {}
 
 TraceScope::TraceScope(MetricsRegistry &Registry, std::string_view Name)
-    : Registry(Registry), Parent(CurrentPhase), ParentSpan(CurrentSpan) {
-  {
-    std::lock_guard<std::mutex> Lock(Registry.Mutex);
-    TraceNode &Under = Parent ? *Parent : Registry.Root;
-    Node = findOrCreateChild(Under, Name);
-    CurrentPhase = Node;
-  }
-  profilerPushFrame(Name);
+    : TraceScope(Registry, Name, nullptr) {}
+
+TraceScope::TraceScope(const Stage &S)
+    : TraceScope(MetricsRegistry::global(), S.Name, &S) {}
+
+TraceScope::TraceScope(MetricsRegistry &Registry, std::string_view Name,
+                       const Stage *Timed)
+    : Parent(CurrentPhase),
+      Node(&Registry.traceChild(Parent ? *Parent : Registry.traceRoot(),
+                                Name)),
+      Timed(Timed), ParentSpan(CurrentSpan) {
+  CurrentPhase = Node;
   EventLog &Log = EventLog::global();
   if (Log.enabled()) {
     Span = Log.nextSpanId();
     CurrentSpan = Span;
-    CpuStart = threadCpuSeconds();
     Log.spanBegin(Span, ParentSpan, Name);
   }
+  if (Span != 0 || Timed)
+    CpuStart = threadCpuSeconds();
   Start = Clock::now();
 }
 
 TraceScope::~TraceScope() {
-  profilerPopFrame();
   double Elapsed =
       std::chrono::duration<double>(Clock::now() - Start).count();
+  double Cpu = CpuStart >= 0 ? threadCpuSeconds() - CpuStart : -1.0;
+  if (Timed) {
+    Timed->Wall.observe(Elapsed);
+    Timed->Cpu.observe(Cpu);
+  }
   if (Span != 0) {
     // Opened with the log enabled; emit the end record even if the log
     // was closed meanwhile (spanEnd no-ops in that case).
-    double Cpu = CpuStart >= 0 ? threadCpuSeconds() - CpuStart : -1.0;
     EventLog::global().spanEnd(Span, ParentSpan, Node->Name, Elapsed, Cpu);
     CurrentSpan = ParentSpan;
   }
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  Node->Calls += 1;
-  Node->Seconds += Elapsed;
+  Node->Calls.fetch_add(1, std::memory_order_relaxed);
+  atomicAdd(Node->Seconds, Elapsed);
   CurrentPhase = Parent;
 }
 
 double TraceScope::seconds() const {
   return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
+namespace {
+
+void addProfileLines(std::vector<ProfileLine> &Out, const TraceNode &Node,
+                     const std::string &Prefix) {
+  for (const TraceNode *Child : Node.children()) {
+    std::string Stack =
+        Prefix.empty() ? Child->Name : Prefix + ";" + Child->Name;
+    double Self = Child->Seconds.load(std::memory_order_relaxed);
+    for (const TraceNode *Grandchild : Child->children())
+      Self -= Grandchild->Seconds.load(std::memory_order_relaxed);
+    Out.push_back({Stack, Child->Calls.load(std::memory_order_relaxed),
+                   static_cast<uint64_t>(std::llround(std::max(Self, 0.0) *
+                                                      1e6))});
+    addProfileLines(Out, *Child, Stack);
+  }
+}
+
+} // namespace
+
+std::vector<ProfileLine> telemetry::profileLines(const TraceNode &Root) {
+  std::vector<ProfileLine> Out;
+  addProfileLines(Out, Root, "");
+  return Out;
+}
+
+std::string telemetry::foldedStacks(const std::vector<ProfileLine> &Lines) {
+  std::string Out;
+  for (const ProfileLine &L : Lines)
+    Out += L.Stack + " " + std::to_string(L.SelfMicros) + "\n";
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -296,6 +348,24 @@ WindowedHistogram &MetricsRegistry::windowed(std::string_view Name,
   return *It->second;
 }
 
+TraceNode &MetricsRegistry::traceChild(TraceNode &Parent,
+                                       std::string_view Name) {
+  if (TraceNode *Found = Parent.findChild(Name))
+    return *Found;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  // Appends are serialized by the mutex, so this walk sees every child;
+  // one appended since the lock-free miss is found here.
+  std::atomic<TraceNode *> *Link = &Parent.FirstChild;
+  while (TraceNode *Child = Link->load(std::memory_order_relaxed)) {
+    if (Child->Name == Name)
+      return *Child;
+    Link = &Child->NextSibling;
+  }
+  TraceNode &Added = Nodes.emplace_back(Name);
+  Link->store(&Added, std::memory_order_release);
+  return Added;
+}
+
 size_t MetricsRegistry::numCounters() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Counters.size();
@@ -326,9 +396,9 @@ void MetricsRegistry::reset() {
     H->resetValue();
   for (auto &[Name, W] : Windowed)
     W->resetValue();
-  Root.Children.clear();
-  Root.Calls = 0;
-  Root.Seconds = 0;
+  Root.FirstChild.store(nullptr, std::memory_order_release);
+  Root.Calls.store(0, std::memory_order_relaxed);
+  Root.Seconds.store(0.0, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -377,12 +447,15 @@ namespace {
 
 void writeTraceJson(std::ostream &OS, const TraceNode &Node) {
   OS << "{\"name\":\"" << jsonEscape(Node.Name)
-     << "\",\"calls\":" << Node.Calls
-     << ",\"seconds\":" << jsonNumber(Node.Seconds) << ",\"children\":[";
-  for (size_t I = 0; I < Node.Children.size(); ++I) {
-    if (I)
-      OS << ",";
-    writeTraceJson(OS, *Node.Children[I]);
+     << "\",\"calls\":" << Node.Calls.load(std::memory_order_relaxed)
+     << ",\"seconds\":"
+     << jsonNumber(Node.Seconds.load(std::memory_order_relaxed))
+     << ",\"children\":[";
+  bool First = true;
+  for (const TraceNode *Child : Node.children()) {
+    OS << (First ? "" : ",");
+    writeTraceJson(OS, *Child);
+    First = false;
   }
   OS << "]}";
 }
@@ -673,26 +746,27 @@ namespace {
 void addTraceRows(TablePrinter &Table, const TraceNode &Node, int Depth,
                   double ParentSeconds) {
   std::string Indent(static_cast<size_t>(Depth) * 2, ' ');
-  std::string Share =
-      ParentSeconds > 0
-          ? TablePrinter::percent(Node.Seconds / ParentSeconds)
-          : "-";
-  Table.addRow({Indent + Node.Name, std::to_string(Node.Calls),
-                TablePrinter::num(Node.Seconds, 3), Share});
-  for (const auto &Child : Node.Children)
-    addTraceRows(Table, *Child, Depth + 1, Node.Seconds);
+  double Seconds = Node.Seconds.load(std::memory_order_relaxed);
+  std::string Share = ParentSeconds > 0
+                          ? TablePrinter::percent(Seconds / ParentSeconds)
+                          : "-";
+  Table.addRow({Indent + Node.Name,
+                std::to_string(Node.Calls.load(std::memory_order_relaxed)),
+                TablePrinter::num(Seconds, 3), Share});
+  for (const TraceNode *Child : Node.children())
+    addTraceRows(Table, *Child, Depth + 1, Seconds);
 }
 
 } // namespace
 
 void MetricsRegistry::printTraceTable(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
   TablePrinter Table("Phase timings");
   Table.setHeader({"Phase", "Calls", "Seconds", "% of parent"});
+  std::vector<const TraceNode *> TopLevel = Root.children();
   double Total = 0;
-  for (const auto &Child : Root.Children)
-    Total += Child->Seconds;
-  for (const auto &Child : Root.Children)
+  for (const TraceNode *Child : TopLevel)
+    Total += Child->Seconds.load(std::memory_order_relaxed);
+  for (const TraceNode *Child : TopLevel)
     addTraceRows(Table, *Child, 0, Total);
   Table.print(OS);
 }

@@ -7,10 +7,12 @@
 /// \file
 /// Process-wide observability: a registry of named counters, gauges and
 /// fixed-bucket histograms, plus RAII phase timers that nest into a trace
-/// tree (datagen → parse → extract → train → eval). The paper's evaluation
-/// is about trade-off curves — accuracy vs. training time (Figs. 11-12),
-/// path length/width vs. cost (Fig. 10) — and this module is how the
-/// pipeline accounts for where the time and the contexts go.
+/// tree (datagen → parse → extract → train → eval), which also renders as
+/// the phase profile: flamegraph.pl folded stacks of exact self time. The
+/// paper's evaluation is about trade-off curves — accuracy vs. training
+/// time (Figs. 11-12), path length/width vs. cost (Fig. 10) — and this
+/// module is how the pipeline accounts for where the time and the
+/// contexts go.
 ///
 /// Design constraints:
 ///  * cheap enough to leave on: metric handles are stable references
@@ -35,6 +37,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,11 +133,23 @@ std::vector<double> linearBounds(double Lo, double Hi, double Step = 1.0);
 
 /// One phase in the trace tree. Children are created on first entry and
 /// merged by name, so a phase entered N times is one node with Calls = N.
+/// Calls and Seconds are atomics, and the children form an append-only
+/// list (FirstChild, then each child's NextSibling) published with
+/// release stores: scopes find and update nodes, and snapshots walk the
+/// tree, without a lock. Nodes are never freed before their registry.
 struct TraceNode {
-  std::string Name;
-  uint64_t Calls = 0;
-  double Seconds = 0;
-  std::vector<std::unique_ptr<TraceNode>> Children;
+  explicit TraceNode(std::string_view Name) : Name(Name) {}
+
+  const std::string Name;
+  std::atomic<uint64_t> Calls{0};
+  std::atomic<double> Seconds{0.0}; ///< Wall time of the closed calls.
+  std::atomic<TraceNode *> FirstChild{nullptr};
+  std::atomic<TraceNode *> NextSibling{nullptr};
+
+  /// The child named \p Name, or nullptr.
+  TraceNode *findChild(std::string_view Name) const;
+  /// The children in creation order.
+  std::vector<const TraceNode *> children() const;
 };
 
 class MetricsRegistry;
@@ -156,22 +171,46 @@ struct TraceContext {
 TraceContext currentTraceContext();
 TraceContext setCurrentTraceContext(TraceContext Ctx);
 
-/// RAII phase timer. Construction pushes a node under the current phase of
-/// this thread (or the registry root at top level); destruction pops it
-/// and accumulates the elapsed wall time. Scopes from different threads
-/// each nest under their own thread's current phase.
+/// A timed stage: a phase name plus its `<name>.wall.seconds` and
+/// `<name>.cpu.seconds` histograms in the global registry, resolved once,
+/// so a scope over it builds no name and takes no registry lock. Keep one
+/// per stage for as long as it is timed (a member, or a function-local
+/// static).
+struct Stage {
+  explicit Stage(std::string Name);
+
+  std::string Name;
+  Histogram &Wall;
+  Histogram &Cpu;
+};
+
+/// RAII phase timer. Construction enters a node under the current phase
+/// of this thread (or the registry root at top level); destruction leaves
+/// it and adds the elapsed wall time. Scopes from different threads each
+/// nest under their own thread's current phase. Neither end takes a lock
+/// once the node exists.
+///
+/// A scope over a Stage also observes, on close, the stage's wall seconds
+/// and the calling thread's CPU seconds (CLOCK_THREAD_CPUTIME_ID) into its
+/// histograms. A thread clock keeps concurrent stages (N serve workers)
+/// from counting each other's CPU; wall minus CPU is the time the thread
+/// spent off-CPU, blocked or waiting on pool workers whose CPU it does
+/// not see.
 ///
 /// When the global EventLog is open, every scope additionally emits a
 /// span.begin/span.end pair carrying wall time, thread-CPU time and a
 /// peak-RSS sample; spans link to their parent via the thread's current
-/// span id. The trace tree merges re-entries by name; the event stream
-/// keeps each entry distinct.
+/// span id. Both records are written outside the timed interval. The
+/// trace tree merges re-entries by name; the event stream keeps each
+/// entry distinct.
 class TraceScope {
 public:
   /// Opens a phase in the global registry's trace tree.
   explicit TraceScope(std::string_view Name);
   /// Opens a phase in \p Registry (tests use private registries).
   TraceScope(MetricsRegistry &Registry, std::string_view Name);
+  /// Opens \p S's phase in the global registry and times the stage.
+  explicit TraceScope(const Stage &S);
   ~TraceScope();
 
   TraceScope(const TraceScope &) = delete;
@@ -183,15 +222,35 @@ public:
   double seconds() const;
 
 private:
+  TraceScope(MetricsRegistry &Registry, std::string_view Name,
+             const Stage *Timed);
+
   using Clock = std::chrono::steady_clock;
-  MetricsRegistry &Registry;
-  TraceNode *Node;
   TraceNode *Parent;       ///< Thread-local current node to restore.
+  TraceNode *Node;
+  const Stage *Timed;      ///< Stage whose histograms to feed, or null.
+  uint64_t ParentSpan;     ///< Thread-local current span to restore.
   uint64_t Span = 0;       ///< Event-log span id (0 = log disabled).
-  uint64_t ParentSpan = 0; ///< Thread-local current span to restore.
   double CpuStart = -1;    ///< Thread-CPU seconds at open.
   Clock::time_point Start;
 };
+
+/// One node of the trace tree as a line of the phase profile.
+struct ProfileLine {
+  std::string Stack;   ///< `a;b;c`: the node's path below the root.
+  uint64_t Calls;
+  uint64_t SelfMicros; ///< Its seconds minus its children's, clamped at 0.
+};
+
+/// The tree under \p Root (excluded) as profile lines, depth first in
+/// creation order. Self time is clamped at 0 because a still-open parent
+/// has not yet added its time, and children on pool workers can sum past
+/// it.
+std::vector<ProfileLine> profileLines(const TraceNode &Root);
+
+/// flamegraph.pl folded stacks: one `a;b;c <self µs>` line per profile
+/// line.
+std::string foldedStacks(const std::vector<ProfileLine> &Lines);
 
 //===----------------------------------------------------------------------===//
 // Registry
@@ -203,8 +262,6 @@ private:
 /// lock-free. The process-wide instance is global().
 class MetricsRegistry {
 public:
-  MetricsRegistry() { Root.Name = "total"; }
-
   static MetricsRegistry &global();
 
   /// Find-or-create by name. The first registration of a histogram fixes
@@ -226,10 +283,18 @@ public:
   size_t numHistograms() const;
   size_t numWindowed() const;
 
+  TraceNode &traceRoot() { return Root; }
   const TraceNode &traceRoot() const { return Root; }
 
+  /// The child of \p Parent named \p Name, appended on first use. Finding
+  /// an existing child takes no lock; creating one takes the registry
+  /// mutex and re-checks under it.
+  TraceNode &traceChild(TraceNode &Parent, std::string_view Name);
+
   /// Zeroes every metric and clears the trace tree. Registered metric
-  /// objects stay alive, so cached handles remain valid.
+  /// objects stay alive, so cached handles remain valid. The trace nodes
+  /// are detached, not freed: an open scope or a lock-free reader may
+  /// still hold them.
   void reset();
 
   /// Writes the full snapshot as stable JSON (schema pigeon.metrics.v1:
@@ -261,8 +326,6 @@ public:
   void printTraceTable(std::ostream &OS) const;
 
 private:
-  friend class TraceScope;
-
   mutable std::mutex Mutex;
   // std::map: stable iteration order makes the JSON output stable.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
@@ -270,7 +333,8 @@ private:
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
       Windowed;
-  TraceNode Root;
+  TraceNode Root{"total"};
+  std::deque<TraceNode> Nodes; ///< Every node below Root; never moved.
 };
 
 /// Escapes \p S for inclusion in a JSON string literal (quotes excluded).

@@ -193,6 +193,35 @@ TEST(EventLog, ParallelChunksNestUnderSpawningStage) {
   EXPECT_LE(Tids.size(), 4u);
 }
 
+TEST(EventLog, OneChunkRegionEmitsNoChunkSpan) {
+  EventLog &Log = EventLog::global();
+  std::ostringstream OS;
+  Log.attach(OS);
+  std::atomic<int> Runs{0};
+  {
+    TraceScope Stage("el.single");
+    // One item is one chunk at any thread count; so is the last chunk of
+    // a plan run from FirstChunk = count() - 1.
+    parallel::parallelFor(1, 4, [&](size_t) { ++Runs; });
+    parallel::ChunkPlan Plan = parallel::planChunks(64, 4);
+    parallel::parallelChunks(
+        Plan, 4, [&](size_t, size_t, size_t) { ++Runs; }, Plan.count() - 1);
+  }
+  Log.close();
+  EXPECT_EQ(Runs.load(), 2);
+
+  size_t Chunks = 0, Stages = 0;
+  for (const json::Value &V : parseLines(OS.str())) {
+    if (eventOf(V) != "span.begin")
+      continue;
+    Chunks += V.find("name")->str() == "parallel.chunk";
+    Stages += V.find("name")->str() == "el.single";
+  }
+  // The stage's span is the extent of its one-chunk regions.
+  EXPECT_EQ(Stages, 1u);
+  EXPECT_EQ(Chunks, 0u);
+}
+
 TEST(EventLog, ConcurrentRecordsStayLineAtomic) {
   EventLog Log;
   std::ostringstream OS;

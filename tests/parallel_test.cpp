@@ -217,40 +217,6 @@ TEST(ParallelPool, ResolveThreadsHonorsOverride) {
   EXPECT_GE(parallel::resolveThreads(0), 1u);
 }
 
-TEST(StageTimer, CpuClockExcludesSiblingThreads) {
-  // A sibling spins through the whole stage; the stage itself sleeps. A
-  // process-wide clock would charge the spinner's CPU to the stage.
-  std::atomic<bool> Started{false}, Stop{false};
-  std::thread Spinner([&] {
-    Started.store(true);
-    volatile uint64_t Spins = 0;
-    while (!Stop.load(std::memory_order_relaxed))
-      Spins = Spins + 1;
-  });
-  while (!Started.load())
-    std::this_thread::yield();
-  parallel::StageHandles Stage("test.sibling_spin");
-  {
-    parallel::StageTimer Timer(Stage);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  Stop.store(true);
-  Spinner.join();
-  // The handles are the registry's series under the stage's names.
-  auto &Reg = telemetry::MetricsRegistry::global();
-  telemetry::Histogram &Wall = Reg.histogram(
-      "test.sibling_spin.wall.seconds", telemetry::timeBounds());
-  telemetry::Histogram &Cpu = Reg.histogram("test.sibling_spin.cpu.seconds",
-                                            telemetry::timeBounds());
-  EXPECT_EQ(&Wall, &Stage.Wall);
-  EXPECT_EQ(&Cpu, &Stage.Cpu);
-  ASSERT_EQ(Wall.count(), 1u);
-  ASSERT_EQ(Cpu.count(), 1u);
-  EXPECT_GE(Wall.sum(), 0.045);
-  EXPECT_GE(Cpu.sum(), 0.0);
-  EXPECT_LT(Cpu.sum(), 0.5 * Wall.sum());
-}
-
 //===----------------------------------------------------------------------===//
 // Trace-context propagation into workers
 //===----------------------------------------------------------------------===//
@@ -265,13 +231,13 @@ TEST(ParallelTrace, WorkerScopesNestUnderSpawningStage) {
       telemetry::TraceScope Item(Reg, "item");
     });
   }
-  const telemetry::TraceNode &Root = Reg.traceRoot();
-  ASSERT_EQ(Root.Children.size(), 1u);
-  EXPECT_EQ(Root.Children[0]->Name, "stage");
-  ASSERT_EQ(Root.Children[0]->Children.size(), 1u); // merged by name
-  const telemetry::TraceNode &Item = *Root.Children[0]->Children[0];
-  EXPECT_EQ(Item.Name, "item");
-  EXPECT_EQ(Item.Calls, 32u);
+  std::vector<const telemetry::TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  EXPECT_EQ(Top[0]->Name, "stage");
+  std::vector<const telemetry::TraceNode *> Items = Top[0]->children();
+  ASSERT_EQ(Items.size(), 1u); // merged by name
+  EXPECT_EQ(Items[0]->Name, "item");
+  EXPECT_EQ(Items[0]->Calls.load(), 32u);
 }
 
 TEST(ParallelTrace, CallerContextRestoredAfterParticipation) {
@@ -283,10 +249,11 @@ TEST(ParallelTrace, CallerContextRestoredAfterParticipation) {
     // restored so later scopes still nest under "stage".
     telemetry::TraceScope After(Reg, "after");
   }
-  const telemetry::TraceNode &Root = Reg.traceRoot();
-  ASSERT_EQ(Root.Children.size(), 1u);
-  ASSERT_EQ(Root.Children[0]->Children.size(), 1u);
-  EXPECT_EQ(Root.Children[0]->Children[0]->Name, "after");
+  std::vector<const telemetry::TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  std::vector<const telemetry::TraceNode *> After = Top[0]->children();
+  ASSERT_EQ(After.size(), 1u);
+  EXPECT_EQ(After[0]->Name, "after");
 }
 
 namespace {
@@ -295,11 +262,12 @@ namespace {
 /// trace tree (Seconds differ run to run and are excluded).
 std::string traceShape(const telemetry::TraceNode &Node) {
   std::string Out =
-      Node.Name + "(" + std::to_string(Node.Calls) + ")[";
-  for (size_t I = 0; I < Node.Children.size(); ++I) {
+      Node.Name + "(" + std::to_string(Node.Calls.load()) + ")[";
+  std::vector<const telemetry::TraceNode *> Children = Node.children();
+  for (size_t I = 0; I < Children.size(); ++I) {
     if (I)
       Out += " ";
-    Out += traceShape(*Node.Children[I]);
+    Out += traceShape(*Children[I]);
   }
   return Out + "]";
 }

@@ -735,18 +735,67 @@ TEST(Serve, AdminSloComparesWindowedP99AgainstTarget) {
   EXPECT_TRUE(Slo->find("ok")->boolean());
 }
 
-TEST(Serve, AdminProfileReportsSamplerState) {
+TEST(Serve, AdminProfileReportsThePhaseTree) {
   Service S(loadBundle());
   S.handleOne(requestLine(MinifiedFlag));
   json::Value Doc = parsed(S.handleOne("{\"admin\":\"profile\"}"));
   ASSERT_TRUE(Doc.find("ok")->boolean());
   const json::Value *P = Doc.find("profile");
   ASSERT_TRUE(P && P->isObject());
-  EXPECT_TRUE(P->find("running")->isBool());
-  EXPECT_GE(P->find("samples")->numberOr(-1), 0.0);
-  EXPECT_GE(P->find("attributed")->numberOr(-1), 0.0);
-  EXPECT_TRUE(P->find("lines")->isArray());
-  EXPECT_TRUE(P->find("folded")->isString());
+  const json::Value *Lines = P->find("lines");
+  ASSERT_TRUE(Lines && Lines->isArray());
+  // The serve stages are phases under serve.batch.
+  const json::Value *Parse = nullptr;
+  for (const json::Value &L : Lines->array())
+    if (L.find("stack")->strOr("") == "serve.batch;serve.parse")
+      Parse = &L;
+  ASSERT_NE(Parse, nullptr);
+  EXPECT_GE(Parse->find("calls")->numberOr(0), 1.0);
+  const json::Value *SelfUs = Parse->find("self_us");
+  ASSERT_TRUE(SelfUs && SelfUs->isNumber());
+  // `folded` renders the same lines as flamegraph.pl stacks.
+  const json::Value *Folded = P->find("folded");
+  ASSERT_TRUE(Folded && Folded->isString());
+  std::string Line = "serve.batch;serve.parse " +
+                     std::to_string(static_cast<uint64_t>(SelfUs->number()));
+  EXPECT_NE(("\n" + Folded->str()).find("\n" + Line + "\n"),
+            std::string::npos)
+      << Folded->str();
+}
+
+// Per request at batch size 1 the flight recorder takes 15 records: the
+// span pairs of serve.batch, its five stages and crf.predict, plus the
+// serve.request record. The stages' parallel regions have one chunk
+// each, and a one-chunk region emits no parallel.chunk span.
+TEST(Serve, OneRequestAddsNoChunkSpanToTheRing) {
+  Service S(loadBundle()); // Ctor arms the global flight recorder.
+  auto &Log = telemetry::EventLog::global();
+  S.handleOne(requestLine(MinifiedFlag));
+  S.drain();
+  const uint64_t Before = Log.ringTotal();
+  ASSERT_TRUE(parsed(S.handleOne(requestLine(MinifiedLoop)))
+                  .find("ok")
+                  ->boolean());
+  S.drain(); // The batch's scopes close after the response is handed off.
+  const uint64_t Added = Log.ringTotal() - Before;
+  std::vector<std::string> Ring = Log.ringSnapshot();
+  ASSERT_LE(Added, Ring.size());
+  size_t Chunks = 0;
+  std::vector<std::string> Spans;
+  for (size_t I = Ring.size() - Added; I < Ring.size(); ++I) {
+    json::Value R = parsed(Ring[I]);
+    std::string Name = R.find("name") ? R.find("name")->strOr("") : "";
+    Chunks += Name == "parallel.chunk";
+    if (R.find("event")->strOr("") == "span.begin")
+      Spans.push_back(Name);
+  }
+  EXPECT_EQ(Chunks, 0u);
+  EXPECT_EQ(Spans, (std::vector<std::string>{
+                       "serve.batch", "serve.decode", "serve.parse",
+                       "serve.extract", "serve.predict", "crf.predict",
+                       "serve.render"}));
+  EXPECT_EQ(Added, 15u);
+  Log.disableRing();
 }
 
 TEST(Serve, AdminPromReturnsExpositionText) {

@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -77,7 +79,7 @@ TEST(Registry, ResetZeroesButKeepsHandlesValid) {
   EXPECT_EQ(C.value(), 0u);
   EXPECT_EQ(G.value(), 0.0);
   EXPECT_EQ(H.count(), 0u);
-  EXPECT_EQ(Reg.traceRoot().Children.size(), 0u);
+  EXPECT_TRUE(Reg.traceRoot().children().empty());
   // The same references still work after reset.
   C.inc();
   EXPECT_EQ(Reg.counter("c").value(), 1u);
@@ -213,16 +215,17 @@ TEST(TraceScope, NestsIntoTree) {
   }
   { TraceScope Eval(Reg, "eval"); }
 
-  const TraceNode &Root = Reg.traceRoot();
-  ASSERT_EQ(Root.Children.size(), 2u);
-  EXPECT_EQ(Root.Children[0]->Name, "train");
-  EXPECT_EQ(Root.Children[1]->Name, "eval");
-  const TraceNode &Train = *Root.Children[0];
-  ASSERT_EQ(Train.Children.size(), 2u);
-  EXPECT_EQ(Train.Children[0]->Name, "extract");
-  EXPECT_EQ(Train.Children[1]->Name, "epoch");
-  EXPECT_EQ(Train.Calls, 1u);
-  EXPECT_GE(Train.Seconds, 0.0);
+  std::vector<const TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 2u);
+  EXPECT_EQ(Top[0]->Name, "train");
+  EXPECT_EQ(Top[1]->Name, "eval");
+  const TraceNode &Train = *Top[0];
+  std::vector<const TraceNode *> Phases = Train.children();
+  ASSERT_EQ(Phases.size(), 2u);
+  EXPECT_EQ(Phases[0]->Name, "extract");
+  EXPECT_EQ(Phases[1]->Name, "epoch");
+  EXPECT_EQ(Train.Calls.load(), 1u);
+  EXPECT_GE(Train.Seconds.load(), 0.0);
 }
 
 TEST(TraceScope, RepeatedPhasesMergeByName) {
@@ -230,10 +233,10 @@ TEST(TraceScope, RepeatedPhasesMergeByName) {
   for (int I = 0; I < 5; ++I) {
     TraceScope Epoch(Reg, "epoch");
   }
-  const TraceNode &Root = Reg.traceRoot();
-  ASSERT_EQ(Root.Children.size(), 1u);
-  EXPECT_EQ(Root.Children[0]->Name, "epoch");
-  EXPECT_EQ(Root.Children[0]->Calls, 5u);
+  std::vector<const TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  EXPECT_EQ(Top[0]->Name, "epoch");
+  EXPECT_EQ(Top[0]->Calls.load(), 5u);
 }
 
 TEST(TraceScope, SecondsIsReadableMidScope) {
@@ -250,11 +253,198 @@ TEST(TraceScope, ChildSecondsBoundedByParent) {
     TraceScope Inner(Reg, "inner");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const TraceNode &Root = Reg.traceRoot();
-  ASSERT_EQ(Root.Children.size(), 1u);
-  const TraceNode &Outer = *Root.Children[0];
-  ASSERT_EQ(Outer.Children.size(), 1u);
-  EXPECT_LE(Outer.Children[0]->Seconds, Outer.Seconds + 1e-9);
+  std::vector<const TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  const TraceNode &Outer = *Top[0];
+  std::vector<const TraceNode *> Inner = Outer.children();
+  ASSERT_EQ(Inner.size(), 1u);
+  EXPECT_LE(Inner[0]->Seconds.load(), Outer.Seconds.load() + 1e-9);
+}
+
+// Writers that open the same nested phases at once, while a reader walks
+// the tree, must leave one node per name with every call counted. Under
+// TSan this is the lock-free path's race check.
+TEST(TraceScope, ConcurrentNestedPhasesMergeIntoOneNodePerName) {
+  MetricsRegistry Reg;
+  constexpr int Threads = 8, Rounds = 200;
+  std::atomic<bool> Done{false};
+  std::thread Reader([&] {
+    while (!Done.load()) {
+      profileLines(Reg.traceRoot());
+      Reg.jsonSnapshot();
+    }
+  });
+  std::vector<std::thread> Writers;
+  for (int T = 0; T < Threads; ++T)
+    Writers.emplace_back([&] {
+      for (int I = 0; I < Rounds; ++I) {
+        TraceScope Outer(Reg, "outer");
+        { TraceScope Left(Reg, "left"); }
+        { TraceScope Right(Reg, "right"); }
+      }
+    });
+  for (std::thread &W : Writers)
+    W.join();
+  Done.store(true);
+  Reader.join();
+
+  std::vector<const TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  EXPECT_EQ(Top[0]->Name, "outer");
+  EXPECT_EQ(Top[0]->Calls.load(), uint64_t(Threads * Rounds));
+  std::vector<const TraceNode *> Inner = Top[0]->children();
+  ASSERT_EQ(Inner.size(), 2u);
+  std::set<std::string> Names;
+  for (const TraceNode *N : Inner) {
+    Names.insert(N->Name);
+    EXPECT_EQ(N->Calls.load(), uint64_t(Threads * Rounds)) << N->Name;
+    EXPECT_TRUE(N->children().empty());
+  }
+  EXPECT_EQ(Names, (std::set<std::string>{"left", "right"}));
+}
+
+TEST(TraceScope, ResetDetachesOpenPhasesWithoutFreeingThem) {
+  MetricsRegistry Reg;
+  {
+    TraceScope Open(Reg, "open");
+    Reg.reset();
+    EXPECT_TRUE(Reg.traceRoot().children().empty());
+    // The open scope still closes into its (detached) node, and a scope
+    // opened after the reset starts a fresh top-level phase.
+  }
+  { TraceScope After(Reg, "after"); }
+  std::vector<const TraceNode *> Top = Reg.traceRoot().children();
+  ASSERT_EQ(Top.size(), 1u);
+  EXPECT_EQ(Top[0]->Name, "after");
+}
+
+// A stage scope feeds the stage's histograms over the thread's own CPU
+// clock: a sibling spins through the whole stage while the stage itself
+// sleeps. A process-wide clock would charge the spinner's CPU to it.
+TEST(TraceScope, StageCpuClockExcludesSiblingThreads) {
+  std::atomic<bool> Started{false}, Stop{false};
+  std::thread Spinner([&] {
+    Started.store(true);
+    volatile uint64_t Spins = 0;
+    while (!Stop.load(std::memory_order_relaxed))
+      Spins = Spins + 1;
+  });
+  while (!Started.load())
+    std::this_thread::yield();
+  Stage Sleep("test.sibling_spin");
+  {
+    TraceScope Scope(Sleep);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  Stop.store(true);
+  Spinner.join();
+  // The handles are the registry's series under the stage's names.
+  auto &Reg = MetricsRegistry::global();
+  Histogram &Wall =
+      Reg.histogram("test.sibling_spin.wall.seconds", timeBounds());
+  Histogram &Cpu = Reg.histogram("test.sibling_spin.cpu.seconds", timeBounds());
+  EXPECT_EQ(&Wall, &Sleep.Wall);
+  EXPECT_EQ(&Cpu, &Sleep.Cpu);
+  ASSERT_EQ(Wall.count(), 1u);
+  ASSERT_EQ(Cpu.count(), 1u);
+  EXPECT_GE(Wall.sum(), 0.045);
+  EXPECT_GE(Cpu.sum(), 0.0);
+  EXPECT_LT(Cpu.sum(), 0.5 * Wall.sum());
+  // The stage is also a phase of the trace tree.
+  const TraceNode *Node = Reg.traceRoot().findChild("test.sibling_spin");
+  ASSERT_NE(Node, nullptr);
+  EXPECT_EQ(Node->Calls.load(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Phase profile (folded stacks)
+//===----------------------------------------------------------------------===//
+
+TEST(Profiler, BuiltTreeRendersFoldedLines) {
+  MetricsRegistry Reg;
+  TraceNode &Train = Reg.traceChild(Reg.traceRoot(), "train");
+  Train.Calls = 1;
+  Train.Seconds = 0.010;
+  TraceNode &Parse = Reg.traceChild(Train, "parse");
+  Parse.Calls = 4;
+  Parse.Seconds = 0.003;
+  TraceNode &Chunk = Reg.traceChild(Parse, "chunk");
+  Chunk.Calls = 32;
+  Chunk.Seconds = 0.001;
+  // Children on pool workers can sum past their parent: "pool" has 5 ms
+  // of its own yet 9 ms of children, so its self time clamps at 0.
+  TraceNode &Pool = Reg.traceChild(Train, "pool");
+  Pool.Calls = 2;
+  Pool.Seconds = 0.005;
+  TraceNode &Work = Reg.traceChild(Pool, "work");
+  Work.Calls = 8;
+  Work.Seconds = 0.009;
+  // A still-open phase has no closed calls and no time yet.
+  Reg.traceChild(Reg.traceRoot(), "serve");
+  EXPECT_EQ(&Reg.traceChild(Train, "parse"), &Parse); // Found, not added.
+
+  std::vector<ProfileLine> Lines = profileLines(Reg.traceRoot());
+  ASSERT_EQ(Lines.size(), 6u);
+  auto Expect = [&](size_t I, const char *Stack, uint64_t Calls,
+                    uint64_t SelfUs) {
+    EXPECT_EQ(Lines[I].Stack, Stack) << I;
+    EXPECT_EQ(Lines[I].Calls, Calls) << Stack;
+    EXPECT_EQ(Lines[I].SelfMicros, SelfUs) << Stack;
+  };
+  // Depth first, children in creation order; 10 - 3 - 5 = 2 ms of
+  // train's own, 3 - 1 = 2 ms of parse's.
+  Expect(0, "train", 1, 2000);
+  Expect(1, "train;parse", 4, 2000);
+  Expect(2, "train;parse;chunk", 32, 1000);
+  Expect(3, "train;pool", 2, 0);
+  Expect(4, "train;pool;work", 8, 9000);
+  Expect(5, "serve", 0, 0);
+  EXPECT_EQ(foldedStacks(Lines), "train 2000\n"
+                                 "train;parse 2000\n"
+                                 "train;parse;chunk 1000\n"
+                                 "train;pool 0\n"
+                                 "train;pool;work 9000\n"
+                                 "serve 0\n");
+  EXPECT_EQ(foldedStacks({}), "");
+}
+
+TEST(Profiler, NestedScopesProduceFoldedStacks) {
+  MetricsRegistry Reg;
+  for (int I = 0; I < 3; ++I) {
+    TraceScope Outer(Reg, "pp.nest.outer");
+    TraceScope Inner(Reg, "pp.nest.inner");
+  }
+  std::vector<ProfileLine> Lines = profileLines(Reg.traceRoot());
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Lines[0].Stack, "pp.nest.outer");
+  EXPECT_EQ(Lines[1].Stack, "pp.nest.outer;pp.nest.inner");
+  EXPECT_EQ(Lines[0].Calls, 3u);
+  EXPECT_EQ(Lines[1].Calls, 3u);
+}
+
+TEST(Profiler, WriteFoldedRoundTrips) {
+  MetricsRegistry Reg;
+  {
+    TraceScope Phase(Reg, "pp.write");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::string Folded = foldedStacks(profileLines(Reg.traceRoot()));
+  // `stack self_us` lines, flamegraph.pl-compatible.
+  ASSERT_EQ(Folded.rfind("pp.write ", 0), 0u) << Folded;
+  EXPECT_GE(std::stoull(Folded.substr(Folded.find(' ') + 1)), 1000u);
+  EXPECT_EQ(Folded.back(), '\n');
+
+  const std::string Path = "telemetry_test_folded.tmp";
+  ASSERT_TRUE(writeFileAtomic(Path, Folded));
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good());
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  EXPECT_EQ(Buffer.str(), Folded);
+  In.close();
+  std::remove(Path.c_str());
+
+  EXPECT_FALSE(writeFileAtomic("/nonexistent-dir/folded.txt", Folded));
 }
 
 //===----------------------------------------------------------------------===//

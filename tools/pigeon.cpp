@@ -58,7 +58,6 @@
 #include "serve/Serve.h"
 #include "support/EventLog.h"
 #include "support/Parallel.h"
-#include "support/PhaseProfiler.h"
 #include "support/TablePrinter.h"
 #include "support/Telemetry.h"
 
@@ -130,10 +129,10 @@ int usage() {
          "the PIGEON_THREADS environment variable is the fallback. Results\n"
          "are identical at any thread count.\n"
          "\n"
-         "Every subcommand accepts --profile FILE to sample phase stacks\n"
-         "(~97 Hz) and write a flamegraph.pl-compatible folded-stack report\n"
-         "at exit. `pigeon serve` always samples (admin:\"profile\" reads it)\n"
-         "and additionally accepts --prom FILE (Prometheus text exposition,\n"
+         "Every subcommand accepts --profile FILE to write the phase tree at\n"
+         "exit as flamegraph.pl folded stacks: one `a;b;c <self us>` line\n"
+         "per phase (admin:\"profile\" returns the same lines live). `pigeon\n"
+         "serve` additionally accepts --prom FILE (Prometheus text exposition,\n"
          "rewritten every --metrics-interval seconds, default 10, alongside\n"
          "--metrics/--trace), --slo-p99-ms MS (the admin:\"slo\" target\n"
          "for the windowed serve.request.seconds p99), --slow-log FILE\n"
@@ -603,10 +602,6 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
                                              : "socket " + SocketPath)
             << "\n";
 
-  // The resident server always samples phase stacks so admin:"profile"
-  // has data; batch subcommands only sample under --profile.
-  telemetry::PhaseProfiler::global().start();
-
   // Periodic telemetry flush: a resident process must not hold its
   // observability hostage to a clean exit. Each tick atomically rewrites
   // the --metrics and --prom files and syncs the --trace stream.
@@ -832,9 +827,9 @@ bool flushDiagnostics() {
     std::cerr << "error: cannot write Prometheus exposition to "
               << DiagPromPath << "\n";
   if (!DiagProfilePath.empty()) {
-    auto &Prof = telemetry::PhaseProfiler::global();
-    Prof.stop(); // Quiesce the sampler before reading the final counts.
-    if (Prof.writeFolded(DiagProfilePath))
+    if (telemetry::writeFileAtomic(
+            DiagProfilePath,
+            telemetry::foldedStacks(telemetry::profileLines(Reg.traceRoot()))))
       std::cerr << "profile written to " << DiagProfilePath << "\n";
     else
       std::cerr << "error: cannot write profile to " << DiagProfilePath
@@ -1056,8 +1051,6 @@ int main(int argc, char **argv) {
   }
   if (!SlowLogPath.empty())
     telemetry::EventLog::global().openSlowLog(SlowLogPath);
-  if (!ProfilePath.empty())
-    telemetry::PhaseProfiler::global().start();
 
   // Uncaught exceptions (including ones escaping noexcept contexts) still
   // flush whatever telemetry exists — a crashing run is exactly the one
