@@ -467,7 +467,8 @@ EvalStats core::evalGraphs(const CrfModel &Model,
                            const std::vector<CrfGraph> &Graphs,
                            const StringInterner &SI, const PathTable &Table,
                            Task TaskKind, size_t Threads) {
-  std::vector<std::vector<Symbol>> Preds = Model.predictBatch(Graphs, Threads);
+  std::vector<crf::Inference> Preds =
+      Model.predictBatch(Graphs, /*K=*/0, Threads);
   telemetry::EventLog &Log = telemetry::EventLog::global();
   const char *Tag = taskToken(TaskKind);
   ml::SubTokenMeter SubTokens;
@@ -475,7 +476,7 @@ EvalStats core::evalGraphs(const CrfModel &Model,
   for (size_t I = 0; I < Graphs.size(); ++I) {
     const CrfGraph &G = Graphs[I];
     for (uint32_t N : G.Unknowns) {
-      Symbol Pred = Preds[I][N];
+      Symbol Pred = Preds[I].Assignment[N];
       std::string_view Gold = SI.str(G.Nodes[N].Gold);
       std::string_view Predicted = Pred.isValid() ? SI.str(Pred) : "";
       ++Stats.Total;
@@ -488,7 +489,8 @@ EvalStats core::evalGraphs(const CrfModel &Model,
         ++Stats.Correct;
       else if (Log.enabled() && Pred.isValid())
         logPredictionProvenance(Tag, SI, Table, Gold, Predicted,
-                                Model.explain(G, N, Pred, Preds[I], 5));
+                                Model.explain(G, N, Pred, Preds[I].Assignment,
+                                              5));
     }
   }
   Stats.SubtokenF1 = SubTokens.f1();

@@ -479,17 +479,18 @@ core::explainCrfPredictions(const Corpus &Corpus, Task Task,
   const StringInterner &SI = *Corpus.Interner;
   const char *Tag = taskToken(Task);
   std::vector<ExplainedPrediction> Out;
-  std::vector<std::vector<Symbol>> Preds =
-      Model.predictBatch(TestGraphs, Options.Threads);
+  std::vector<crf::Inference> Preds =
+      Model.predictBatch(TestGraphs, /*K=*/0, Options.Threads);
   for (size_t I = 0; I < TestGraphs.size() && Out.size() < MaxNodes; ++I) {
     const CrfGraph &G = TestGraphs[I];
     for (uint32_t N : G.Unknowns) {
       if (Out.size() >= MaxNodes)
         break;
-      Symbol Pred = Preds[I][N];
+      Symbol Pred = Preds[I].Assignment[N];
       if (!Pred.isValid())
         continue; // No candidates: nothing to attribute.
-      crf::NodeExplanation Ex = Model.explain(G, N, Pred, Preds[I], TopK);
+      crf::NodeExplanation Ex =
+          Model.explain(G, N, Pred, Preds[I].Assignment, TopK);
       ExplainedPrediction E;
       E.Gold = SI.str(G.Nodes[N].Gold);
       E.Predicted = SI.str(Pred);

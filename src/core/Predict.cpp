@@ -6,6 +6,8 @@
 
 #include "core/Predict.h"
 
+#include <algorithm>
+
 using namespace pigeon;
 using namespace pigeon::core;
 
@@ -28,37 +30,44 @@ void core::assemblePrediction(const ModelBundle &Bundle, Prediction &P) {
 }
 
 void core::inferPredictions(const ModelBundle &Bundle,
-                            std::span<Prediction *const> Batch) {
+                            std::span<Prediction *const> Batch, int K) {
   // predictBatch reads a vector of graphs: move them in and back out.
   std::vector<crf::CrfGraph> Graphs;
   Graphs.reserve(Batch.size());
   for (Prediction *P : Batch)
     Graphs.push_back(std::move(P->Graph));
-  std::vector<std::vector<Symbol>> Labels =
-      Bundle.Model.predictBatch(Graphs);
+  // Ranking at least one candidate keeps the incidence explain() reads.
+  std::vector<crf::Inference> Inferred =
+      Bundle.Model.predictBatch(Graphs, std::max(K, 1));
   for (size_t I = 0; I < Batch.size(); ++I) {
     Batch[I]->Graph = std::move(Graphs[I]);
-    Batch[I]->Assignment = std::move(Labels[I]);
+    Batch[I]->Inferred = std::move(Inferred[I]);
   }
 }
 
 void core::rankPrediction(const ModelBundle &Bundle, Prediction &P, int K,
                           std::optional<int> ExplainPaths) {
   const crf::CrfGraph &G = P.Graph;
+  crf::Inference &Inf = P.Inferred;
   P.Elements.clear();
   P.Elements.reserve(G.Unknowns.size());
-  for (uint32_t N : G.Unknowns) {
+  for (size_t I = 0; I < G.Unknowns.size(); ++I) {
+    uint32_t N = G.Unknowns[I];
     const crf::GraphNode &Node = G.Nodes[N];
     ElementPrediction E;
     E.Element = Node.Element;
     E.Name = Node.Gold;
     if (Node.Element != ast::InvalidElement)
       E.Kind = ast::elementKindName(P.Parse.Tree->element(Node.Element).Kind);
-    E.Label = P.Assignment[N];
-    E.Candidates = Bundle.Model.topK(G, N, P.Assignment, K);
+    E.Label = Inf.Assignment[N];
+    // Each list is sorted by a strict order, so its first K entries are
+    // exactly the top K.
+    E.Candidates = std::move(Inf.Ranked[I]);
+    if (E.Candidates.size() > static_cast<size_t>(K))
+      E.Candidates.resize(static_cast<size_t>(K));
     if (ExplainPaths && E.Label.isValid())
-      E.Explanation =
-          Bundle.Model.explain(G, N, E.Label, P.Assignment, *ExplainPaths);
+      E.Explanation = Bundle.Model.explain(G, Inf.Inc, N, E.Label,
+                                           Inf.Assignment, *ExplainPaths);
     P.Elements.push_back(std::move(E));
   }
 }
@@ -67,7 +76,7 @@ void core::completePrediction(const ModelBundle &Bundle, Prediction &P,
                               int K, std::optional<int> ExplainPaths) {
   assemblePrediction(Bundle, P);
   Prediction *One = &P;
-  inferPredictions(Bundle, {&One, 1});
+  inferPredictions(Bundle, {&One, 1}, K);
   rankPrediction(Bundle, P, K, ExplainPaths);
 }
 

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// PIGEON's prediction sequence (§5.1), written once: source text → AST →
-/// path-contexts → CRF graph with its unary factors → MAP assignment →
-/// ranked top-k candidates per unknown element, plus an optional per-path
-/// explanation, all against a trained ModelBundle. `pigeon serve`,
+/// path-contexts → CRF graph with its unary factors → MAP assignment with
+/// the ranked top-k candidates per unknown element, plus an optional
+/// per-path explanation, all against a trained ModelBundle. `pigeon serve`,
 /// `pigeon predict`, `pigeon demo`, the examples and the benches predict
 /// through it.
 ///
@@ -24,7 +24,9 @@
 /// The steps are separate calls so that a batching caller can run each
 /// over a whole batch between its own stage barriers, as serve does:
 /// parsePrediction(), assemblePrediction(), inferPredictions() (one
-/// CrfModel::predictBatch over the batch) and rankPrediction().
+/// CrfModel::predictBatch over the batch, which ranks the candidates
+/// inside inference) and rankPrediction() (which hands each element its
+/// ranked list and explains it over the incidence inference built).
 /// completePrediction() runs steps 2 to 4 on one parsed source and
 /// predictSource() all four.
 ///
@@ -55,7 +57,7 @@ struct ElementPrediction {
   const char *Kind = "?"; ///< ast::elementKindName() of the element.
   Symbol Label;           ///< The MAP label; invalid without candidates.
   /// The top-k candidate labels with their scores, best first.
-  std::vector<std::pair<Symbol, double>> Candidates;
+  crf::Ranking Candidates;
   /// The decomposition of Label's score, when requested and Label is valid.
   std::optional<crf::NodeExplanation> Explanation;
 };
@@ -68,7 +70,10 @@ struct Prediction {
   std::unique_ptr<paths::PathTable> Table;  ///< Overlay of the bundle's.
   lang::ParseResult Parse;                  ///< The tree and every diagnostic.
   crf::CrfGraph Graph;
-  std::vector<Symbol> Assignment;          ///< One label per graph node.
+  /// Step 3's output: one label per graph node, each unknown's ranked
+  /// candidates (until step 4 moves them into Elements) and the graph's
+  /// incidence.
+  crf::Inference Inferred;
   std::vector<ElementPrediction> Elements; ///< In Graph.Unknowns order.
 
   /// True when the frontend built a tree, with or without diagnostics.
@@ -88,15 +93,18 @@ void assemblePrediction(const ModelBundle &Bundle, Prediction &P);
 
 /// Step 3, on assembled predictions: MAP inference over the whole batch
 /// in one CrfModel::predictBatch, sharded over the process-default
-/// workers. Each prediction's Assignment equals what CrfModel::predict
-/// gives its graph alone, whatever else is in the batch.
+/// workers, ranking each unknown's top-\p K candidates on the way; pass
+/// the largest k that step 4 will rank any of them with. Each
+/// prediction's Inferred equals what CrfModel::predict and topK give its
+/// graph alone, whatever else is in the batch.
 void inferPredictions(const ModelBundle &Bundle,
-                      std::span<Prediction *const> Batch);
+                      std::span<Prediction *const> Batch, int K);
 
 /// Step 4, on an inferred \p P: fills P.Elements with each unknown
-/// element's MAP label and top-\p K candidates and, when \p ExplainPaths
-/// is set, the explanation of its label keeping that many attributions
-/// (0 keeps all).
+/// element's MAP label and top-\p K candidates (a prefix of what step 3
+/// ranked, so K must not exceed its k; the lists move out of P.Inferred)
+/// and, when \p ExplainPaths is set, the explanation of its label keeping
+/// that many attributions (0 keeps all). It scores nothing itself.
 void rankPrediction(const ModelBundle &Bundle, Prediction &P, int K,
                     std::optional<int> ExplainPaths = std::nullopt);
 

@@ -516,10 +516,11 @@ struct NodeMemo {
 
 } // namespace
 
-template <typename WeightFn>
+template <bool Rank, typename WeightFn>
 std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
                                     const Incidence &Inc,
-                                    const WeightFn &Weight) const {
+                                    const WeightFn &Weight, int K,
+                                    std::vector<Ranking> *Ranked) const {
   std::vector<Symbol> Assignment(Graph.Nodes.size());
   for (uint32_t N = 0; N < Graph.Nodes.size(); ++N)
     Assignment[N] = Graph.Nodes[N].Gold;
@@ -590,48 +591,101 @@ std::vector<Symbol> CrfModel::infer(const CrfGraph &Graph,
     }
   };
 
-  // Iterated conditional ascent over score = vote prior + factor weights.
-  for (int Pass = 0; Pass < Config.InferencePasses; ++Pass) {
-    bool Changed = false;
+  // Scores every candidate of unknown I under the current assignment, in
+  // candidate order, handing Visit(C, S) each candidate C and its score S.
+  auto ScoreCandidates = [&](size_t I, auto &&Visit) {
+    uint32_t N = Graph.Unknowns[I];
+    const NodeMemo &M = Memos[I];
+    const double *Row = Memo.data() + M.Base;
+    for (const auto &[C, Vote] : Cands[I]) {
+      const double *Memoized = Row;
+      double Score = *Memoized++;
+      for (size_t St = M.StepBegin; St < M.StepEnd; ++St) {
+        if (!Steps[St].Dynamic) {
+          Score += *Memoized++;
+          continue;
+        }
+        const Factor &Fac = Graph.Factors[Steps[St].Factor];
+        Score += Fac.A == N
+                     ? Weight(pairKey(Fac.Path, C, Assignment[Fac.B]))
+                     : Weight(pairKey(Fac.Path, Assignment[Fac.A], C));
+      }
+      Row += M.Stride;
+      Visit(C, Config.VotePrior * Vote + Score);
+    }
+  };
+
+  // A ranking call keeps every candidate's latest score, unknown by
+  // unknown in candidate order: one pass writes them all.
+  std::vector<double> Scores;
+  if constexpr (Rank) {
+    size_t Total = 0;
+    for (const auto &List : Cands)
+      Total += List.size();
+    Scores.resize(Total);
+  }
+
+  // Iterated conditional ascent over score = vote prior + factor weights,
+  // until a pass changes no label.
+  bool Settled = false;
+  for (int Pass = 0; Pass < Config.InferencePasses && !Settled; ++Pass) {
+    Settled = true;
+    [[maybe_unused]] double *Kept = Scores.data();
     for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
       uint32_t N = Graph.Unknowns[I];
       if (Cands[I].empty())
         continue;
       if (Pass == 0)
         BuildMemo(I);
-      const NodeMemo &M = Memos[I];
-      const double *Row = Memo.data() + M.Base;
       Symbol Best;
       double BestScore = 0;
       bool First = true;
-      for (const auto &[C, Vote] : Cands[I]) {
-        const double *Memoized = Row;
-        double Score = *Memoized++;
-        for (size_t St = M.StepBegin; St < M.StepEnd; ++St) {
-          if (!Steps[St].Dynamic) {
-            Score += *Memoized++;
-            continue;
-          }
-          const Factor &Fac = Graph.Factors[Steps[St].Factor];
-          Score += Fac.A == N
-                       ? Weight(pairKey(Fac.Path, C, Assignment[Fac.B]))
-                       : Weight(pairKey(Fac.Path, Assignment[Fac.A], C));
-        }
-        Row += M.Stride;
-        double S = Config.VotePrior * Vote + Score;
+      ScoreCandidates(I, [&](Symbol C, double S) {
+        if constexpr (Rank)
+          *Kept++ = S;
         if (First || S > BestScore) {
           BestScore = S;
           Best = C;
           First = false;
         }
-      }
+      });
       if (Best != Assignment[N]) {
         Assignment[N] = Best;
-        Changed = true;
+        Settled = false;
       }
     }
-    if (!Changed)
-      break;
+  }
+
+  if constexpr (Rank) {
+    // A pass that changed no label scored every candidate under the final
+    // assignment, with topK()'s additions in topK()'s order. When the
+    // passes ran out first (or there were none), one more pass that
+    // changes nothing scores them.
+    if (!Settled) {
+      double *Kept = Scores.data();
+      for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
+        if (Cands[I].empty())
+          continue;
+        if (Config.InferencePasses <= 0)
+          BuildMemo(I);
+        ScoreCandidates(I, [&](Symbol, double S) { *Kept++ = S; });
+      }
+    }
+    // Each candidate list becomes its ranking. StrongestFirst is a strict
+    // order (labels are distinct), so the partial sort keeps exactly the
+    // prefix topK()'s full sort does.
+    Ranked->resize(Graph.Unknowns.size());
+    const double *Kept = Scores.data();
+    for (size_t I = 0; I < Graph.Unknowns.size(); ++I) {
+      std::vector<std::pair<Symbol, double>> &List = Cands[I];
+      for (auto &Entry : List)
+        Entry.second = *Kept++;
+      size_t Keep = std::min(List.size(), static_cast<size_t>(K));
+      std::partial_sort(List.begin(), List.begin() + Keep, List.end(),
+                        StrongestFirst());
+      List.resize(Keep);
+      (*Ranked)[I] = std::move(List);
+    }
   }
   return Assignment;
 }
@@ -858,17 +912,26 @@ std::vector<Symbol> CrfModel::predict(const CrfGraph &Graph) const {
                [this](uint64_t Key) { return weight(Key); });
 }
 
-std::vector<std::vector<Symbol>>
-CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs,
+std::vector<Inference>
+CrfModel::predictBatch(const std::vector<CrfGraph> &Graphs, int K,
                        size_t Threads) const {
   static const telemetry::Stage PredictStage("crf.predict");
   static telemetry::Counter &PredictedGraphs =
       telemetry::MetricsRegistry::global().counter("crf.predict.graphs");
   telemetry::TraceScope Phase(PredictStage);
   PredictedGraphs.add(Graphs.size());
-  std::vector<std::vector<Symbol>> Out(Graphs.size());
-  parallel::parallelFor(Graphs.size(), Threads,
-                        [&](size_t I) { Out[I] = predict(Graphs[I]); });
+  std::vector<Inference> Out(Graphs.size());
+  parallel::parallelFor(Graphs.size(), Threads, [&](size_t I) {
+    Inference &R = Out[I];
+    if (K <= 0) {
+      R.Assignment = predict(Graphs[I]);
+      return;
+    }
+    R.Inc = Graphs[I].incidence();
+    R.Assignment = infer<true>(Graphs[I], R.Inc,
+                               [this](uint64_t Key) { return weight(Key); },
+                               K, &R.Ranked);
+  });
   return Out;
 }
 
@@ -893,6 +956,13 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
                                   Symbol Label,
                                   const std::vector<Symbol> &Assignment,
                                   int K) const {
+  return explain(Graph, Graph.incidence(), Node, Label, Assignment, K);
+}
+
+NodeExplanation CrfModel::explain(const CrfGraph &Graph, const Incidence &Inc,
+                                  uint32_t Node, Symbol Label,
+                                  const std::vector<Symbol> &Assignment,
+                                  int K) const {
   NodeExplanation Ex;
   Ex.Label = Label;
   Ex.Bias = weight(biasKey(Label));
@@ -914,7 +984,6 @@ NodeExplanation CrfModel::explain(const CrfGraph &Graph, uint32_t Node,
   // Aggregate factor contributions by (path, unary, neighbour): a path
   // occurring twice between the same pair is one line in the report.
   std::map<std::tuple<paths::PathId, bool, uint32_t>, Attribution> Agg;
-  Incidence Inc = Graph.incidence();
   for (uint32_t F : Inc.of(Node)) {
     const Factor &Fac = Graph.Factors[F];
     if (pathPruned(Fac.Path))

@@ -93,6 +93,24 @@ struct Incidence {
   }
 };
 
+/// Candidate labels with their scores, strongest first (ties by label
+/// index): what CrfModel::topK() returns for one unknown.
+using Ranking = std::vector<std::pair<Symbol, double>>;
+
+/// What inference leaves of one graph (CrfModel::predictBatch()). Asked
+/// for labels only (K <= 0), it holds just the Assignment.
+struct Inference {
+  /// One label per node: exactly CrfModel::predict()'s.
+  std::vector<Symbol> Assignment;
+  /// Per entry of Graph.Unknowns, its top-K candidates scored under
+  /// Assignment: exactly CrfModel::topK(Graph, N, Assignment, K), bit for
+  /// bit.
+  std::vector<Ranking> Ranked;
+  /// The graph's incidence, built once for inference and ranking;
+  /// explain() reads it too.
+  Incidence Inc;
+};
+
 /// Selects which elements a task predicts (unknown nodes). Everything
 /// else becomes known context.
 using ElementSelector = std::function<bool(const ast::ElementInfo &)>;
@@ -421,12 +439,15 @@ public:
   std::vector<Symbol> predict(const CrfGraph &Graph) const;
 
   /// predict() for every graph, sharded over \p Threads workers (0 = the
-  /// process default). Inference per graph is independent and the model
-  /// is read-only here, so result I equals predict(Graphs[I]) exactly at
-  /// any thread count.
-  std::vector<std::vector<Symbol>>
-  predictBatch(const std::vector<CrfGraph> &Graphs,
-               size_t Threads = 0) const;
+  /// process default), ranking each unknown's top-\p K candidates on the
+  /// way (K <= 0: labels only, predict() itself). Inference per graph is
+  /// independent and the model is read-only here, so result I equals
+  /// predict(Graphs[I]) and topK() over it exactly at any thread count.
+  /// The ranking is no second inference: a pass that changes no label has
+  /// just scored every candidate under the final assignment, and only
+  /// when the passes run out first does one more pass score them.
+  std::vector<Inference> predictBatch(const std::vector<CrfGraph> &Graphs,
+                                      int K, size_t Threads = 0) const;
 
   /// Top-\p K candidate labels with scores for unknown node \p Node,
   /// holding the rest of \p Assignment fixed (the paper's top-k
@@ -443,6 +464,13 @@ public:
   /// approximation of it.
   NodeExplanation explain(const CrfGraph &Graph, uint32_t Node,
                           Symbol Label,
+                          const std::vector<Symbol> &Assignment,
+                          int K) const;
+
+  /// explain() reading \p Inc, the incidence of \p Graph (an Inference's),
+  /// so explaining many nodes of one graph builds it once.
+  NodeExplanation explain(const CrfGraph &Graph, const Incidence &Inc,
+                          uint32_t Node, Symbol Label,
                           const std::vector<Symbol> &Assignment,
                           int K) const;
 
@@ -504,10 +532,14 @@ private:
 
   /// MAP inference reading feature weights through \p Weight (a key ->
   /// weight callable): the image's on predict(), the perceptron's live
-  /// table during train().
-  template <typename WeightFn>
+  /// table during train(). A ranking instance (\p Rank, predictBatch's)
+  /// also leaves in \p Ranked each unknown's top-\p K candidates scored
+  /// under the returned assignment; the perceptron's instance compiles
+  /// without any of that work.
+  template <bool Rank = false, typename WeightFn>
   std::vector<Symbol> infer(const CrfGraph &Graph, const Incidence &Inc,
-                            const WeightFn &Weight) const;
+                            const WeightFn &Weight, int K = 0,
+                            std::vector<Ranking> *Ranked = nullptr) const;
 };
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,7 @@
 #include "support/Parallel.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <future>
@@ -732,14 +733,18 @@ void Service::processBatch(std::vector<Pending> Batch) {
   for (Item &It : Items)
     checkDeadline(It, TExtract, "extract");
 
-  // Inference over the batch, sharded inside predictBatch.
+  // Inference over the batch, sharded inside predictBatch, ranking the
+  // batch's largest k; each request keeps its own prefix at render.
   {
     telemetry::TraceScope Scope(M.PredictStage);
     std::vector<core::Prediction *> Live;
+    int K = 0;
     for (Item &It : Items)
-      if (!It.Failed)
+      if (!It.Failed) {
         Live.push_back(&It.Pred);
-    core::inferPredictions(*Bundle, Live);
+        K = std::max(K, It.D.K);
+      }
+    core::inferPredictions(*Bundle, Live, K);
   }
   const auto TPredict = Clock::now(); // t_predict_done.
 

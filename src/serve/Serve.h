@@ -50,9 +50,11 @@
 ///   decode (serial) → parse (core::parsePrediction on the
 ///   support/Parallel pool) → extract (core::assemblePrediction:
 ///   path extraction + graph assembly, on the pool) → predict
-///   (core::inferPredictions: one sharded CrfModel::predictBatch) →
-///   render (core::rankPrediction + JSON) + deliver in admission order
-///   within the batch.
+///   (core::inferPredictions: one sharded CrfModel::predictBatch that
+///   ranks the batch's largest k inside inference) → render
+///   (core::rankPrediction: each request's own k-prefix and its
+///   explanations, then JSON) + deliver in admission order within the
+///   batch.
 ///
 /// Nothing in this pipeline writes the resident bundle: a Prediction
 /// interns novel strings/paths into its own delta overlays, dropped with
@@ -86,7 +88,8 @@
 /// durations `queue` (admission queue wait), `seal` (hand-off from the
 /// queue pop to the pipeline: microseconds), `decode` (JSON decode +
 /// validation), `parse`, `extract` (path extraction + graph assembly),
-/// `predict`, `render` (ranking + JSON).
+/// `predict` (inference with the top-k ranking), `render` (explanations
+/// + JSON).
 /// By construction they sum to the request's total latency. Each stage
 /// feeds `serve.stage.<name>.seconds` (cumulative + windowed). The
 /// request's one record (RequestSample, SlowLog.h) carries them in

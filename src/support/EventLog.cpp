@@ -64,8 +64,16 @@ uint64_t procStatusHwmKb() {
 
 uint64_t telemetry::peakRssKb() {
 #if defined(__unix__) || defined(__APPLE__)
+  // RUSAGE_THREAD reports the same ru_maxrss, the process's high-water
+  // mark, without RUSAGE_SELF's walk over every thread of the process:
+  // span closes call this on every serve worker.
+#if defined(RUSAGE_THREAD)
+  const int Who = RUSAGE_THREAD;
+#else
+  const int Who = RUSAGE_SELF;
+#endif
   struct rusage Usage;
-  if (getrusage(RUSAGE_SELF, &Usage) != 0)
+  if (getrusage(Who, &Usage) != 0)
     return procStatusHwmKb();
 #if defined(__APPLE__)
   // macOS reports ru_maxrss in bytes.

@@ -104,8 +104,9 @@ std::string jsonString(std::string_view S);
 /// Renders \p X as a JSON number, or `null` when non-finite.
 std::string jsonNumber(double X);
 
-/// Peak resident set size of this process in KiB (getrusage ru_maxrss);
-/// 0 when unavailable.
+/// Peak resident set size of this process in KiB (getrusage ru_maxrss,
+/// sampled per thread where RUSAGE_THREAD exists: the figure is still the
+/// process's); 0 when unavailable.
 uint64_t peakRssKb();
 
 /// Current resident set size of this process in KiB (/proc/self/status
@@ -177,6 +178,11 @@ public:
   /// True while the flight recorder is capturing.
   bool ringEnabled() const {
     return Sinks.load(std::memory_order_acquire) & RingSink;
+  }
+
+  /// True while an open()/attach() stream is live.
+  bool streamEnabled() const {
+    return Sinks.load(std::memory_order_acquire) & StreamSink;
   }
 
   /// Ring capacity in records (0 when disabled).

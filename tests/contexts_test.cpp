@@ -329,14 +329,15 @@ TEST(EvalStats, EvalArtifactMatchesManualTally) {
   ASSERT_GT(Stats.Total, 0u);
   EXPECT_LE(Stats.Correct, Stats.Total);
 
-  std::vector<std::vector<Symbol>> Preds = Bundle.Model.predictBatch(Graphs);
+  std::vector<crf::Inference> Preds = Bundle.Model.predictBatch(Graphs, 0);
   size_t Total = 0, Correct = 0;
   const StringInterner &SI = *Bundle.Interner;
   for (size_t I = 0; I < Graphs.size(); ++I)
     for (uint32_t N : Graphs[I].Unknowns) {
+      Symbol Pred = Preds[I].Assignment[N];
       ++Total;
-      if (Preds[I][N].isValid() &&
-          namesMatch(SI.str(Preds[I][N]), SI.str(Graphs[I].Nodes[N].Gold)))
+      if (Pred.isValid() &&
+          namesMatch(SI.str(Pred), SI.str(Graphs[I].Nodes[N].Gold)))
         ++Correct;
     }
   EXPECT_EQ(Stats.Total, Total);

@@ -768,6 +768,76 @@ TEST(CrfKernel, GoldenDigests) {
   }
 }
 
+uint64_t bitsOf(double Value) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &Value, sizeof(Bits));
+  return Bits;
+}
+
+TEST(CrfKernel, FusedRankingEqualsTopK) {
+  // predictBatch ranks inside inference: from the pass that changed no
+  // label, or from one more pass when the passes ran out. Either way every
+  // held-out unknown's list must be topK()'s over predict()'s assignment,
+  // labels and IEEE bits alike, under every golden configuration. K = 0
+  // asks for the labels alone.
+  const std::vector<CrfGraph> &HeldOut = goldenCorpus().HeldOut;
+  const std::pair<const char *, CrfConfig> Configs[] = {
+      {"default", CrfConfig()},
+      {"l2shrink", goldenConfig([](CrfConfig &C) { C.L2Shrink = 0.1; })},
+      {"pathlift", goldenConfig([](CrfConfig &C) { C.MinPathLift = 1.8; })},
+      {"no_uu",
+       goldenConfig([](CrfConfig &C) { C.UnknownUnknownFactors = false; })},
+      {"no_unary", goldenConfig([](CrfConfig &C) { C.UnaryFactors = false; })},
+      {"one_pass", goldenConfig([](CrfConfig &C) { C.InferencePasses = 1; })},
+      {"no_passes", goldenConfig([](CrfConfig &C) { C.InferencePasses = 0; })},
+  };
+  for (const auto &[Name, Config] : Configs) {
+    SCOPED_TRACE(Name);
+    CrfModel Model(Config);
+    Model.train(goldenCorpus().TrainGraphs);
+    std::vector<std::vector<Symbol>> Preds;
+    for (const CrfGraph &G : HeldOut)
+      Preds.push_back(Model.predict(G));
+
+    if (std::string_view(Name) == "one_pass") {
+      // A graph whose last pass still changed a label ends elsewhere with
+      // one pass fewer, and only such a graph takes the re-scoring branch.
+      CrfConfig Fewer = Config;
+      Fewer.InferencePasses -= 1;
+      CrfModel Shorter(Fewer);
+      Shorter.adoptFrozen(Model.image());
+      size_t RanOut = 0;
+      for (size_t I = 0; I < HeldOut.size(); ++I)
+        RanOut += Shorter.predict(HeldOut[I]) != Preds[I];
+      EXPECT_GE(RanOut, 1u);
+    }
+
+    for (int K : {0, 1, 3, 64}) {
+      SCOPED_TRACE(K);
+      std::vector<Inference> Fused = Model.predictBatch(HeldOut, K);
+      ASSERT_EQ(Fused.size(), HeldOut.size());
+      for (size_t I = 0; I < HeldOut.size(); ++I) {
+        const CrfGraph &G = HeldOut[I];
+        EXPECT_TRUE(Fused[I].Assignment == Preds[I]);
+        if (K == 0) {
+          EXPECT_TRUE(Fused[I].Ranked.empty());
+          continue;
+        }
+        ASSERT_EQ(Fused[I].Ranked.size(), G.Unknowns.size());
+        for (size_t U = 0; U < G.Unknowns.size(); ++U) {
+          Ranking Ref = Model.topK(G, G.Unknowns[U], Preds[I], K);
+          const Ranking &Got = Fused[I].Ranked[U];
+          ASSERT_EQ(Got.size(), Ref.size());
+          for (size_t J = 0; J < Ref.size(); ++J) {
+            EXPECT_EQ(Got[J].first, Ref[J].first);
+            EXPECT_EQ(bitsOf(Got[J].second), bitsOf(Ref[J].second));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CrfKernel, CopiesOutliveTheTrainedOriginal) {
   // A trained model owns its image and copies share it, so a copy stays
   // valid after the original is gone. The original lives on the heap so

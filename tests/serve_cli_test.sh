@@ -216,4 +216,43 @@ grep -q '^# TYPE serve_request_seconds histogram' "$TMP/metrics.prom" \
   || fail "exposition lacks TYPE headers"
 [ -f "$TMP/metrics.prom.tmp" ] && fail "atomic-write staging file left behind"
 
+# --- No idle flusher ---------------------------------------------------
+# `pigeon serve --stdio --serve-workers 4` runs the main thread and four
+# batcher workers. The periodic flusher joins them only when an output
+# (--metrics here) gives it something to flush; the in-memory flight
+# recorder alone does not. A sanitizer runtime may run one thread of its
+# own (ThreadSanitizer does), so the counts are 5 or 6 without the flag
+# and exactly one more with it.
+# serve_threads FLAGS...: sets THREADS to the server's thread count once
+# it has answered one request, then closes its stdin and reaps it.
+serve_threads() {
+  rm -f "$TMP/idle.fifo"
+  mkfifo "$TMP/idle.fifo" || fail "mkfifo failed"
+  "$PIGEON" serve --model "$TMP/model.bin" --stdio --serve-workers 4 "$@" \
+    < "$TMP/idle.fifo" > "$TMP/idle.out" 2> "$TMP/idle.err" &
+  IDLE_PID=$!
+  exec 3> "$TMP/idle.fifo"
+  echo '{"id":1,"lang":"js","source":"function f(x) { var y = x; return y; }"}' >&3
+  i=0
+  while [ "$(wc -l < "$TMP/idle.out")" -lt 1 ]; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && fail "idle serve never answered: $(cat "$TMP/idle.err")"
+    sleep 0.1
+  done
+  THREADS=$(ls "/proc/$IDLE_PID/task" | wc -l)
+  exec 3>&-
+  wait "$IDLE_PID" || fail "idle serve exited nonzero: $(cat "$TMP/idle.err")"
+}
+if [ -d /proc/self/task ]; then
+  serve_threads
+  IDLE=$THREADS
+  [ "$IDLE" -ge 5 ] && [ "$IDLE" -le 6 ] \
+    || fail "serve with no output flag runs $IDLE threads, expected 5"
+  serve_threads --metrics "$TMP/idle.metrics.json"
+  [ "$THREADS" = $((IDLE + 1)) ] \
+    || fail "serve with --metrics runs $THREADS threads, expected $((IDLE + 1))"
+else
+  echo "SKIP: no /proc to count serve threads" >&2
+fi
+
 echo "PASS"

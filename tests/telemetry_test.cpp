@@ -6,6 +6,7 @@
 
 #include "support/Telemetry.h"
 
+#include "support/EventLog.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -778,4 +780,31 @@ TEST(Files, WriteFileAtomicWritesAndReplaces) {
 
 TEST(Files, WriteFileAtomicFailsCleanlyOnBadPath) {
   EXPECT_FALSE(writeFileAtomic("/nonexistent-dir/sub/metrics.json", "x"));
+}
+
+//===----------------------------------------------------------------------===//
+// Resource samples
+//===----------------------------------------------------------------------===//
+
+// Every span close samples peakRssKb() on its own thread, so the figure
+// must be the process's high-water mark, not the calling thread's: a peak
+// that another, already joined thread set shows on this one.
+TEST(Resources, PeakRssSeesAJoinedThreadsPeak) {
+  const uint64_t Before = peakRssKb();
+  if (Before == 0)
+    GTEST_SKIP() << "peak RSS is unavailable here";
+  // Enough pages that the resident set passes the old peak by 64 MiB,
+  // however far below it the process sits now.
+  const uint64_t NowKb = currentRssKb();
+  const size_t Bytes =
+      static_cast<size_t>(Before > NowKb ? Before - NowKb : 0) * 1024 +
+      (size_t(64) << 20);
+  std::thread Toucher([Bytes] {
+    std::unique_ptr<char[]> Block(new char[Bytes]);
+    volatile char *Pages = Block.get();
+    for (size_t I = 0; I < Bytes; I += 4096)
+      Pages[I] = 1;
+  });
+  Toucher.join();
+  EXPECT_GE(peakRssKb(), Before + 32 * 1024);
 }

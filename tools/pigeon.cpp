@@ -604,15 +604,19 @@ int cmdServe(const std::string &ModelPath, const std::string &SocketPath,
 
   // Periodic telemetry flush: a resident process must not hold its
   // observability hostage to a clean exit. Each tick atomically rewrites
-  // the --metrics and --prom files and syncs the --trace stream.
+  // the --metrics and --prom files, syncs the --trace stream and the
+  // --slow-log file and dumps the --flightrec ring. With none of those
+  // outputs there is nothing to flush, so no flusher thread runs (the
+  // flight-recorder ring alone lives in memory).
   std::mutex FlushMutex;
   std::condition_variable FlushCV;
   bool FlushStop = false;
   std::thread Flusher;
+  const telemetry::EventLog &Log = telemetry::EventLog::global();
   bool WantFlusher = FlushInterval > 0 &&
                      (!DiagMetricsPath.empty() || !DiagPromPath.empty() ||
-                      !DiagFlightRecPath.empty() ||
-                      telemetry::EventLog::global().enabled());
+                      !DiagFlightRecPath.empty() || Log.streamEnabled() ||
+                      Log.slowLogEnabled());
   if (WantFlusher)
     Flusher = std::thread([&] {
       std::unique_lock<std::mutex> L(FlushMutex);
