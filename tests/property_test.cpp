@@ -16,9 +16,11 @@
 #include "core/Pipeline.h"
 #include "ml/crf/Crf.h"
 #include "paths/Paths.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <set>
 
 using namespace pigeon;
@@ -37,6 +39,10 @@ namespace {
 struct CorpusParam {
   CorpusParam(Language Lang, uint64_t Seed) : Lang(Lang), Seed(Seed) {}
 
+  /// The pinned treeDigest() of this corpus. A data member would change
+  /// the bytes, and so the names, of every test, hence a lookup.
+  uint64_t pinnedTreeDigest() const;
+
   Language Lang;
   uint8_t Reserved[7] = {};
   uint64_t Seed;
@@ -51,10 +57,49 @@ std::string paramName(const testing::TestParamInfo<CorpusParam> &Info) {
   return Name + "_seed" + std::to_string(Info.param.Seed);
 }
 
+uint64_t CorpusParam::pinnedTreeDigest() const {
+  struct Pin {
+    Language Lang;
+    uint64_t Seed;
+    uint64_t Digest;
+  };
+  static constexpr Pin Pins[] = {
+      {Language::JavaScript, 3, 0x83032b7359974c3d},
+      {Language::JavaScript, 9, 0xc6f07e4f132d3721},
+      {Language::Java, 3, 0x39150b5fdfff0b4a},
+      {Language::Java, 9, 0xe0c198e36cbbb77d},
+      {Language::Python, 3, 0x6ac3874511ac5228},
+      {Language::Python, 9, 0xda2dd2ea2ee0af84},
+      {Language::CSharp, 3, 0xf9a02f740c6ae55f},
+      {Language::CSharp, 9, 0x1c193449944e894e}};
+  for (const Pin &P : Pins)
+    if (P.Lang == Lang && P.Seed == Seed)
+      return P.Digest;
+  return 0;
+}
+
+/// FNV-1a over every file's sexpr() (a marker when the parse yields no
+/// tree) and diagnostics, in corpus order.
+uint64_t treeDigest(const std::vector<datagen::SourceFile> &Sources,
+                    Language Lang) {
+  StringInterner SI;
+  std::string All;
+  for (const datagen::SourceFile &Src : Sources) {
+    lang::ParseResult R = parseSource(Lang, Src.Text, SI);
+    All += R.Tree ? R.Tree->sexpr() : "<no tree>";
+    for (const lang::Diagnostic &D : R.Diags)
+      All += "\n" + D.str();
+    All += '\n';
+  }
+  return stableHashBytes(All.data(), All.size());
+}
+
 class CorpusProperty : public testing::TestWithParam<CorpusParam> {
 protected:
-  static const Corpus &corpus() {
-    static std::map<std::pair<int, uint64_t>, Corpus> Cache;
+  static const std::vector<datagen::SourceFile> &sources() {
+    static std::map<std::pair<int, uint64_t>,
+                    std::vector<datagen::SourceFile>>
+        Cache;
     CorpusParam P = GetParam();
     auto Key = std::make_pair(static_cast<int>(P.Lang), P.Seed);
     auto It = Cache.find(Key);
@@ -62,11 +107,18 @@ protected:
       datagen::CorpusSpec Spec = datagen::defaultSpec(P.Lang, P.Seed);
       Spec.NumProjects = 6;
       Spec.FilesPerProject = 8;
-      It = Cache
-               .emplace(Key, parseCorpus(datagen::generateCorpus(Spec),
-                                         P.Lang))
-               .first;
+      It = Cache.emplace(Key, datagen::generateCorpus(Spec)).first;
     }
+    return It->second;
+  }
+
+  static const Corpus &corpus() {
+    static std::map<std::pair<int, uint64_t>, Corpus> Cache;
+    CorpusParam P = GetParam();
+    auto Key = std::make_pair(static_cast<int>(P.Lang), P.Seed);
+    auto It = Cache.find(Key);
+    if (It == Cache.end())
+      It = Cache.emplace(Key, parseCorpus(sources(), P.Lang)).first;
     return It->second;
   }
 };
@@ -78,6 +130,12 @@ protected:
 TEST_P(CorpusProperty, EveryFileParses) {
   EXPECT_EQ(corpus().ParseFailures, 0u);
   EXPECT_EQ(corpus().Files.size(), 48u);
+}
+
+TEST_P(CorpusProperty, TreesMatchPinnedDigest) {
+  uint64_t Digest = treeDigest(sources(), GetParam().Lang);
+  EXPECT_EQ(Digest, GetParam().pinnedTreeDigest())
+      << "tree digest 0x" << std::hex << Digest;
 }
 
 TEST_P(CorpusProperty, TreeStructureInvariants) {
