@@ -17,10 +17,13 @@
 #include "ml/crf/Crf.h"
 #include "paths/Paths.h"
 #include "support/Hashing.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <ios>
+#include <iterator>
 #include <set>
 
 using namespace pigeon;
@@ -182,6 +185,109 @@ TEST_P(CorpusProperty, GenerationIsDeterministic) {
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I < A.size(); ++I)
     EXPECT_EQ(A[I].Text, B[I].Text);
+}
+
+//===----------------------------------------------------------------------===//
+// Malformed input
+//===----------------------------------------------------------------------===//
+
+/// Operator spellings of the four languages, for the runs a mutant
+/// splices in.
+constexpr std::string_view RunOperators[] = {
+    "+",  "-",  "*",  "/",   "%",  "**", "//",  "<",      "<=",
+    ">",  "==", "!=", "&&",  "||", "??", "!",   "~",      "++",
+    "--", "=",  "+=", "?",   ":",  ".",  "not", "and",    "or",
+    "in", "is", "as", "new", "typeof", "instanceof"};
+
+/// Byte ranges of the rough tokens of \p Text: runs of identifier
+/// characters and single other non-space characters, close enough to the
+/// tokens of all four languages to delete or duplicate one.
+std::vector<std::pair<size_t, size_t>> roughTokens(std::string_view Text) {
+  auto IsWord = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
+           C == '$';
+  };
+  std::vector<std::pair<size_t, size_t>> Out;
+  for (size_t I = 0; I < Text.size();) {
+    if (std::isspace(static_cast<unsigned char>(Text[I]))) {
+      ++I;
+      continue;
+    }
+    size_t J = I + 1;
+    if (IsWord(Text[I]))
+      while (J < Text.size() && IsWord(Text[J]))
+        ++J;
+    Out.emplace_back(I, J);
+    I = J;
+  }
+  return Out;
+}
+
+/// \p Text after one to three seeded edits: a flipped bit, a deleted or
+/// duplicated token, a stray closer, an unclosed opener, or a run of
+/// operators, either between operands (`x + x - x`) or prefix-style
+/// before one (`! ! ! x`). One run in eight is long enough (300-600
+/// operators) to reach the nesting budget.
+std::string mutant(std::string Text, Rng &R) {
+  for (uint64_t Edits = 1 + R.nextBelow(3); Edits > 0; --Edits) {
+    std::vector<std::pair<size_t, size_t>> Tokens = roughTokens(Text);
+    auto [Begin, End] = Tokens.empty()
+                            ? std::pair<size_t, size_t>(0, 0)
+                            : Tokens[R.nextBelow(Tokens.size())];
+    switch (R.nextBelow(6)) {
+    case 0:
+      if (!Text.empty())
+        Text[R.nextBelow(Text.size())] ^=
+            static_cast<char>(1u << R.nextBelow(8));
+      break;
+    case 1:
+      Text.erase(Begin, End - Begin);
+      break;
+    case 2:
+      Text.insert(End, " " + Text.substr(Begin, End - Begin));
+      break;
+    case 3:
+      Text.insert(Begin, 1, ")]}"[R.nextBelow(3)]);
+      break;
+    case 4:
+      Text.insert(Begin, 1, "([{"[R.nextBelow(3)]);
+      break;
+    default: {
+      uint64_t Length =
+          R.nextBool(0.125) ? 300 + R.nextBelow(301) : 8 + R.nextBelow(57);
+      bool Infix = R.nextBool(0.5);
+      bool OneOperator = R.nextBool(0.5);
+      std::string_view Op =
+          RunOperators[R.nextBelow(std::size(RunOperators))];
+      std::string Run = " ";
+      for (uint64_t I = 0; I < Length; ++I) {
+        if (!OneOperator)
+          Op = RunOperators[R.nextBelow(std::size(RunOperators))];
+        Run += Infix ? "x " : "";
+        Run += std::string(Op) + " ";
+      }
+      Text.insert(Begin, Run + "x ");
+      break;
+    }
+    }
+  }
+  return Text;
+}
+
+/// Seeded mutants per corpus file: 3,072 parses over the eight corpora,
+/// about a third of a second in a Release build.
+constexpr int MutantsPerFile = 8;
+
+TEST_P(CorpusProperty, MutantsYieldTreeOrDiagnostics) {
+  CorpusParam P = GetParam();
+  Rng R = Rng::forStream(P.Seed, lang::languageName(P.Lang));
+  StringInterner SI;
+  for (const datagen::SourceFile &Src : sources())
+    for (int I = 0; I < MutantsPerFile; ++I) {
+      std::string Text = mutant(Src.Text, R);
+      lang::ParseResult Result = parseSource(P.Lang, Text, SI);
+      EXPECT_TRUE(Result.Tree || !Result.Diags.empty()) << Text;
+    }
 }
 
 //===----------------------------------------------------------------------===//
