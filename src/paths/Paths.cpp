@@ -365,7 +365,7 @@ constexpr const char *BadPath = "<bad-path>";
 bool readSymbolName(io::ByteReader &R, const StringInterner &SI,
                     std::string &Out) {
   uint32_t Idx = 0;
-  if (!R.readVarint(Idx) || Idx >= SI.size())
+  if (!R.readVarint(Idx) || !SI.contains(Symbol::fromIndex(Idx)))
     return false;
   Out += SI.str(Symbol::fromIndex(Idx));
   return true;

@@ -76,6 +76,15 @@ std::string_view StringInterner::str(Symbol Sym) const {
   return localStr(Id);
 }
 
+bool StringInterner::contains(Symbol Sym) const {
+  uint32_t Id = Sym.index();
+  if (Id & ProvisionalBit)
+    return BaseI && (Id & ~ProvisionalBit) < size();
+  if (BaseI)
+    return BaseI->contains(Sym);
+  return Id < size();
+}
+
 uint32_t StringInterner::findFrozen(std::string_view Str) const {
   if (!FV.Slots)
     return 0;

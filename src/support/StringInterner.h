@@ -159,6 +159,11 @@ public:
   /// provisional symbols against the overlay's private storage.
   std::string_view str(Symbol Sym) const;
 
+  /// True if str() resolves \p Sym here: on a delta overlay a symbol of
+  /// its base or one of its own provisional symbols, otherwise an id
+  /// below size(). For validating ids read from untrusted bytes.
+  bool contains(Symbol Sym) const;
+
   /// Number of interned strings, including the reserved empty slot. On a
   /// delta overlay this counts only overlay-local (novel) strings.
   size_t size() const { return Count.load(std::memory_order_acquire); }

@@ -509,6 +509,29 @@ TEST(PackedPaths, MalformedBytesRenderAsBadPath) {
   EXPECT_EQ(renderPackedPath(Empty, SI), "<bad-path>");
 }
 
+TEST(PackedPaths, RendersOverADeltaOverlay) {
+  // A served request interns into an overlay of the bundle's interner, so
+  // its paths mix base symbols (here ids past the overlay's own size)
+  // with provisional ones; both kinds must render.
+  StringInterner Base;
+  for (int I = 0; I < 16; ++I)
+    Base.intern("filler" + std::to_string(I));
+  Symbol BaseVar = Base.intern("Var");
+  StringInterner Overlay(StringInterner::Delta, Base);
+  lang::ParseResult R = js::parse("var a, b, c, d;", Overlay);
+  ASSERT_TRUE(R.ok());
+  ASSERT_EQ(Overlay.lookup("Var"), BaseVar);
+  ASSERT_GT(BaseVar.index(), Overlay.size());
+  ASSERT_TRUE(Overlay.lookup("VarDef").index() &
+              StringInterner::ProvisionalBit);
+  const Tree &T = *R.Tree;
+  PathScratch Scratch;
+  packPath(T, T.terminals().front(), T.terminals().back(),
+           Abstraction::Full, Scratch);
+  EXPECT_EQ(renderPackedPath(Scratch.Bytes, Overlay),
+            "SymbolVar^VarDef^Var_VarDef_SymbolVar");
+}
+
 TEST(PackedPaths, RemapCrossesInternerSpaces) {
   // The same source parsed against two interners whose symbol ids differ;
   // remapping packed bytes from one space to the other must preserve the

@@ -277,6 +277,7 @@ TEST(Serve, ExplainTotalsMatchCandidateScores) {
   json::Value Doc = parsed(
       S.handleOne(requestLine(MinifiedFlag, ",\"explain\":true")));
   ASSERT_TRUE(Doc.find("ok")->boolean());
+  size_t Paths = 0;
   for (const json::Value &P : Doc.find("predictions")->array()) {
     const json::Value *Explain = P.find("explain");
     if (!Explain)
@@ -290,7 +291,15 @@ TEST(Serve, ExplainTotalsMatchCandidateScores) {
                telemetry::jsonNumber(Total);
     EXPECT_TRUE(Found);
     EXPECT_LE(Explain->find("paths")->array().size(), 5u);
+    // Paths render over the request's overlay of the bundle's interner.
+    for (const json::Value &Path : Explain->find("paths")->array()) {
+      const std::string &Text = Path.find("path")->str();
+      EXPECT_FALSE(Text.empty());
+      EXPECT_NE(Text, "<bad-path>");
+      ++Paths;
+    }
   }
+  EXPECT_GT(Paths, 0u);
 }
 
 //===----------------------------------------------------------------------===//
