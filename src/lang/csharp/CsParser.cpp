@@ -6,8 +6,8 @@
 
 #include "lang/csharp/CsParser.h"
 
+#include "lang/common/ExpressionParser.h"
 #include "lang/common/Lexer.h"
-#include "lang/common/ParserBase.h"
 #include "lang/common/ScopeStack.h"
 
 #include <string>
@@ -46,12 +46,6 @@ const LexerConfig &csLexerConfig() {
   return Config;
 }
 
-bool isPredefinedType(std::string_view S) {
-  return S == "int" || S == "long" || S == "double" || S == "float" ||
-         S == "bool" || S == "string" || S == "char" || S == "byte" ||
-         S == "object" || S == "void";
-}
-
 bool isCsModifier(std::string_view S) {
   return S == "public" || S == "private" || S == "protected" ||
          S == "internal" || S == "static" || S == "readonly" ||
@@ -59,12 +53,59 @@ bool isCsModifier(std::string_view S) {
          S == "sealed" || S == "abstract";
 }
 
+constexpr BinaryOperator CsBinary[] = {
+    {1, "??", "BinaryExpression??"},
+    {1, "||", "BinaryExpression||"},
+    {2, "&&", "BinaryExpression&&"},
+    {3, "|", "BinaryExpression|"},
+    {4, "^", "BinaryExpression^"},
+    {5, "&", "BinaryExpression&"},
+    {6, "==", "BinaryExpression=="},
+    {6, "!=", "BinaryExpression!="},
+    {7, "<", "BinaryExpression<"},
+    {7, ">", "BinaryExpression>"},
+    {7, "<=", "BinaryExpression<="},
+    {7, ">=", "BinaryExpression>="},
+    {7, "is", "IsExpression", BinaryOperator::TypeOperand},
+    {7, "as", "AsExpression", BinaryOperator::TypeOperand},
+    {8, "+", "BinaryExpression+"},
+    {8, "-", "BinaryExpression-"},
+    {9, "*", "BinaryExpression*"},
+    {9, "/", "BinaryExpression/"},
+    {9, "%", "BinaryExpression%"}};
+constexpr PrefixOperator CsPrefix[] = {
+    {"!", "PrefixUnaryExpression!"},   {"~", "PrefixUnaryExpression~"},
+    {"-", "PrefixUnaryExpression-"},   {"+", "PrefixUnaryExpression+"},
+    {"++", "PrefixUnaryExpression++"}, {"--", "PrefixUnaryExpression--"}};
+constexpr ChainOperator CsPostfix[] = {{"++", "PostfixUnaryExpression++"},
+                                       {"--", "PostfixUnaryExpression--"}};
+constexpr ChainOperator CsAssign[] = {{"=", "AssignmentExpression="},
+                                      {"+=", "AssignmentExpression+="},
+                                      {"-=", "AssignmentExpression-="},
+                                      {"*=", "AssignmentExpression*="},
+                                      {"/=", "AssignmentExpression/="},
+                                      {"%=", "AssignmentExpression%="}};
+constexpr std::string_view CsTerminators[] = {";", ",", ":"};
+constexpr std::string_view CsScanPrefixes[] = {"!", "~"};
+constexpr OperatorTable CsOperators = {
+    .Binary = CsBinary,
+    .Prefix = CsPrefix,
+    .Postfix = CsPostfix,
+    .Assign = CsAssign,
+    .Terminators = CsTerminators,
+    .ScanPrefixes = CsScanPrefixes,
+    .Conditional = {"ConditionalExpression", "?", ":",
+                    /*MiddleIsExpression=*/true},
+    .CastKind = "CastExpression"};
+
 /// Recursive-descent parser for MiniC#, emitting Roslyn-style nodes.
-class CsParser : ParserBase {
+class CsParser : ExpressionParser<CsParser, CsOperators> {
+  friend ExpressionParser;
+
 public:
   CsParser(const std::vector<Token> &Tokens, Diagnostics &Diags,
            StringInterner &Interner)
-      : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
+      : ExpressionParser(Tokens, Diags, Interner) {}
 
   std::optional<Tree> run() {
     Builder.begin("CompilationUnit");
@@ -103,14 +144,10 @@ public:
   }
 
 private:
-  StringInterner &Interner;
-  TreeBuilder Builder;
   ScopeStack Scopes;
   std::unordered_map<Symbol, ElementId> ClassFields;
   std::unordered_map<Symbol, ElementId> ClassMethods;
   std::unordered_map<Symbol, ElementId> ClassProperties;
-
-  Symbol intern(std::string_view S) { return Interner.intern(S); }
 
   void parseTopLevel() {
     skipModifiers();
@@ -144,12 +181,19 @@ private:
   // Types
   //===--------------------------------------------------------------------===//
 
+  /// The predefined types; `var` is not one.
+  static bool isTypeKeyword(std::string_view S) {
+    return S == "int" || S == "long" || S == "double" || S == "float" ||
+           S == "bool" || S == "string" || S == "char" || S == "byte" ||
+           S == "object" || S == "void";
+  }
+
   bool scanType(size_t I, size_t &End) const {
     auto Tok = [&](size_t J) -> const Token & {
       return J < Tokens.size() ? Tokens[J] : Tokens.back();
     };
     if (Tok(I).is(TokenKind::Keyword) &&
-        (isPredefinedType(Tok(I).Text) || Tok(I).is("var"))) {
+        (isTypeKeyword(Tok(I).Text) || Tok(I).is("var"))) {
       ++I;
     } else if (Tok(I).is(TokenKind::Identifier)) {
       ++I;
@@ -171,7 +215,7 @@ private:
           } else if (!(T.is(TokenKind::Identifier) || T.is(",") || T.is(".") ||
                        T.is("[") || T.is("]") ||
                        (T.is(TokenKind::Keyword) &&
-                        isPredefinedType(T.Text))))
+                        isTypeKeyword(T.Text))))
             return false;
           ++J;
         }
@@ -213,7 +257,7 @@ private:
 
   void parseNonArrayType() {
     if (atKind(TokenKind::Keyword) &&
-        (isPredefinedType(peek().Text) || at("var"))) {
+        (isTypeKeyword(peek().Text) || at("var"))) {
       Token T = advance();
       Builder.terminal(intern("PredefinedType"), intern(T.Text));
       return;
@@ -451,7 +495,7 @@ private:
       Builder.terminal(intern("Identifier"), NameSym, Id);
       if (accept("=")) {
         Builder.begin("EqualsValueClause");
-        parseExpressionNoComma();
+        parseExpression();
         Builder.end();
       }
       Builder.end();
@@ -692,7 +736,7 @@ private:
       Builder.terminal(intern("Identifier"), NameSym, Id);
       if (accept("=")) {
         Builder.begin("EqualsValueClause");
-        parseExpressionNoComma();
+        parseExpression();
         Builder.end();
       }
       Builder.end();
@@ -703,219 +747,6 @@ private:
   //===--------------------------------------------------------------------===//
   // Expressions (Roslyn-style wrappers)
   //===--------------------------------------------------------------------===//
-
-  void parseExpression() { parseAssignment(); }
-  void parseExpressionNoComma() { parseAssignment(); }
-
-  static bool isAssignOp(std::string_view Op) {
-    return Op == "=" || Op == "+=" || Op == "-=" || Op == "*=" ||
-           Op == "/=" || Op == "%=";
-  }
-
-  void parseAssignment() {
-    Nested Level(*this);
-    if (!Level)
-      return;
-    const Token &Op = tokenAt(chainEnd(Cursor));
-    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text)) {
-      Builder.begin("AssignmentExpression" + std::string(Op.Text));
-      parseCallChain();
-      expect(Op.Text);
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseConditional();
-  }
-
-  bool isConditionalAhead() const {
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.is("?"))
-        return true;
-      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
-          T.is(TokenKind::Eof) ||
-          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-        return false;
-    }
-    return false;
-  }
-
-  void parseConditional() {
-    if (isConditionalAhead()) {
-      Builder.begin("ConditionalExpression");
-      parseBinaryLevel(1, /*StopAtQuestion=*/true);
-      expect("?");
-      parseAssignment();
-      expect(":");
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseBinaryLevel(1, /*StopAtQuestion=*/false);
-  }
-
-  static int precedenceOf(std::string_view Op) {
-    if (Op == "??")
-      return 1;
-    if (Op == "||")
-      return 1;
-    if (Op == "&&")
-      return 2;
-    if (Op == "|")
-      return 3;
-    if (Op == "^")
-      return 4;
-    if (Op == "&")
-      return 5;
-    if (Op == "==" || Op == "!=")
-      return 6;
-    if (Op == "<" || Op == ">" || Op == "<=" || Op == ">=" || Op == "is" ||
-        Op == "as")
-      return 7;
-    if (Op == "+" || Op == "-")
-      return 9;
-    if (Op == "*" || Op == "/" || Op == "%")
-      return 10;
-    return 0;
-  }
-
-  void parseBinaryLevel(int Prec, bool StopAtQuestion) {
-    // Levels without operators open no node: pass over them here rather
-    // than recurse, which keeps a nesting level's stack cost small.
-    std::vector<std::string> Ops;
-    while (Prec <= 10 &&
-           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
-      ++Prec;
-    if (Prec > 10) {
-      parseUnary();
-      return;
-    }
-    for (auto It = Ops.rbegin(); It != Ops.rend(); ++It) {
-      if (*It == "is" || *It == "as")
-        Builder.begin(*It == "is" ? "IsExpression" : "AsExpression");
-      else
-        Builder.begin(std::string("BinaryExpression") + *It);
-    }
-    parseBinaryLevel(Prec + 1, StopAtQuestion);
-    for (const std::string &ExpectedOp : Ops) {
-      std::string Op = std::string(advance().Text);
-      // Always-on drift check (asserts vanish in Release): a mismatch
-      // between the lookahead scan and the parse raises a diagnostic so
-      // the pipeline drops the file instead of keeping a wrong AST.
-      if (Op != ExpectedOp)
-        error("operator drift: expected '" + ExpectedOp + "', found '" +
-              Op + "'");
-      if (Op == "is" || Op == "as")
-        parseType();
-      else
-        parseBinaryLevel(Prec + 1, StopAtQuestion);
-      Builder.end();
-    }
-  }
-
-  std::vector<std::string>
-  operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
-    std::vector<std::string> Ops;
-    bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
-          T.is(":"))
-        break;
-      if (StopAtQuestion && T.is("?"))
-        break;
-      if (T.is("new")) {
-        size_t End = I + 1;
-        if (scanType(I + 1, End))
-          I = End - 1;
-        PrevWasOperand = false;
-        continue;
-      }
-      if (T.is(TokenKind::Punct) || T.is("is") || T.is("as")) {
-        int P = precedenceOf(T.Text);
-        if (P > 0 && PrevWasOperand) {
-          if (P < Prec)
-            break;
-          if (P == Prec)
-            Ops.push_back(std::string(T.Text));
-          PrevWasOperand = false;
-          if (T.is("is") || T.is("as")) {
-            size_t End = I + 1;
-            if (scanType(I + 1, End))
-              I = End - 1;
-            PrevWasOperand = true;
-          }
-          continue;
-        }
-        if (T.is(TokenKind::Punct) && isAssignOp(T.Text))
-          break;
-      }
-      PrevWasOperand = !T.is("!") && !T.is("~") && !T.is("new") &&
-                       !T.is(TokenKind::Error);
-    }
-    return Ops;
-  }
-
-  void parseUnary() {
-    if (at("!") || at("~") || at("-") || at("+") || at("++") || at("--")) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      std::string Op(advance().Text);
-      Builder.begin(std::string("PrefixUnaryExpression") + Op);
-      parseUnary();
-      Builder.end();
-      return;
-    }
-    if (isCastAhead()) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      Builder.begin("CastExpression");
-      expect("(");
-      parseType();
-      expect(")");
-      parseUnary();
-      Builder.end();
-      return;
-    }
-    parsePostfix();
-  }
-
-  bool isCastAhead() const {
-    if (!at("("))
-      return false;
-    size_t End = Cursor + 1;
-    if (!scanType(Cursor + 1, End))
-      return false;
-    if (End >= Tokens.size() || !Tokens[End].is(")"))
-      return false;
-    const Token &Next =
-        End + 1 < Tokens.size() ? Tokens[End + 1] : Tokens.back();
-    if (Next.is(TokenKind::Identifier) || Next.is(TokenKind::IntLiteral) ||
-        Next.is(TokenKind::FloatLiteral) || Next.is(TokenKind::StringLiteral) ||
-        Next.is("this") || Next.is("new") || Next.is("("))
-      return true;
-    const Token &Inner = Tokens[Cursor + 1];
-    return Inner.is(TokenKind::Keyword) && isPredefinedType(Inner.Text);
-  }
-
-  void parsePostfix() {
-    const Token &Op = tokenAt(chainEnd(Cursor));
-    if (Op.is("++") || Op.is("--")) {
-      Builder.begin("PostfixUnaryExpression" + std::string(Op.Text));
-      parseCallChain();
-      advance();
-      Builder.end();
-      return;
-    }
-    parseCallChain();
-  }
 
   /// Roslyn shape: member access and invocation are separate wrappers —
   /// `a.b(c)` is InvocationExpression(MemberAccessExpression(a, b),
@@ -1015,7 +846,7 @@ private:
     Builder.begin(Kind);
     while (!at(Close) && !atEnd()) {
       Builder.begin("Argument");
-      parseExpressionNoComma();
+      parseExpression();
       Builder.end();
       if (!accept(","))
         break;

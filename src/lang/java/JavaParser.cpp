@@ -6,8 +6,8 @@
 
 #include "lang/java/JavaParser.h"
 
+#include "lang/common/ExpressionParser.h"
 #include "lang/common/Lexer.h"
-#include "lang/common/ParserBase.h"
 #include "lang/common/ScopeStack.h"
 
 #include <string>
@@ -45,24 +45,58 @@ const LexerConfig &javaLexerConfig() {
   return Config;
 }
 
-bool isPrimitiveTypeKeyword(std::string_view S) {
-  return S == "int" || S == "long" || S == "double" || S == "float" ||
-         S == "boolean" || S == "char" || S == "byte" || S == "short" ||
-         S == "void";
-}
-
 bool isModifier(std::string_view S) {
   return S == "public" || S == "private" || S == "protected" ||
          S == "static" || S == "final" || S == "abstract" ||
          S == "synchronized";
 }
 
+constexpr BinaryOperator JavaBinary[] = {
+    {1, "||", "BinaryExpr||"},
+    {2, "&&", "BinaryExpr&&"},
+    {3, "|", "BinaryExpr|"},
+    {4, "^", "BinaryExpr^"},
+    {5, "&", "BinaryExpr&"},
+    {6, "==", "BinaryExpr=="},
+    {6, "!=", "BinaryExpr!="},
+    {7, "<", "BinaryExpr<"},
+    {7, ">", "BinaryExpr>"},
+    {7, "<=", "BinaryExpr<="},
+    {7, ">=", "BinaryExpr>="},
+    {7, "instanceof", "InstanceOfExpr", BinaryOperator::TypeOperand},
+    {8, "+", "BinaryExpr+"},
+    {8, "-", "BinaryExpr-"},
+    {9, "*", "BinaryExpr*"},
+    {9, "/", "BinaryExpr/"},
+    {9, "%", "BinaryExpr%"}};
+constexpr PrefixOperator JavaPrefix[] = {
+    {"!", "UnaryExpr!"}, {"~", "UnaryExpr~"},   {"-", "UnaryExpr-"},
+    {"+", "UnaryExpr+"}, {"++", "UnaryExpr++"}, {"--", "UnaryExpr--"}};
+constexpr ChainOperator JavaPostfix[] = {{"++", "UnaryExprPostfix++"},
+                                         {"--", "UnaryExprPostfix--"}};
+constexpr ChainOperator JavaAssign[] = {
+    {"=", "Assign="},   {"+=", "Assign+="}, {"-=", "Assign-="},
+    {"*=", "Assign*="}, {"/=", "Assign/="}, {"%=", "Assign%="}};
+constexpr std::string_view JavaTerminators[] = {";", ",", ":"};
+constexpr std::string_view JavaScanPrefixes[] = {"!", "~"};
+constexpr OperatorTable JavaOperators = {
+    .Binary = JavaBinary,
+    .Prefix = JavaPrefix,
+    .Postfix = JavaPostfix,
+    .Assign = JavaAssign,
+    .Terminators = JavaTerminators,
+    .ScanPrefixes = JavaScanPrefixes,
+    .Conditional = {"ConditionalExpr", "?", ":", /*MiddleIsExpression=*/true},
+    .CastKind = "CastExpr"};
+
 /// Recursive-descent parser for MiniJava.
-class JavaParser : ParserBase {
+class JavaParser : ExpressionParser<JavaParser, JavaOperators> {
+  friend ExpressionParser;
+
 public:
   JavaParser(const std::vector<Token> &Tokens, Diagnostics &Diags,
              StringInterner &Interner)
-      : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
+      : ExpressionParser(Tokens, Diags, Interner) {}
 
   std::optional<Tree> run() {
     Builder.begin("CompilationUnit");
@@ -99,15 +133,11 @@ public:
   }
 
 private:
-  StringInterner &Interner;
-  TreeBuilder Builder;
   ScopeStack Scopes;
   /// Field and method elements of the enclosing class, for `this.x` and
   /// unqualified-call resolution.
   std::unordered_map<Symbol, ElementId> ClassFields;
   std::unordered_map<Symbol, ElementId> ClassMethods;
-
-  Symbol intern(std::string_view S) { return Interner.intern(S); }
 
   void skipModifiersAndAnnotations() {
     while (true) {
@@ -145,6 +175,13 @@ private:
   // Types
   //===--------------------------------------------------------------------===//
 
+  /// The primitive types and void.
+  static bool isTypeKeyword(std::string_view S) {
+    return S == "int" || S == "long" || S == "double" || S == "float" ||
+           S == "boolean" || S == "char" || S == "byte" || S == "short" ||
+           S == "void";
+  }
+
   /// True if the tokens starting at \p I spell a type; sets \p End to one
   /// past the type. Types: primitive | dotted name [generic args], then
   /// zero or more "[]" pairs.
@@ -152,7 +189,7 @@ private:
     auto Tok = [&](size_t J) -> const Token & {
       return J < Tokens.size() ? Tokens[J] : Tokens.back();
     };
-    if (Tok(I).is(TokenKind::Keyword) && isPrimitiveTypeKeyword(Tok(I).Text)) {
+    if (Tok(I).is(TokenKind::Keyword) && isTypeKeyword(Tok(I).Text)) {
       ++I;
     } else if (Tok(I).is(TokenKind::Identifier)) {
       ++I;
@@ -174,7 +211,7 @@ private:
           } else if (!(T.is(TokenKind::Identifier) || T.is(",") || T.is(".") ||
                        T.is("[") || T.is("]") || T.is("?") ||
                        (T.is(TokenKind::Keyword) &&
-                        isPrimitiveTypeKeyword(T.Text))))
+                        isTypeKeyword(T.Text))))
             return false;
           ++J;
         }
@@ -219,7 +256,7 @@ private:
   }
 
   void parseNonArrayType() {
-    if (atKind(TokenKind::Keyword) && isPrimitiveTypeKeyword(peek().Text)) {
+    if (atKind(TokenKind::Keyword) && isTypeKeyword(peek().Text)) {
       Token T = advance();
       Builder.terminal(intern("PrimitiveType"), intern(T.Text));
       return;
@@ -416,7 +453,7 @@ private:
       }
       Builder.terminal(intern("SimpleName"), NameSym, Id);
       if (accept("="))
-        parseExpressionNoComma();
+        parseExpression();
       Builder.end();
     } while (accept(","));
     expect(";");
@@ -616,7 +653,7 @@ private:
       Scopes.declare(NameSym, Id);
       Builder.terminal(intern("SimpleName"), NameSym, Id);
       if (accept("="))
-        parseExpressionNoComma();
+        parseExpression();
       Builder.end();
     } while (accept(","));
     Builder.end();
@@ -677,225 +714,6 @@ private:
   //===--------------------------------------------------------------------===//
   // Expressions
   //===--------------------------------------------------------------------===//
-
-  void parseExpression() { parseAssignment(); }
-  void parseExpressionNoComma() { parseAssignment(); }
-
-  static bool isAssignOp(std::string_view Op) {
-    return Op == "=" || Op == "+=" || Op == "-=" || Op == "*=" ||
-           Op == "/=" || Op == "%=";
-  }
-
-  void parseAssignment() {
-    Nested Level(*this);
-    if (!Level)
-      return;
-    const Token &Op = tokenAt(chainEnd(Cursor));
-    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text)) {
-      Builder.begin("Assign" + std::string(Op.Text));
-      parseCallChain();
-      expect(Op.Text);
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseConditional();
-  }
-
-  bool isConditionalAhead() const {
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.is("?"))
-        return true;
-      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
-          T.is(TokenKind::Eof) ||
-          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-        return false;
-    }
-    return false;
-  }
-
-  void parseConditional() {
-    if (isConditionalAhead()) {
-      Builder.begin("ConditionalExpr");
-      parseBinaryLevel(1, /*StopAtQuestion=*/true);
-      expect("?");
-      parseAssignment();
-      expect(":");
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseBinaryLevel(1, /*StopAtQuestion=*/false);
-  }
-
-  static int precedenceOf(std::string_view Op) {
-    if (Op == "||")
-      return 1;
-    if (Op == "&&")
-      return 2;
-    if (Op == "|")
-      return 3;
-    if (Op == "^")
-      return 4;
-    if (Op == "&")
-      return 5;
-    if (Op == "==" || Op == "!=")
-      return 6;
-    if (Op == "<" || Op == ">" || Op == "<=" || Op == ">=" ||
-        Op == "instanceof")
-      return 7;
-    if (Op == "+" || Op == "-")
-      return 9;
-    if (Op == "*" || Op == "/" || Op == "%")
-      return 10;
-    return 0;
-  }
-
-  void parseBinaryLevel(int Prec, bool StopAtQuestion) {
-    // Levels without operators open no node: pass over them here rather
-    // than recurse, which keeps a nesting level's stack cost small.
-    std::vector<std::string> Ops;
-    while (Prec <= 10 &&
-           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
-      ++Prec;
-    if (Prec > 10) {
-      parseUnary();
-      return;
-    }
-    for (auto It = Ops.rbegin(); It != Ops.rend(); ++It) {
-      if (*It == "instanceof")
-        Builder.begin("InstanceOfExpr");
-      else
-        Builder.begin(std::string("BinaryExpr") + *It);
-    }
-    parseBinaryLevel(Prec + 1, StopAtQuestion);
-    for (const std::string &ExpectedOp : Ops) {
-      std::string Op = std::string(advance().Text);
-      // Always-on drift check (asserts vanish in Release): a mismatch
-      // between the lookahead scan and the parse raises a diagnostic so
-      // the pipeline drops the file instead of keeping a wrong AST.
-      if (Op != ExpectedOp)
-        error("operator drift: expected '" + ExpectedOp + "', found '" +
-              Op + "'");
-      if (Op == "instanceof")
-        parseType();
-      else
-        parseBinaryLevel(Prec + 1, StopAtQuestion);
-      Builder.end();
-    }
-  }
-
-  std::vector<std::string>
-  operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
-    std::vector<std::string> Ops;
-    bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
-          T.is(":"))
-        break;
-      if (StopAtQuestion && T.is("?"))
-        break;
-      // Skip the type after `new` so generic-argument angle brackets are
-      // not misread as comparison operators (`new ArrayList<Integer>()`).
-      if (T.is("new")) {
-        size_t End = I + 1;
-        if (scanType(I + 1, End))
-          I = End - 1;
-        PrevWasOperand = false;
-        continue;
-      }
-      if (T.is(TokenKind::Punct) || T.is("instanceof")) {
-        int P = precedenceOf(T.Text);
-        if (P > 0 && PrevWasOperand) {
-          if (P < Prec)
-            break;
-          if (P == Prec)
-            Ops.push_back(std::string(T.Text));
-          PrevWasOperand = false;
-          if (T.is("instanceof")) {
-            // Skip the type tokens so they are not misread as operands.
-            size_t End = I + 1;
-            if (scanType(I + 1, End))
-              I = End - 1;
-            PrevWasOperand = true;
-          }
-          continue;
-        }
-        if (T.is(TokenKind::Punct) && isAssignOp(T.Text))
-          break;
-      }
-      PrevWasOperand =
-          !T.is("!") && !T.is("~") && !T.is("new") && !T.is(TokenKind::Error);
-    }
-    return Ops;
-  }
-
-  void parseUnary() {
-    if (at("!") || at("~") || at("-") || at("+") || at("++") || at("--")) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      std::string Op(advance().Text);
-      Builder.begin(std::string("UnaryExpr") + Op);
-      parseUnary();
-      Builder.end();
-      return;
-    }
-    // Cast expression: (Type) operand.
-    if (isCastAhead()) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      Builder.begin("CastExpr");
-      expect("(");
-      parseType();
-      expect(")");
-      parseUnary();
-      Builder.end();
-      return;
-    }
-    parsePostfix();
-  }
-
-  bool isCastAhead() const {
-    if (!at("("))
-      return false;
-    size_t End = Cursor + 1;
-    if (!scanType(Cursor + 1, End))
-      return false;
-    if (End >= Tokens.size() || !Tokens[End].is(")"))
-      return false;
-    const Token &Next = End + 1 < Tokens.size() ? Tokens[End + 1]
-                                                : Tokens.back();
-    // `(x) + 1` is arithmetic, `(int) x` is a cast. A cast is followed by
-    // something that starts an operand.
-    if (Next.is(TokenKind::Identifier) || Next.is(TokenKind::IntLiteral) ||
-        Next.is(TokenKind::FloatLiteral) ||
-        Next.is(TokenKind::StringLiteral) || Next.is("this") ||
-        Next.is("new") || Next.is("("))
-      return true;
-    // Primitive types are unambiguous casts regardless of what follows.
-    const Token &Inner = Tokens[Cursor + 1];
-    return Inner.is(TokenKind::Keyword) && isPrimitiveTypeKeyword(Inner.Text);
-  }
-
-  void parsePostfix() {
-    const Token &Op = tokenAt(chainEnd(Cursor));
-    if (Op.is("++") || Op.is("--")) {
-      Builder.begin("UnaryExprPostfix" + std::string(Op.Text));
-      parseCallChain();
-      advance(); // ++/--.
-      Builder.end();
-      return;
-    }
-    parseCallChain();
-  }
 
   /// Parses a primary followed by member/call/index links, fusing `.name(`
   /// into MethodCallExpr and `.name` into FieldAccessExpr (JavaParser
@@ -999,7 +817,7 @@ private:
     expect("(");
     Builder.begin("Arguments");
     while (!at(")") && !atEnd()) {
-      parseExpressionNoComma();
+      parseExpression();
       if (!accept(","))
         break;
     }

@@ -6,8 +6,8 @@
 
 #include "lang/js/JsParser.h"
 
+#include "lang/common/ExpressionParser.h"
 #include "lang/common/Lexer.h"
-#include "lang/common/ParserBase.h"
 #include "lang/common/ScopeStack.h"
 
 #include <string>
@@ -41,12 +41,60 @@ const LexerConfig &jsLexerConfig() {
   return Config;
 }
 
+constexpr BinaryOperator JsBinary[] = {
+    {1, "||", "Binary||"},
+    {2, "&&", "Binary&&"},
+    {3, "|", "Binary|"},
+    {4, "^", "Binary^"},
+    {5, "&", "Binary&"},
+    {6, "==", "Binary=="},
+    {6, "!=", "Binary!="},
+    {6, "===", "Binary==="},
+    {6, "!==", "Binary!=="},
+    {7, "<", "Binary<"},
+    {7, ">", "Binary>"},
+    {7, "<=", "Binary<="},
+    {7, ">=", "Binary>="},
+    {7, "in", "Binaryin"},
+    {7, "instanceof", "Binaryinstanceof"},
+    {8, "<<", "Binary<<"},
+    {8, ">>", "Binary>>"},
+    {8, ">>>", "Binary>>>"},
+    {9, "+", "Binary+"},
+    {9, "-", "Binary-"},
+    {10, "*", "Binary*"},
+    {10, "/", "Binary/"},
+    {10, "%", "Binary%"}};
+constexpr PrefixOperator JsPrefix[] = {
+    {"!", "UnaryPrefix!"},           {"~", "UnaryPrefix~"},
+    {"typeof", "UnaryPrefixtypeof"}, {"delete", "UnaryPrefixdelete"},
+    {"-", "UnaryPrefix-"},           {"+", "UnaryPrefix+"},
+    {"++", "UnaryPrefix++"},         {"--", "UnaryPrefix--"}};
+constexpr ChainOperator JsPostfix[] = {{"++", "UnaryPostfix++"},
+                                       {"--", "UnaryPostfix--"}};
+constexpr ChainOperator JsAssign[] = {
+    {"=", "Assign="},   {"+=", "Assign+="}, {"-=", "Assign-="},
+    {"*=", "Assign*="}, {"/=", "Assign/="}, {"%=", "Assign%="},
+    {"&=", "Assign&="}, {"|=", "Assign|="}, {"^=", "Assign^="}};
+constexpr std::string_view JsTerminators[] = {";", ",", ":"};
+constexpr std::string_view JsScanPrefixes[] = {"!", "~", "typeof", "delete"};
+constexpr OperatorTable JsOperators = {
+    .Binary = JsBinary,
+    .Prefix = JsPrefix,
+    .Postfix = JsPostfix,
+    .Assign = JsAssign,
+    .Terminators = JsTerminators,
+    .ScanPrefixes = JsScanPrefixes,
+    .Conditional = {"Conditional", "?", ":", /*MiddleIsExpression=*/true}};
+
 /// Recursive-descent parser for MiniJS, emitting UglifyJS-style nodes.
-class JsParser : ParserBase {
+class JsParser : ExpressionParser<JsParser, JsOperators> {
+  friend ExpressionParser;
+
 public:
   JsParser(const std::vector<Token> &Tokens, Diagnostics &Diags,
            StringInterner &Interner)
-      : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
+      : ExpressionParser(Tokens, Diags, Interner) {}
 
   std::optional<Tree> run() {
     Builder.begin("Toplevel");
@@ -63,13 +111,9 @@ public:
   }
 
 private:
-  StringInterner &Interner;
-  TreeBuilder Builder;
   ScopeStack Scopes;
   /// Undeclared names that have (so far) only appeared in callee position.
   std::unordered_map<Symbol, ElementId> GlobalCallees;
-
-  Symbol intern(std::string_view S) { return Interner.intern(S); }
 
   //===--------------------------------------------------------------------===//
   // Element resolution
@@ -141,7 +185,7 @@ private:
       advance();
       Builder.begin("Return");
       if (!at(";") && !at("}") && !atEnd())
-        parseExpression();
+        parseSequence();
       Builder.end();
       accept(";");
       return;
@@ -163,7 +207,7 @@ private:
     if (at("throw")) {
       advance();
       Builder.begin("Throw");
-      parseExpression();
+      parseSequence();
       Builder.end();
       accept(";");
       return;
@@ -180,7 +224,7 @@ private:
       return;
     // Expression statement.
     Builder.begin("SimpleStatement");
-    parseExpression();
+    parseSequence();
     Builder.end();
     accept(";");
   }
@@ -256,7 +300,7 @@ private:
       ElementId Id = declareVar(NameSym, ElementKind::LocalVar);
       Builder.terminal(intern("SymbolVar"), NameSym, Id);
       if (accept("="))
-        parseAssignment();
+        parseExpression();
       Builder.end();
     } while (accept(","));
     Builder.end();
@@ -266,7 +310,7 @@ private:
     expect("if");
     Builder.begin("If");
     expect("(");
-    parseExpression();
+    parseSequence();
     expect(")");
     parseBody();
     if (accept("else"))
@@ -278,7 +322,7 @@ private:
     expect("while");
     Builder.begin("While");
     expect("(");
-    parseExpression();
+    parseSequence();
     expect(")");
     parseBody();
     Builder.end();
@@ -290,7 +334,7 @@ private:
     parseBody();
     expect("while");
     expect("(");
-    parseExpression();
+    parseSequence();
     expect(")");
     accept(";");
     Builder.end();
@@ -329,7 +373,7 @@ private:
         Builder.terminal(intern("SymbolRef"), NameSym, Id);
       }
       advance(); // in / of.
-      parseExpression();
+      parseSequence();
       expect(")");
       parseBody();
       Scopes.pop();
@@ -342,15 +386,15 @@ private:
       if (at("var") || at("let") || at("const"))
         parseVarStatement();
       else
-        parseExpression();
+        parseSequence();
       expect(";");
     }
     if (!accept(";")) {
-      parseExpression();
+      parseSequence();
       expect(";");
     }
     if (!at(")"))
-      parseExpression();
+      parseSequence();
     expect(")");
     parseBody();
     Scopes.pop();
@@ -387,216 +431,18 @@ private:
   // Expressions
   //===--------------------------------------------------------------------===//
 
-  void parseExpression() {
-    parseAssignment();
-    while (accept(",")) {
-      // Comma expression: flatten as Seq.
-      parseAssignment();
-    }
-  }
-
-  static bool isAssignOp(std::string_view Op) {
-    return Op == "=" || Op == "+=" || Op == "-=" || Op == "*=" ||
-           Op == "/=" || Op == "%=" || Op == "&=" || Op == "|=" || Op == "^=";
-  }
-
-  void parseAssignment() {
-    Nested Level(*this);
-    if (!Level)
-      return;
-    // The streaming builder must open Assign before its target, so the
-    // operator ending the target's chain decides (Assign=, Assign+=, ...).
-    size_t End = chainEnd(Cursor);
-    const Token &Op = tokenAt(End);
-    if (Op.is(TokenKind::Punct) && isAssignOp(Op.Text) &&
-        !tokenAt(End + 1).is("=")) {
-      Builder.begin("Assign" + std::string(Op.Text));
-      parseCallChain(/*StopAtAssign=*/true);
-      expect(Op.Text);
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseConditional();
-  }
-
-  void parseConditional() {
-    // Parse condition; on '?', wrap into Conditional. Since the builder
-    // streams, parse the condition inside a tentative Conditional only when
-    // '?' is ahead at depth 0 before any terminator.
-    if (isConditionalAhead()) {
-      Builder.begin("Conditional");
-      parseBinary(0, /*StopAtQuestion=*/true);
-      expect("?");
-      parseAssignment();
-      expect(":");
-      parseAssignment();
-      Builder.end();
-      return;
-    }
-    parseBinary(0, /*StopAtQuestion=*/false);
-  }
-
-  bool isConditionalAhead() const {
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.is("?"))
-        return true;
-      if (T.closes() || T.is(";") || T.is(",") || T.is(":") ||
-          T.is(TokenKind::Eof) ||
-          (T.is(TokenKind::Punct) && isAssignOp(T.Text)))
-        return false;
-    }
-    return false;
-  }
-
-  /// Binary operator precedence levels, loosest first.
-  static int precedenceOf(std::string_view Op) {
-    if (Op == "||")
-      return 1;
-    if (Op == "&&")
-      return 2;
-    if (Op == "|")
-      return 3;
-    if (Op == "^")
-      return 4;
-    if (Op == "&")
-      return 5;
-    if (Op == "==" || Op == "!=" || Op == "===" || Op == "!==")
-      return 6;
-    if (Op == "<" || Op == ">" || Op == "<=" || Op == ">=" || Op == "in" ||
-        Op == "instanceof")
-      return 7;
-    if (Op == "<<" || Op == ">>" || Op == ">>>")
-      return 8;
-    if (Op == "+" || Op == "-")
-      return 9;
-    if (Op == "*" || Op == "/" || Op == "%")
-      return 10;
-    return 0;
-  }
-
-  /// Collects the operand token ranges of a left-associative binary chain
-  /// by precedence climbing over the token stream, then emits nested
-  /// Binary<op> nodes. To keep the streaming builder, we parse operands
-  /// recursively and wrap via begin-before-parse using lookahead for the
-  /// next operator at this precedence level.
-  void parseBinary(int MinPrec, bool StopAtQuestion) {
-    // Count how many operators of each precedence chain follow, so we can
-    // open the right number of Binary nodes (left-assoc => left-nested).
-    parseBinaryLevel(1, StopAtQuestion);
-    (void)MinPrec;
-  }
-
-  /// Parses one precedence level: operand (next level) followed by zero or
-  /// more (op operand) pairs. Left-associativity with a streaming preorder
-  /// builder requires knowing the chain length ahead of time; we count
-  /// same-level operators via lookahead.
-  void parseBinaryLevel(int Prec, bool StopAtQuestion) {
-    // A streaming preorder builder must open wrapper nodes before their
-    // contents, so pre-scan the operator spellings of this level. Levels
-    // without operators open no node and are passed over here rather than
-    // recursed through, which keeps a nesting level's stack cost small.
-    std::vector<std::string> Ops;
-    while (Prec <= 10 &&
-           (Ops = operatorSpellingsAtLevel(Prec, StopAtQuestion)).empty())
-      ++Prec;
-    if (Prec > 10) {
-      parseUnary();
-      return;
-    }
-    int Count = static_cast<int>(Ops.size());
-    // Left-nested: ((a op1 b) op2 c). Outermost node is the *last* op.
-    for (auto It = Ops.rbegin(); It != Ops.rend(); ++It)
-      Builder.begin(std::string("Binary") + *It);
-    parseBinaryLevel(Prec + 1, StopAtQuestion);
-    for (int I = 0; I < Count; ++I) {
-      std::string Op = std::string(advance().Text);
-      // Operator drift: the lookahead scan and the actual parse disagree
-      // about this level's operator chain. A bare assert here is compiled
-      // out of Release builds — the exact builds CI benches — so this is
-      // an always-on diagnostic instead: the file gets dropped by the
-      // corpus pipeline (counted under parse.fail.reason.*) rather than
-      // silently producing a wrong AST.
-      if (Op != Ops[static_cast<size_t>(I)])
-        error("operator drift: expected '" + Ops[static_cast<size_t>(I)] +
-              "', found '" + Op + "'");
-      parseBinaryLevel(Prec + 1, StopAtQuestion);
-      Builder.end();
-    }
-  }
-
-  /// Scans forward from the cursor, at bracket depth 0, collecting the
-  /// spellings of operators of exactly precedence \p Prec until an
-  /// expression terminator or a looser operator.
-  std::vector<std::string>
-  operatorSpellingsAtLevel(int Prec, bool StopAtQuestion) const {
-    std::vector<std::string> Ops;
-    bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (T.closes() || T.is(TokenKind::Eof) || T.is(";") || T.is(",") ||
-          T.is(":"))
-        break;
-      if (StopAtQuestion && T.is("?"))
-        break;
-      if (T.is(TokenKind::Punct) || T.is("in") || T.is("instanceof")) {
-        int P = precedenceOf(T.Text);
-        if (P > 0 && PrevWasOperand) {
-          if (P < Prec)
-            break; // Looser operator ends this level.
-          if (P == Prec)
-            Ops.push_back(std::string(T.Text));
-          PrevWasOperand = false;
-          continue;
-        }
-        if (T.is(TokenKind::Punct) && isAssignOp(T.Text))
-          break;
-      }
-      PrevWasOperand = !T.is("!") && !T.is("~") && !T.is("new") &&
-                       !T.is("typeof") && !T.is("delete");
-    }
-    return Ops;
-  }
-
-  void parseUnary() {
-    if (at("!") || at("~") || at("typeof") || at("delete") ||
-        (at("-") ) || (at("+")) || at("++") || at("--")) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      std::string Op(advance().Text);
-      Builder.begin(std::string("UnaryPrefix") + Op);
-      parseUnary();
-      Builder.end();
-      return;
-    }
-    parsePostfix();
-  }
-
-  void parsePostfix() {
-    // Member/call chain with optional postfix ++/--.
-    const Token &Op = tokenAt(chainEnd(Cursor));
-    if (Op.is("++") || Op.is("--")) {
-      Builder.begin("UnaryPostfix" + std::string(Op.Text));
-      parseCallChain(/*StopAtAssign=*/false);
-      advance(); // The ++/--.
-      Builder.end();
-      return;
-    }
-    parseCallChain(/*StopAtAssign=*/false);
+  /// Comma-separated expressions, flattened into the enclosing node.
+  void parseSequence() {
+    parseExpression();
+    while (accept(","))
+      parseExpression();
   }
 
   /// Parses primary expressions followed by .prop / [index] / (args)
   /// chains. The streaming-builder problem (wrap-after-parse) is solved by
   /// pre-scanning the chain links and opening the wrapper nodes outermost
   /// first.
-  void parseCallChain(bool StopAtAssign) {
-    (void)StopAtAssign;
+  void parseCallChain() {
     if (at("new")) {
       // Links after a new-expression attach inside parseNew; treat the
       // whole new-expr as opaque here (no outer links pre-scanned).
@@ -655,13 +501,13 @@ private:
       }
       case SubLink:
         expect("[");
-        parseExpression();
+        parseSequence();
         expect("]");
         break;
       case CallLink:
         expect("(");
         while (!at(")") && !atEnd()) {
-          parseAssignment();
+          parseExpression();
           if (!accept(","))
             break;
         }
@@ -703,7 +549,7 @@ private:
     }
     if (accept("(")) {
       while (!at(")") && !atEnd()) {
-        parseAssignment();
+        parseExpression();
         if (!accept(","))
           break;
       }
@@ -759,7 +605,7 @@ private:
     }
     if (T.is("(")) {
       advance();
-      parseExpression();
+      parseSequence();
       expect(")");
       return;
     }
@@ -767,7 +613,7 @@ private:
       advance();
       Builder.begin("Array");
       while (!at("]") && !atEnd()) {
-        parseAssignment();
+        parseExpression();
         if (!accept(","))
           break;
       }
@@ -789,7 +635,7 @@ private:
           Builder.terminal(intern("ObjectKey"), intern(K.Text));
         }
         expect(":");
-        parseAssignment();
+        parseExpression();
         Builder.end();
         if (!accept(","))
           break;

@@ -6,8 +6,8 @@
 
 #include "lang/python/PyParser.h"
 
+#include "lang/common/ExpressionParser.h"
 #include "lang/common/Lexer.h"
-#include "lang/common/ParserBase.h"
 #include "lang/common/ScopeStack.h"
 
 #include <string>
@@ -39,12 +39,50 @@ const LexerConfig &pyLexerConfig() {
   return Config;
 }
 
+/// Comparisons chain (`a < b < c`); they left-nest like the other
+/// frontends' operators. `**` is left-nested too.
+constexpr BinaryOperator PyBinary[] = {
+    {1, "or", "BoolOpOr", BinaryOperator::Flat},
+    {2, "and", "BoolOpAnd", BinaryOperator::Flat},
+    {3, "<", "Compare<"},
+    {3, ">", "Compare>"},
+    {3, "<=", "Compare<="},
+    {3, ">=", "Compare>="},
+    {3, "==", "Compare=="},
+    {3, "!=", "Compare!="},
+    {3, "in", "Comparein"},
+    {3, "not in", "Comparenot in"},
+    {3, "is not", "Compareis not"},
+    {3, "is", "Compareis"},
+    {4, "+", "BinOp+"},
+    {4, "-", "BinOp-"},
+    {5, "*", "BinOp*"},
+    {5, "/", "BinOp/"},
+    {5, "%", "BinOp%"},
+    {5, "//", "BinOp//"},
+    {6, "**", "BinOp**"}};
+constexpr PrefixOperator PyPrefix[] = {{"not", "UnaryOpNot", 3},
+                                       {"-", "UnaryOpUSub"},
+                                       {"+", "UnaryOpUAdd"}};
+/// Assignments are statements: an expression ends before one.
+constexpr std::string_view PyTerminators[] = {";",  ",",  ":",  "=", "+=",
+                                              "-=", "*=", "/=", "%="};
+constexpr std::string_view PyScanPrefixes[] = {"not", "-", "+"};
+constexpr OperatorTable PyOperators = {
+    .Binary = PyBinary,
+    .Prefix = PyPrefix,
+    .Terminators = PyTerminators,
+    .ScanPrefixes = PyScanPrefixes,
+    .Conditional = {"IfExp", "if", "else", /*MiddleIsExpression=*/false}};
+
 /// Recursive-descent parser for MiniPy over an indentation-token stream.
-class PyParser : ParserBase {
+class PyParser : ExpressionParser<PyParser, PyOperators> {
+  friend ExpressionParser;
+
 public:
   PyParser(const std::vector<Token> &Tokens, Diagnostics &Diags,
            StringInterner &Interner)
-      : ParserBase(Tokens, Diags), Interner(Interner), Builder(Interner) {}
+      : ExpressionParser(Tokens, Diags, Interner) {}
 
   std::optional<Tree> run() {
     Builder.begin("Module");
@@ -61,8 +99,6 @@ public:
   }
 
 private:
-  StringInterner &Interner;
-  TreeBuilder Builder;
   ScopeStack Scopes;
   /// Per-class field elements, keyed by (class depth marker) — we track
   /// only the innermost class.
@@ -70,8 +106,6 @@ private:
   std::unordered_map<Symbol, ElementId> ClassMethods;
   std::unordered_map<Symbol, ElementId> Globals;
   bool InsideClass = false;
-
-  Symbol intern(std::string_view S) { return Interner.intern(S); }
 
   bool atNewline() const { return atKind(TokenKind::Newline); }
 
@@ -224,7 +258,7 @@ private:
       Builder.terminal(intern("arg"), ParamSym, Id);
       if (accept("=")) { // Default value.
         Builder.begin("default");
-        parseTernary();
+        parseExpression();
         Builder.end();
       }
       if (!accept(","))
@@ -234,7 +268,7 @@ private:
     expect(")");
     if (accept("->")) { // Return annotation: consume an expression.
       Builder.begin("returns");
-      parseTernary();
+      parseExpression();
       Builder.end();
     }
     expect(":");
@@ -255,7 +289,7 @@ private:
     if (accept("(")) {
       while (!at(")") && !atEnd()) {
         Builder.begin("Base");
-        parseTernary();
+        parseExpression();
         Builder.end();
         if (!accept(","))
           break;
@@ -311,7 +345,7 @@ private:
       Scopes.push();
       if (!at(":")) {
         Builder.begin("ExceptType");
-        parseTernary();
+        parseExpression();
         Builder.end();
         if (accept("as")) {
           Token Name = expectIdentifier("exception name");
@@ -565,7 +599,7 @@ private:
       return;
     }
     // self.attr target: bind as class field.
-    parseChainExpr(/*IsTargetContext=*/true);
+    parseCallChain();
   }
 
   //===--------------------------------------------------------------------===//
@@ -602,299 +636,8 @@ private:
     return Commas;
   }
 
-  void parseExpression() { parseTernary(); }
-
-  /// Python conditional expression: a if cond else b.
-  void parseTernary() {
-    Nested Level(*this);
-    if (!Level)
-      return;
-    if (isTernaryAhead()) {
-      Builder.begin("IfExp");
-      parseBoolOr(/*StopAtIf=*/true);
-      expect("if");
-      parseBoolOr(/*StopAtIf=*/true);
-      expect("else");
-      parseTernary();
-      Builder.end();
-      return;
-    }
-    parseBoolOr(/*StopAtIf=*/false);
-  }
-
-  bool isTernaryAhead() const {
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.is("if"))
-        return true;
-      if (endsOperatorScan(T, /*StopAtIf=*/false))
-        return false;
-    }
-    return false;
-  }
-
-  /// True if \p T, met at the scan's bracket level, ends an operator
-  /// chain: the end of the line, statement, list item, slice bound or
-  /// group, an assignment, or (with \p StopAtIf) a conditional's keyword.
-  static bool endsOperatorScan(const Token &T, bool StopAtIf) {
-    return T.closes() || T.is(TokenKind::Newline) || T.is(TokenKind::Eof) ||
-           T.is(";") || T.is(",") || T.is(":") || T.is("=") ||
-           (T.is(TokenKind::Punct) && isAugOp(T.Text)) ||
-           (StopAtIf && (T.is("if") || T.is("else")));
-  }
-
-  /// Counts the same-level operators ahead so nested BoolOp/BinOp nodes
-  /// can open before their contents. \p Spellings are the operators of
-  /// this level.
-  int countLevelOps(std::initializer_list<std::string_view> Spellings,
-                    std::initializer_list<std::string_view> LooserOps,
-                    bool StopAtIf) const {
-    int Count = 0;
-    bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (endsOperatorScan(T, StopAtIf))
-        break;
-      bool Looser = false;
-      for (std::string_view S : LooserOps)
-        if (T.is(S))
-          Looser = true;
-      if (Looser)
-        break;
-      bool Matched = false;
-      for (std::string_view S : Spellings)
-        if (T.is(S) && PrevWasOperand) {
-          ++Count;
-          Matched = true;
-          break;
-        }
-      if (Matched) {
-        PrevWasOperand = false;
-        continue;
-      }
-      PrevWasOperand = !T.is("not") && !T.is("and") && !T.is("or") &&
-                       !(T.is(TokenKind::Punct) &&
-                         (T.Text == "+" || T.Text == "-" || T.Text == "*" ||
-                          T.Text == "/" || T.Text == "%" || T.Text == "**" ||
-                          T.Text == "//" || T.Text == "<" || T.Text == ">" ||
-                          T.Text == "<=" || T.Text == ">=" ||
-                          T.Text == "==" || T.Text == "!="));
-      if (T.is("in") || T.is("is"))
-        PrevWasOperand = false;
-    }
-    return Count;
-  }
-
-  void parseBoolOr(bool StopAtIf) {
-    int N = countLevelOps({"or"}, {}, StopAtIf);
-    if (N > 0)
-      Builder.begin("BoolOpOr");
-    parseBoolAnd(StopAtIf);
-    for (int I = 0; I < N; ++I) {
-      expect("or");
-      parseBoolAnd(StopAtIf);
-    }
-    if (N > 0)
-      Builder.end();
-  }
-
-  void parseBoolAnd(bool StopAtIf) {
-    int N = countLevelOps({"and"}, {"or"}, StopAtIf);
-    if (N > 0)
-      Builder.begin("BoolOpAnd");
-    parseNot(StopAtIf);
-    for (int I = 0; I < N; ++I) {
-      expect("and");
-      parseNot(StopAtIf);
-    }
-    if (N > 0)
-      Builder.end();
-  }
-
-  void parseNot(bool StopAtIf) {
-    if (at("not")) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      advance();
-      Builder.begin("UnaryOpNot");
-      parseNot(StopAtIf);
-      Builder.end();
-      return;
-    }
-    parseComparison(StopAtIf);
-  }
-
-  void parseComparison(bool StopAtIf) {
-    // Python comparisons chain (a < b < c); we left-nest them like the
-    // other frontends. Collect the spellings ahead.
-    std::vector<std::string> Ops =
-        comparisonOpsAhead(StopAtIf);
-    for (auto It = Ops.rbegin(); It != Ops.rend(); ++It)
-      Builder.begin(std::string("Compare") + *It);
-    parseArith(StopAtIf);
-    for (const std::string &Op : Ops) {
-      if (Op == "not in") {
-        expect("not");
-        expect("in");
-      } else if (Op == "is not") {
-        expect("is");
-        expect("not");
-      } else {
-        expect(Op);
-      }
-      parseArith(StopAtIf);
-      Builder.end();
-    }
-  }
-
-  std::vector<std::string> comparisonOpsAhead(bool StopAtIf) const {
-    std::vector<std::string> Ops;
-    bool PrevWasOperand = false;
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (endsOperatorScan(T, StopAtIf) || T.is("and") || T.is("or"))
-        break;
-      if (PrevWasOperand) {
-        if (T.is("<") || T.is(">") || T.is("<=") || T.is(">=") ||
-            T.is("==") || T.is("!=")) {
-          Ops.push_back(std::string(T.Text));
-          PrevWasOperand = false;
-          continue;
-        }
-        if (T.is("in")) {
-          Ops.push_back("in");
-          PrevWasOperand = false;
-          continue;
-        }
-        if (T.is("not") && I + 1 < Tokens.size() && Tokens[I + 1].is("in")) {
-          Ops.push_back("not in");
-          PrevWasOperand = false;
-          ++I;
-          continue;
-        }
-        if (T.is("is")) {
-          if (I + 1 < Tokens.size() && Tokens[I + 1].is("not")) {
-            Ops.push_back("is not");
-            ++I;
-          } else {
-            Ops.push_back("is");
-          }
-          PrevWasOperand = false;
-          continue;
-        }
-      }
-      PrevWasOperand =
-          !T.is("not") &&
-          !(T.is(TokenKind::Punct) &&
-            (T.Text == "+" || T.Text == "-" || T.Text == "*" ||
-             T.Text == "/" || T.Text == "%" || T.Text == "**" ||
-             T.Text == "//"));
-    }
-    return Ops;
-  }
-
-  void parseArith(bool StopAtIf) { parseBinLevel(0, StopAtIf); }
-
-  /// Arithmetic levels: 0: +,-  1: *,/,%,//  2: ** (right-assoc treated
-  /// left for simplicity)  3: unary.
-  void parseBinLevel(int Level, bool StopAtIf) {
-    static const std::initializer_list<std::string_view> Levels[3] = {
-        {"+", "-"}, {"*", "/", "%", "//"}, {"**"}};
-    // Levels without operators open no node: pass over them here rather
-    // than recurse, which keeps a nesting level's stack cost small.
-    std::vector<std::string> Ops;
-    while (Level < 3 && (Ops = binOpsAhead(Levels[Level], StopAtIf)).empty())
-      ++Level;
-    if (Level >= 3) {
-      parseUnary(StopAtIf);
-      return;
-    }
-    for (auto It = Ops.rbegin(); It != Ops.rend(); ++It)
-      Builder.begin(std::string("BinOp") + *It);
-    parseBinLevel(Level + 1, StopAtIf);
-    for (const std::string &Op : Ops) {
-      expect(Op);
-      parseBinLevel(Level + 1, StopAtIf);
-      Builder.end();
-    }
-  }
-
-  std::vector<std::string>
-  binOpsAhead(std::initializer_list<std::string_view> Spellings,
-              bool StopAtIf) const {
-    std::vector<std::string> Ops;
-    bool PrevWasOperand = false;
-    auto LowerPrecedence = [&](const Token &T) {
-      // Operators looser than this level end the scan.
-      if (T.is("and") || T.is("or") || T.is("in") || T.is("is") ||
-          T.is("not"))
-        return true;
-      if (T.is("<") || T.is(">") || T.is("<=") || T.is(">=") || T.is("==") ||
-          T.is("!="))
-        return true;
-      // '+'/'-' are looser than '*' level.
-      for (std::string_view S : {"+", "-"}) {
-        bool InThisLevel = false;
-        for (std::string_view L : Spellings)
-          if (L == S)
-            InThisLevel = true;
-        if (!InThisLevel && T.is(S) && PrevWasOperand)
-          return true;
-      }
-      return false;
-    };
-    for (size_t I = Cursor; I < Tokens.size(); I = skipGroup(I)) {
-      const Token &T = Tokens[I];
-      if (T.opens()) {
-        PrevWasOperand = true; // The group is one operand.
-        continue;
-      }
-      if (endsOperatorScan(T, StopAtIf) || LowerPrecedence(T))
-        break;
-      bool Matched = false;
-      for (std::string_view S : Spellings)
-        if (T.is(S) && PrevWasOperand) {
-          Ops.push_back(std::string(T.Text));
-          Matched = true;
-          break;
-        }
-      if (Matched) {
-        PrevWasOperand = false;
-        continue;
-      }
-      PrevWasOperand = !(T.is(TokenKind::Punct) &&
-                         (T.Text == "+" || T.Text == "-" || T.Text == "*" ||
-                          T.Text == "/" || T.Text == "%" || T.Text == "**" ||
-                          T.Text == "//"));
-    }
-    return Ops;
-  }
-
-  void parseUnary(bool StopAtIf) {
-    if (at("-") || at("+")) {
-      Nested Level(*this);
-      if (!Level)
-        return;
-      std::string Op(advance().Text);
-      Builder.begin(Op == "-" ? "UnaryOpUSub" : "UnaryOpUAdd");
-      parseUnary(StopAtIf);
-      Builder.end();
-      return;
-    }
-    parseChainExpr(/*IsTargetContext=*/false);
-  }
-
   /// Primary expression followed by .attr / (args) / [index] links.
-  void parseChainExpr(bool IsTargetContext) {
+  void parseCallChain() {
     // Skip the primary (a token or a bracket group), then pre-scan links.
     enum LinkKind { Attr, CallLink, SubLink };
     std::vector<LinkKind> Links;
@@ -965,10 +708,10 @@ private:
             Token Name = advance();
             Builder.terminal(intern("KeywordArg"), intern(Name.Text));
             expect("=");
-            parseTernary();
+            parseExpression();
             Builder.end();
           } else {
-            parseTernary();
+            parseExpression();
           }
           if (!accept(","))
             break;
@@ -982,16 +725,16 @@ private:
         if (sliceAhead()) {
           Builder.begin("Slice");
           if (!at(":"))
-            parseTernary();
+            parseExpression();
           expect(":");
           if (!at("]") && !at(":"))
-            parseTernary();
+            parseExpression();
           if (accept(":"))
             if (!at("]"))
-              parseTernary();
+              parseExpression();
           Builder.end();
         } else {
-          parseTernary();
+          parseExpression();
         }
         expect("]");
         break;
@@ -1000,7 +743,6 @@ private:
       FirstLink = false;
       Builder.end();
     }
-    (void)IsTargetContext;
   }
 
   bool sliceAhead() const {
@@ -1083,11 +825,11 @@ private:
       int Commas = commasAhead();
       if (Commas > 0)
         Builder.begin("Tuple");
-      parseTernary();
+      parseExpression();
       while (accept(",")) {
         if (at(")"))
           break;
-        parseTernary();
+        parseExpression();
       }
       if (Commas > 0)
         Builder.end();
@@ -1098,7 +840,7 @@ private:
       advance();
       Builder.begin("List");
       while (!at("]") && !atEnd()) {
-        parseTernary();
+        parseExpression();
         if (!accept(","))
           break;
       }
@@ -1111,9 +853,9 @@ private:
       Builder.begin("Dict");
       while (!at("}") && !atEnd()) {
         Builder.begin("DictItem");
-        parseTernary();
+        parseExpression();
         expect(":");
-        parseTernary();
+        parseExpression();
         Builder.end();
         if (!accept(","))
           break;
