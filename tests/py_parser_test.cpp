@@ -145,6 +145,10 @@ TEST(PyParser, FloorDivAndPower) {
             "(Module (Assign (Name r) (BinOp// (Name a) (Name b))))");
   EXPECT_EQ(sexprOf("r = a ** 2\n"),
             "(Module (Assign (Name r) (BinOp** (Name a) (Num 2))))");
+  // A looser operator ends the `**` chain's scan.
+  EXPECT_EQ(sexprOf("r = a * b ** c\n"),
+            "(Module (Assign (Name r) (BinOp* (Name a) "
+            "(BinOp** (Name b) (Name c)))))");
 }
 
 TEST(PyParser, UnaryMinus) {
