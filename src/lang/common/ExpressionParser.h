@@ -137,8 +137,8 @@ protected:
   /// Parses one expression: an assignment to a call chain, a conditional
   /// or an operator chain. Spends one level of the nesting budget.
   void parseExpression() {
-    Nested Level(*this);
-    if (!Level)
+    Nested Budget(*this);
+    if (!Budget)
       return;
     if (!Table.Assign.empty())
       if (const ChainOperator *Op =

@@ -8,7 +8,8 @@
 /// Token-cursor plumbing shared by the four recursive-descent parsers:
 /// lookahead over the lexer's bracket pairing, conditional consumption,
 /// expectation with diagnostics, panic-mode recovery helpers, and the
-/// nesting budget that bounds recursion.
+/// nesting budget that bounds recursion. The operator-expression layer
+/// the parsers share builds on it (ExpressionParser.h).
 ///
 //===----------------------------------------------------------------------===//
 

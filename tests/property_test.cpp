@@ -226,8 +226,8 @@ std::vector<std::pair<size_t, size_t>> roughTokens(std::string_view Text) {
 /// \p Text after one to three seeded edits: a flipped bit, a deleted or
 /// duplicated token, a stray closer, an unclosed opener, or a run of
 /// operators, either between operands (`x + x - x`) or prefix-style
-/// before one (`! ! ! x`). One run in eight is long enough (300-600
-/// operators) to reach the nesting budget.
+/// before one (`! ! ! x`). One run in eight has 300-600 operators, so a
+/// prefix-style run can pass the nesting budget.
 std::string mutant(std::string Text, Rng &R) {
   for (uint64_t Edits = 1 + R.nextBelow(3); Edits > 0; --Edits) {
     std::vector<std::pair<size_t, size_t>> Tokens = roughTokens(Text);
